@@ -1,8 +1,7 @@
 """Micro-benchmark for the two hot kernels: frame rendering and pixel fits.
 
-Compares the compiled path against the pure-numpy fallback in one process
-by calling both implementations directly (the public dispatchers pick one
-based on THERMOSEG_NO_NUMBA at import time).
+Times the public render_frames and fit_image on a noisy four-quadrant
+scene and prints the best of several runs of each.
 
 Run: python3 bench/bench_kernels.py --width 160 --height 120 --frames 400
 """
@@ -40,51 +39,18 @@ def main():
     region_map = layout.region_map()
     base = np.stack([synthgen.eval_profile(r.profile, timestamps)
                      for r in layout.regions])
-    out = np.empty((args.frames, args.height, args.width))
 
     print(f"canvas {args.width}x{args.height}, {args.frames} frames, "
           f"degree {args.degree}, best of {args.repeats}")
-    if not _kernels.HAS_NUMBA:
-        print("numba not installed; timing the numpy fallback only")
+    t_render = time_calls(_kernels.render_frames, args.repeats,
+                          base, region_map, 1.0, 42, 0.0, math.inf)
+    print(f"render: {t_render:10.1f} ms")
 
-    # render ----------------------------------------------------------------
-    t_np = time_calls(_kernels._render_numpy, args.repeats,
-                      base, region_map, 1.0, 42, 0.0, math.inf, out)
-    print(f"render  numpy: {t_np:10.1f} ms")
-    if _kernels.HAS_NUMBA:
-        _kernels._render_numba(base, region_map, 1.0, np.uint64(42),
-                               0.0, math.inf, out)      # compile
-        t_nb = time_calls(_kernels._render_numba, args.repeats,
-                          base, region_map, 1.0, np.uint64(42),
-                          0.0, math.inf, out)
-        print(f"render  numba: {t_nb:10.1f} ms   ({t_np / t_nb:.1f}x)")
-
-    # fit -------------------------------------------------------------------
     data = _kernels.render_frames(base, region_map, 1.0, 42, 0.0, math.inf)
-    log_t = np.log10(timestamps)
-    inv = 1.0 / math.log(10.0)
-    t_np = time_calls(_kernels._fit_image_numpy, args.repeats,
-                      data, log_t, math.inf, args.degree, inv)
-    print(f"fit     numpy: {t_np:10.1f} ms")
-    if _kernels.HAS_NUMBA:
-        height, width = args.height, args.width
-        coef = np.zeros((height, width, args.degree + 1))
-        rms = np.zeros((height, width))
-        start = np.zeros((height, width), dtype=np.int64)
-        valid = np.zeros((height, width), dtype=np.bool_)
-
-        def fit_numba():
-            _kernels._fit_image_numba(data, log_t, math.inf, args.degree,
-                                      inv, coef, rms, start, valid)
-
-        fit_numba()                                     # compile
-        t_nb = time_calls(fit_numba, args.repeats)
-        print(f"fit     numba: {t_nb:10.1f} ms   ({t_np / t_nb:.1f}x)")
-
-        ref = _kernels._fit_image_numpy(data, log_t, math.inf,
-                                        args.degree, inv)
-        agree = np.allclose(coef, ref[0], rtol=1e-7, atol=1e-10)
-        print(f"paths agree: {agree}")
+    t_fit = time_calls(_kernels.fit_image, args.repeats, data,
+                       np.log10(timestamps), math.inf, args.degree,
+                       1.0 / math.log(10.0))
+    print(f"fit:    {t_fit:10.1f} ms")
 
 
 if __name__ == "__main__":

@@ -5,13 +5,11 @@ polynomial fits -> feature datasets -> dense-network classifier ->
 segmentation maps and confusion metrics. See README.md for the CLI.
 """
 
-from ._kernels import USING_NUMBA
 from .errors import ComputeError, ThermosegError, ValidationError
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "ComputeError",
     "ThermosegError",
     "ValidationError",

@@ -1,39 +1,22 @@
-"""Hot numeric kernels with numba and pure-numpy implementations.
+"""Hot numeric kernels: noisy frame rendering and per-pixel log-log fits.
 
-Two operations dominate runtime at video scale and are implemented twice:
+Both operations dominate runtime at video scale and are vectorised in
+numpy:
 
-* per-pixel Gaussian noise synthesis for rendered sequences
-* per-pixel polynomial least squares over log-log pixel histories
-
-The numba path JIT-compiles per-pixel loops; the numpy path vectorises the
-same arithmetic (noise frame-by-frame, fits grouped by start index). The
-active path is picked at import time: numpy whenever numba is missing or
-the environment sets THERMOSEG_NO_NUMBA=1. `bench/bench_kernels.py` times
-both.
-
-Noise streams come from a counter-style splitmix64 generator keyed on
-(seed, row, col) and a Box-Muller transform, so any single pixel can be
-regenerated without rendering the rest of the frame and both paths agree
-to floating-point accuracy.
+* render_frames adds per-pixel Gaussian noise to each region's series,
+  two frames per Box-Muller draw. Noise streams come from a counter-style
+  splitmix64 generator keyed on (seed, row, col), so any single pixel can
+  be regenerated without rendering the rest of the frame.
+* fit_image groups pixels by their first unsaturated frame. Each distinct
+  window gets one thin QR of its Vandermonde matrix on a log-time axis
+  mapped to [-1, 1]; every pixel sharing the window is then solved with
+  one Q^T product and a triangular solve, in blocks of CHUNK pixels so a
+  large frame cube never gains a full-size log copy.
 """
 
 import math
-import os
 
 import numpy as np
-
-_NO_NUMBA = os.environ.get("THERMOSEG_NO_NUMBA", "").strip() in ("1", "true", "yes")
-
-if not _NO_NUMBA:
-    try:
-        from numba import njit
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
-USING_NUMBA = HAS_NUMBA
 
 # splitmix64 constants
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -44,36 +27,43 @@ _COL_K = np.uint64(0x165667B19E3779F9)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO_PI = 2.0 * math.pi
 
+# pixels per log/solve block in fit_image
+CHUNK = 4096
 
-# ---------------------------------------------------------------------------
-# pure-numpy reference implementations
-# ---------------------------------------------------------------------------
 
-def _mix64_np(z):
+def _splitmix64(z):
     z = (z ^ (z >> np.uint64(30))) * _SM_M1
     z = (z ^ (z >> np.uint64(27))) * _SM_M2
     return z ^ (z >> np.uint64(31))
 
 
-def _pixel_states_np(seed, height, width):
+def _pixel_states(seed, height, width):
     """Initial splitmix64 state per pixel, keyed on (seed, row, col)."""
     rows = np.arange(height, dtype=np.uint64)[:, None]
     cols = np.arange(width, dtype=np.uint64)[None, :]
     base = (np.uint64(seed) * _SM_GAMMA) ^ (rows * _ROW_K) ^ (cols * _COL_K)
-    return _mix64_np(base)
+    return _splitmix64(base)
 
 
-def _render_numpy(base, region_map, sigma, seed, lo, hi, out):
-    """Fill out (F,H,W) with per-region series plus clamped pixel noise."""
+def render_frames(base, region_map, sigma, seed, lo, hi):
+    """Per-pixel series + seeded Gaussian noise, clamped to [lo, hi].
+
+    base: (regions, frames) float64 profile series; region_map: (H, W) int
+    region index per pixel. Returns a (frames, H, W) float64 stack.
+    """
+    base = np.ascontiguousarray(base, dtype=np.float64)
+    region_map = np.ascontiguousarray(region_map, dtype=np.int64)
     frame_count = base.shape[1]
+    out = np.empty((frame_count,) + region_map.shape, dtype=np.float64)
+    sigma = float(sigma)
     if sigma > 0.0:
         with np.errstate(over="ignore"):
-            state = _pixel_states_np(seed, *region_map.shape)
+            state = _pixel_states(int(seed), *region_map.shape)
             for f in range(0, frame_count, 2):
                 state = state + _SM_GAMMA
-                z1 = _mix64_np(state)
+                z1 = _splitmix64(state)
                 state = state + _SM_GAMMA
-                z2 = _mix64_np(state)
+                z2 = _splitmix64(state)
                 u1 = ((z1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53
                 u2 = (z2 >> np.uint64(11)).astype(np.float64) * _U53
                 rad = np.sqrt(-2.0 * np.log(u1))
@@ -84,7 +74,8 @@ def _render_numpy(base, region_map, sigma, seed, lo, hi, out):
     else:
         for f in range(frame_count):
             out[f] = base[region_map, f]
-    np.clip(out, lo, hi, out=out)
+    np.clip(out, float(lo), float(hi), out=out)
+    return out
 
 
 def _affine_basis_matrix(degree, scale, shift):
@@ -98,273 +89,13 @@ def _affine_basis_matrix(degree, scale, shift):
     return mat
 
 
-def _start_indices_np(flat, saturation):
+def _start_indices(flat, saturation):
     """Per-pixel index of the first frame after the last saturated one."""
     frame_count = flat.shape[0]
     sat = flat >= saturation
     any_sat = sat.any(axis=0)
     last = np.where(any_sat, frame_count - 1 - np.argmax(sat[::-1, :], axis=0), -1)
     return (last + 1).astype(np.int64)
-
-
-def _fit_image_numpy(data, log_t, saturation, degree, inv_ln_base, chunk=4096):
-    frame_count, height, width = data.shape
-    m = degree + 1
-    pixels = height * width
-    flat = data.reshape(frame_count, pixels)
-
-    coef = np.zeros((pixels, m))
-    rms = np.zeros(pixels)
-    start = _start_indices_np(flat, saturation)
-    valid = start <= frame_count - m
-
-    for s in np.unique(start[valid]):
-        cols = np.nonzero(valid & (start == s))[0]
-        u = log_t[s:]
-        umin, umax = u[0], u[-1]
-        if umax == umin:
-            valid[cols] = False
-            continue
-        scale = 2.0 / (umax - umin)
-        shift = -(umax + umin) / (umax - umin)
-        vand = np.vander(scale * u + shift, m, increasing=True)
-        basis = _affine_basis_matrix(degree, scale, shift)
-        n = u.shape[0]
-        for lo_i in range(0, cols.shape[0], chunk):
-            sub_cols = cols[lo_i:lo_i + chunk]
-            block = flat[s:, sub_cols]
-            positive = (block > 0.0).all(axis=0)
-            valid[sub_cols[~positive]] = False
-            sub_cols = sub_cols[positive]
-            if sub_cols.shape[0] == 0:
-                continue
-            y = np.log(block[:, positive]) * inv_ln_base
-            sol, _, rank, _ = np.linalg.lstsq(vand, y, rcond=None)
-            if rank < m:
-                valid[sub_cols] = False
-                continue
-            resid = vand @ sol - y
-            coef[sub_cols] = (basis @ sol).T
-            rms[sub_cols] = np.sqrt(np.mean(resid * resid, axis=0))
-
-    coef[~valid] = 0.0
-    rms[~valid] = 0.0
-    return (coef.reshape(height, width, m), rms.reshape(height, width),
-            start.reshape(height, width), valid.reshape(height, width))
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True, inline="always")
-    def _mix64(z):
-        z = (z ^ (z >> np.uint64(30))) * _SM_M1
-        z = (z ^ (z >> np.uint64(27))) * _SM_M2
-        return z ^ (z >> np.uint64(31))
-
-    @njit(cache=True)
-    def _render_numba(base, region_map, sigma, seed, lo, hi, out):
-        frame_count = base.shape[1]
-        height, width = region_map.shape
-        for r in range(height):
-            for c in range(width):
-                reg = region_map[r, c]
-                if sigma > 0.0:
-                    state = _mix64((np.uint64(seed) * _SM_GAMMA)
-                                   ^ (np.uint64(r) * _ROW_K)
-                                   ^ (np.uint64(c) * _COL_K))
-                    f = 0
-                    while f < frame_count:
-                        state = state + _SM_GAMMA
-                        z1 = _mix64(state)
-                        state = state + _SM_GAMMA
-                        z2 = _mix64(state)
-                        u1 = np.float64((z1 >> np.uint64(11)) + np.uint64(1)) * _U53
-                        u2 = np.float64(z2 >> np.uint64(11)) * _U53
-                        rad = math.sqrt(-2.0 * math.log(u1))
-                        ang = _TWO_PI * u2
-                        v = base[reg, f] + sigma * (rad * math.cos(ang))
-                        out[f, r, c] = min(max(v, lo), hi)
-                        f += 1
-                        if f < frame_count:
-                            v = base[reg, f] + sigma * (rad * math.sin(ang))
-                            out[f, r, c] = min(max(v, lo), hi)
-                            f += 1
-                else:
-                    for f in range(frame_count):
-                        v = base[reg, f]
-                        out[f, r, c] = min(max(v, lo), hi)
-
-    @njit(cache=True)
-    def _qr_factor(mat, vecs, vn2):
-        """In-place Householder factorization; R lands in the upper triangle.
-
-        Reflector k is kept in vecs[k:, k] with its squared norm in vn2[k]
-        so one factorization can serve every pixel sharing the window.
-        Returns False on a collapsed or rank-deficient column.
-        """
-        n, m = mat.shape
-        for k in range(m):
-            norm2 = 0.0
-            for i in range(k, n):
-                norm2 += mat[i, k] * mat[i, k]
-            norm = math.sqrt(norm2)
-            if norm < 1e-300:
-                return False
-            alpha = -norm if mat[k, k] >= 0.0 else norm
-            vecs[k, k] = mat[k, k] - alpha
-            vnorm2 = vecs[k, k] * vecs[k, k]
-            for i in range(k + 1, n):
-                vecs[i, k] = mat[i, k]
-                vnorm2 += vecs[i, k] * vecs[i, k]
-            vn2[k] = vnorm2
-            if vnorm2 > 0.0:
-                for j in range(k + 1, m):
-                    dot = 0.0
-                    for i in range(k, n):
-                        dot += vecs[i, k] * mat[i, j]
-                    fac = 2.0 * dot / vnorm2
-                    for i in range(k, n):
-                        mat[i, j] -= fac * vecs[i, k]
-            mat[k, k] = alpha
-
-        dmax = 0.0
-        for k in range(m):
-            dmax = max(dmax, abs(mat[k, k]))
-        for k in range(m):
-            if abs(mat[k, k]) < 1e-12 * dmax:
-                return False
-        return True
-
-    @njit(cache=True)
-    def _qr_solve(mat, vecs, vn2, rhs, coef):
-        """Stored-reflector least squares for one right-hand side.
-
-        mat/vecs/vn2 come from _qr_factor; rhs is overwritten. Returns the
-        fit rms sqrt(rss / n).
-        """
-        n, m = mat.shape
-        for k in range(m):
-            vnorm2 = vn2[k]
-            if vnorm2 > 0.0:
-                dot = 0.0
-                for i in range(k, n):
-                    dot += vecs[i, k] * rhs[i]
-                fac = 2.0 * dot / vnorm2
-                for i in range(k, n):
-                    rhs[i] -= fac * vecs[i, k]
-
-        for k in range(m - 1, -1, -1):
-            s = rhs[k]
-            for j in range(k + 1, m):
-                s -= mat[k, j] * coef[j]
-            coef[k] = s / mat[k, k]
-
-        rss = 0.0
-        for i in range(m, n):
-            rss += rhs[i] * rhs[i]
-        return math.sqrt(rss / n)
-
-    @njit(cache=True)
-    def _compose_affine(coef_s, scale, shift, coef_u):
-        """Expand sum c_s[j]*(scale*u+shift)**j into raw-basis coefficients."""
-        m = coef_s.shape[0]
-        for i in range(m):
-            coef_u[i] = 0.0
-        coef_u[0] = coef_s[m - 1]
-        deg = 0
-        for j in range(m - 2, -1, -1):
-            coef_u[deg + 1] = coef_u[deg] * scale
-            for i in range(deg, 0, -1):
-                coef_u[i] = coef_u[i - 1] * scale + coef_u[i] * shift
-            coef_u[0] = coef_u[0] * shift + coef_s[j]
-            deg += 1
-
-    @njit(cache=True)
-    def _fit_image_numba(data, log_t, saturation, degree, inv_ln_base,
-                         coef, rms, start, valid):
-        frame_count, height, width = data.shape
-        m = degree + 1
-
-        # pass 1: per-pixel window start and cheap validity screens
-        for r in range(height):
-            for c in range(width):
-                s0 = 0
-                for f in range(frame_count - 1, -1, -1):
-                    if data[f, r, c] >= saturation:
-                        s0 = f + 1
-                        break
-                start[r, c] = s0
-                ok = frame_count - s0 >= m
-                if ok:
-                    for f in range(s0, frame_count):
-                        if data[f, r, c] <= 0.0:
-                            ok = False
-                            break
-                valid[r, c] = ok
-
-        # pass 2: factor each distinct window once, reuse for its pixels
-        vand = np.empty((frame_count, m))
-        vecs = np.empty((frame_count, m))
-        vn2 = np.empty(m)
-        y = np.empty(frame_count)
-        coef_s = np.empty(m)
-        for s0 in np.unique(start.ravel()):
-            n = frame_count - s0
-            if n < m:
-                continue
-            umin = log_t[s0]
-            umax = log_t[frame_count - 1]
-            window_ok = umax > umin
-            scale = 0.0
-            shift = 0.0
-            if window_ok:
-                scale = 2.0 / (umax - umin)
-                shift = -(umax + umin) / (umax - umin)
-                for i in range(n):
-                    s = scale * log_t[s0 + i] + shift
-                    p = 1.0
-                    for j in range(m):
-                        vand[i, j] = p
-                        p *= s
-                window_ok = _qr_factor(vand[:n], vecs[:n], vn2)
-            for r in range(height):
-                for c in range(width):
-                    if start[r, c] != s0 or not valid[r, c]:
-                        continue
-                    if not window_ok:
-                        valid[r, c] = False
-                        continue
-                    for i in range(n):
-                        y[i] = math.log(data[s0 + i, r, c]) * inv_ln_base
-                    rms[r, c] = _qr_solve(vand[:n], vecs[:n], vn2,
-                                          y[:n], coef_s)
-                    _compose_affine(coef_s, scale, shift, coef[r, c])
-
-
-# ---------------------------------------------------------------------------
-# dispatchers
-# ---------------------------------------------------------------------------
-
-def render_frames(base, region_map, sigma, seed, lo, hi):
-    """Per-pixel series + seeded Gaussian noise, clamped to [lo, hi].
-
-    base: (regions, frames) float64 profile series; region_map: (H, W) int
-    region index per pixel. Returns a (frames, H, W) float64 stack.
-    """
-    base = np.ascontiguousarray(base, dtype=np.float64)
-    region_map = np.ascontiguousarray(region_map, dtype=np.int64)
-    out = np.empty((base.shape[1],) + region_map.shape, dtype=np.float64)
-    if USING_NUMBA:
-        _render_numba(base, region_map, float(sigma), np.uint64(seed),
-                      float(lo), float(hi), out)
-    else:
-        _render_numpy(base, region_map, float(sigma), int(seed),
-                      float(lo), float(hi), out)
-    return out
 
 
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
@@ -377,14 +108,49 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     log_t = np.ascontiguousarray(log_t, dtype=np.float64)
-    if USING_NUMBA:
-        height, width = data.shape[1], data.shape[2]
-        coef = np.zeros((height, width, degree + 1))
-        rms = np.zeros((height, width))
-        start = np.zeros((height, width), dtype=np.int64)
-        valid = np.zeros((height, width), dtype=np.bool_)
-        _fit_image_numba(data, log_t, float(saturation), degree,
-                         float(inv_ln_base), coef, rms, start, valid)
-        return coef, rms, start, valid
-    return _fit_image_numpy(data, log_t, float(saturation), degree,
-                            float(inv_ln_base))
+    frame_count, height, width = data.shape
+    m = degree + 1
+    flat = data.reshape(frame_count, height * width)
+
+    coef = np.zeros((flat.shape[1], m))
+    rms = np.zeros(flat.shape[1])
+    start = _start_indices(flat, saturation)
+    valid = start <= frame_count - m
+
+    for s in np.unique(start[valid]):
+        cols = np.nonzero(valid & (start == s))[0]
+        u = log_t[s:]
+        umin, umax = u[0], u[-1]
+        if umax == umin:
+            valid[cols] = False
+            continue
+        scale = 2.0 / (umax - umin)
+        shift = -(umax + umin) / (umax - umin)
+        q, r = np.linalg.qr(np.vander(scale * u + shift, m, increasing=True))
+        diag = np.abs(np.diag(r))
+        if diag.min() <= 1e-12 * diag.max():
+            valid[cols] = False
+            continue
+        basis = _affine_basis_matrix(degree, scale, shift)
+        for lo in range(0, cols.shape[0], CHUNK):
+            sub_cols = cols[lo:lo + CHUNK]
+            y = flat[s:, sub_cols]
+            positive = (y > 0.0).all(axis=0)
+            valid[sub_cols[~positive]] = False
+            sub_cols = sub_cols[positive]
+            if sub_cols.shape[0] == 0:
+                continue
+            # y is a private copy, so the log can overwrite it in place
+            y = y[:, positive]
+            np.log(y, out=y)
+            y *= inv_ln_base
+            qty = q.T @ y
+            # R is upper triangular, so LU pivots nowhere: back substitution
+            sol = np.linalg.solve(r, qty)
+            resid = q @ qty
+            resid -= y
+            coef[sub_cols] = (basis @ sol).T
+            rms[sub_cols] = np.sqrt(np.mean(resid * resid, axis=0))
+
+    return (coef.reshape(height, width, m), rms.reshape(height, width),
+            start.reshape(height, width), valid.reshape(height, width))

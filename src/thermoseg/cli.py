@@ -23,13 +23,6 @@ from .errors import ComputeError, ValidationError
 from .ingest import load_mask, load_sequence, save_mask, trim_mask, write_sequence
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
 # ---------------------------------------------------------------------------
 # config handling
 # ---------------------------------------------------------------------------
@@ -253,9 +246,6 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="thermoseg",
         description="Flash-thermography delamination screening pipeline.")
-    parser.add_argument("--workers", type=_positive_int, default=1,
-                        help="cap on parallel width (stages in this build "
-                             "run single-process)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="render a scene description to frames")

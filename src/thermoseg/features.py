@@ -192,85 +192,3 @@ def split(ds, spec):
     train_idx = order[test_n + val_n:]
     return ds.take(train_idx), ds.take(val_idx), ds.take(test_idx)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def write_dataset(ds, path):
-    """CSV with header f0..fF-1,label plus a .prov sidecar of pixel coords."""
-    with open(path, "w", encoding="utf-8") as fh:
-        header = ",".join(f"f{i}" for i in range(ds.feature_count))
-        fh.write(f"{header},label\n")
-        for i in range(ds.size):
-            row = ",".join("%.17g" % v for v in ds.vectors[i])
-            fh.write(f"{row},{ds.labels[i]}\n")
-    with open(str(path) + ".prov", "w", encoding="utf-8") as fh:
-        fh.write(f"class_count = {ds.class_count}\n")
-        for r, c in ds.provenance:
-            fh.write(f"{r},{c}\n")
-
-
-def read_dataset(path):
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise DatasetError(f"cannot read dataset {path}: {exc}") from exc
-    with fh:
-        header = fh.readline().rstrip("\n").split(",")
-        if header[-1] != "label":
-            raise DatasetError(f"{path}: missing label column")
-        f = len(header) - 1
-        vectors = []
-        labels = []
-        for lineno, line in enumerate(fh, 2):
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != f + 1:
-                raise DatasetError(f"{path}:{lineno}: expected {f + 1} fields")
-            try:
-                vectors.append([float(v) for v in parts[:f]])
-                labels.append(int(parts[f]))
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-    if not vectors:
-        raise DatasetError(f"{path}: empty dataset")
-    vectors = np.array(vectors)
-    labels = np.array(labels, dtype=np.int64)
-
-    class_count = int(labels.max()) + 1
-    provenance = np.full((labels.shape[0], 2), -1, dtype=np.int64)
-    try:
-        with open(str(path) + ".prov", "r", encoding="utf-8") as fh:
-            first = fh.readline()
-            if first.startswith("class_count"):
-                class_count = max(class_count, int(first.partition("=")[2]))
-            for i, line in enumerate(fh):
-                r, _, c = line.rstrip("\n").partition(",")
-                if i < provenance.shape[0]:
-                    provenance[i] = (int(r), int(c))
-    except OSError:
-        pass
-    return Dataset(vectors, labels, class_count, provenance)
-
-
-def write_stats(stats, path):
-    """Two text rows: means then standard deviations."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(" ".join(repr(float(v)) for v in stats.mean) + "\n")
-        fh.write(" ".join(repr(float(v)) for v in stats.std) + "\n")
-
-
-def read_stats(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DatasetError(f"cannot read stats {path}: {exc}") from exc
-    if len(lines) < 2:
-        raise DatasetError(f"{path}: expected two rows")
-    try:
-        mean = np.array([float(v) for v in lines[0].split()])
-        std = np.array([float(v) for v in lines[1].split()])
-    except ValueError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
-    return ScalingStats(mean, std)

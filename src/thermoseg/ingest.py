@@ -1,4 +1,4 @@
-"""Loading, validation, cropping and masking of thermographic sequences.
+"""Loading, validation and masking of thermographic sequences.
 
 A sequence on disk is one CSV file per frame (rows = image rows, comma
 separated columns) plus a manifest sidecar - a flat key=value text file
@@ -26,6 +26,16 @@ class SaturatedPixelError(ComputeError):
     """Raised when a pixel has no unsaturated suffix to fit."""
 
 
+def check_timestamps(t, error=IngestError):
+    """Raise `error` unless t is finite, positive and strictly increasing.
+
+    The test is written in positive form so that a NaN, which fails every
+    comparison, fails it too.
+    """
+    if not (np.isfinite(t).all() and t[0] > 0 and (np.diff(t) > 0).all()):
+        raise error("timestamps must be finite, strictly increasing and > 0")
+
+
 @dataclass(frozen=True)
 class FrameSequence:
     """A time-ordered stack of 2-D frames with strictly increasing timestamps.
@@ -46,8 +56,7 @@ class FrameSequence:
             raise IngestError("width, height and frame_count must be >= 1")
         if self.timestamps.shape != (self.frame_count,):
             raise IngestError("timestamp count must equal frame count")
-        if self.timestamps[0] <= 0 or np.any(np.diff(self.timestamps) <= 0):
-            raise IngestError("timestamps must be strictly increasing and > 0")
+        check_timestamps(self.timestamps)
         if self.data.shape != (self.frame_count, self.height, self.width):
             raise IngestError(
                 f"data shape {self.data.shape} does not match "
@@ -79,10 +88,6 @@ class LabelMask:
         if not self.valid.any():
             return 0
         return int(self.labels[self.valid].max()) + 1
-
-
-# predictions share the mask structure
-LabelMap = LabelMask
 
 
 @dataclass(frozen=True)
@@ -139,8 +144,11 @@ def read_manifest(path):
         except ValueError as exc:
             raise IngestError(f"{path}: bad timestamps: {exc}") from exc
     elif "fps" in single:
-        fps = float(single["fps"])
-        if fps <= 0:
+        try:
+            fps = float(single["fps"])
+        except ValueError as exc:
+            raise IngestError(f"{path}: bad fps: {exc}") from exc
+        if not fps > 0:
             raise IngestError(f"{path}: fps must be positive")
         # first frame follows the flash by one frame interval, so t > 0
         stamps = (np.arange(len(frames)) + 1.0) / fps
@@ -207,19 +215,6 @@ def write_sequence(seq, out_dir, stem="frame"):
         for name in names:
             fh.write(f"frame = frames/{name}\n")
     return manifest_path
-
-
-def crop(seq, x0, y0, width, height):
-    """Crop every frame to the rectangle (x0, y0, width, height)."""
-    if width < 1 or height < 1:
-        raise IngestError("crop rectangle must have positive size")
-    if x0 < 0 or y0 < 0 or x0 + width > seq.width or y0 + height > seq.height:
-        raise IngestError(
-            f"crop rect ({x0},{y0},{width},{height}) outside "
-            f"{seq.width}x{seq.height} frame")
-    data = seq.data[:, y0:y0 + height, x0:x0 + width].copy()
-    return FrameSequence(width, height, seq.frame_count, seq.timestamps,
-                         data, seq.saturation_value, seq.units)
 
 
 def trim_mask(mask, margin):

@@ -18,13 +18,13 @@ running bracket value, so the gap-0 case degrades exactly to the power law.
 
 import configparser
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import ComputeError, ValidationError
-from .ingest import FrameSequence, LabelMask
+from .ingest import FrameSequence, LabelMask, check_timestamps
 
 MM = 1e-3
 
@@ -178,8 +178,10 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise SceneError("noise sigma must be >= 0")
+        if not 0 <= self.seed < 2 ** 64:
+            raise SceneError("noise seed must lie in [0, 2**64)")
 
 
 def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
@@ -192,8 +194,7 @@ def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
     timestamps = np.asarray(timestamps, dtype=np.float64)
     if timestamps.ndim != 1 or timestamps.size == 0:
         raise SceneError("timestamps must be a non-empty 1-D sequence")
-    if timestamps[0] <= 0 or np.any(np.diff(timestamps) <= 0):
-        raise SceneError("timestamps must be strictly increasing and > 0")
+    check_timestamps(timestamps, SceneError)
     lo, hi = float(clamp[0]), float(clamp[1])
     if not lo < hi:
         raise SceneError("clamp must satisfy lo < hi")
@@ -283,6 +284,18 @@ class Scene:
     clamp: tuple = (0.0, math.inf)
 
 
+# keys each scene section accepts; a region also takes its profile's keys
+_SECTION_KEYS = {"canvas": {"width", "height"},
+                 "timing": {"fps", "frames", "timestamps"},
+                 "noise": {"sigma", "seed"},
+                 "clamp": {"lo", "hi"}}
+_REGION_KEYS = {"rect", "class", "profile"}
+_PROFILE_KEYS = {"power-law": {"amplitude", "exponent"},
+                 "adiabatic-plate": {"amplitude", "thickness", "diffusivity",
+                                     "contrast"},
+                 "polynomial-in-log-time": {"coefficients", "log_base"}}
+
+
 def _profile_from_options(opts, where):
     kind = opts.get("profile", "power-law").strip()
     try:
@@ -294,14 +307,32 @@ def _profile_from_options(opts, where):
                                    float(opts["thickness"]),
                                    float(opts["diffusivity"]),
                                    float(opts.get("contrast", 1.0)))
-        if kind == "polynomial-in-log-time":
-            coeffs = [float(v) for v in opts["coefficients"].split()]
-            return log_polynomial(coeffs, float(opts.get("log_base", 10.0)))
+        # polynomial-in-log-time; _check_scene_keys rejected other kinds
+        coeffs = [float(v) for v in opts["coefficients"].split()]
+        return log_polynomial(coeffs, float(opts.get("log_base", 10.0)))
     except KeyError as exc:
         raise SceneError(f"{where}: profile {kind!r} missing option {exc}")
     except ValueError as exc:
         raise SceneError(f"{where}: bad profile value: {exc}")
-    raise SceneError(f"{where}: unknown profile kind {kind!r}")
+
+
+def _check_scene_keys(parser, path):
+    """Reject unknown sections and keys, so a typo cannot fall back to a
+    default."""
+    for section in parser.sections():
+        if section.startswith("region."):
+            kind = parser.get(section, "profile", fallback="power-law").strip()
+            if kind not in _PROFILE_KEYS:
+                raise SceneError(
+                    f"{path} [{section}]: unknown profile kind {kind!r}")
+            allowed = _REGION_KEYS | _PROFILE_KEYS[kind]
+        elif section in _SECTION_KEYS:
+            allowed = _SECTION_KEYS[section]
+        else:
+            raise SceneError(f"{path}: unknown scene section [{section}]")
+        for key in parser[section]:
+            if key not in allowed:
+                raise SceneError(f"{path}: unknown key {key!r} in [{section}]")
 
 
 def load_scene(path):
@@ -315,6 +346,7 @@ def load_scene(path):
     read = parser.read(path)
     if not read:
         raise SceneError(f"cannot read scene file {path}")
+    _check_scene_keys(parser, path)
     try:
         width = parser.getint("canvas", "width")
         height = parser.getint("canvas", "height")
@@ -338,20 +370,17 @@ def load_scene(path):
             raise SceneError(f"{path}: fps and frames must be positive")
         stamps = (np.arange(frames) + 1.0) / fps
 
-    sigma = 0.0
-    seed = 0
-    if parser.has_section("noise"):
+    try:
         sigma = parser.getfloat("noise", "sigma", fallback=0.0)
         seed = parser.getint("noise", "seed", fallback=0)
-    lo = 0.0
-    hi = math.inf
-    if parser.has_section("clamp"):
         lo = parser.getfloat("clamp", "lo", fallback=0.0)
         hi = parser.getfloat("clamp", "hi", fallback=math.inf)
+    except ValueError as exc:
+        raise SceneError(f"{path}: bad [noise] or [clamp] value: {exc}")
 
     regions = []
     for section in parser.sections():
-        if not section.startswith("region"):
+        if not section.startswith("region."):
             continue
         opts = dict(parser.items(section))
         try:

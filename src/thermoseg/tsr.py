@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ComputeError, ValidationError
-from .ingest import first_unsaturated_frame
+from .ingest import check_timestamps, first_unsaturated_frame
 
 PACK_TRUNCATED = "concat-truncated"
 PACK_PADDED = "concat-padded"
@@ -72,8 +72,7 @@ def fit_pixel(series, timestamps, degree, first_frame=0, log_base=10.0):
         raise ValidationError("degree must be >= 0")
     if not 0 <= first_frame < series.shape[0]:
         raise ValidationError(f"first_frame {first_frame} out of range")
-    if timestamps[0] <= 0 or np.any(np.diff(timestamps) <= 0):
-        raise ValidationError("timestamps must be strictly increasing and > 0")
+    check_timestamps(timestamps, ValidationError)
 
     t = timestamps[first_frame:]
     y_raw = series[first_frame:]
@@ -117,16 +116,6 @@ def derivative_coefficients(coeffs):
     return first, second
 
 
-@dataclass(frozen=True)
-class TsrFeatureVector:
-    values: np.ndarray
-    packing: str
-
-    def __post_init__(self):
-        if self.packing not in _PACKINGS:
-            raise ValidationError(f"unknown packing {self.packing!r}")
-
-
 def feature_length(degree, packing):
     if packing == PACK_PADDED:
         return 3 * (degree + 1)
@@ -152,7 +141,7 @@ def pack_features(fit, packing=PACK_PADDED):
         values[2 * m:2 * m + second.shape[0]] = second
     else:
         raise ValidationError(f"unknown packing {packing!r}")
-    return TsrFeatureVector(values, packing)
+    return values
 
 
 @dataclass(frozen=True)

@@ -183,18 +183,67 @@ def test_matrix_scoring(tmp_path, capsys):
     assert "accuracy 95.39%" in text
 
 
-def test_exit_code_validation_errors(tmp_path, capsys):
-    assert cli.main(["synth", "--scene", str(tmp_path / "missing.ini"),
-                     "--out", str(tmp_path / "x")]) == 2
-    assert cli.main(["eval"]) == 2
+def _scene_with(old, new):
+    assert old in SCENE
+    return SCENE.replace(old, new)
 
-    bad = tmp_path / "bad.ini"
-    bad.write_text("[nn]\nmomentum = 0.9\n")
-    assert cli.main(["fit", "--manifest", str(tmp_path / "m.txt"),
-                     "--config", str(bad),
-                     "--out", str(tmp_path / "f.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "momentum" in err
+
+SYNTH = ["synth", "--scene", "{path}", "--out", "{dir}/v"]
+FIT = ["fit", "--manifest", "{path}", "--out", "{dir}/f.csv"]
+
+# (case, input file name, its text or None to leave it absent, argv, error)
+MALFORMED_INPUTS = [
+    ("missing scene", "absent.ini", None, SYNTH, "cannot read scene file"),
+    ("misspelled region key", "s.ini",
+     _scene_with("amplitude = 300.0\nexponent", "amplitud = 400\nexponent"),
+     SYNTH, "'amplitud'"),
+    ("misspelled noise key", "s.ini", _scene_with("sigma = 0.5", "sigam = 2"),
+     SYNTH, "'sigam'"),
+    ("key of another profile", "s.ini",
+     _scene_with("exponent = -0.5", "exponent = -0.5\nthickness = 1e-3"),
+     SYNTH, "'thickness'"),
+    ("unknown section", "s.ini", _scene_with("[noise]", "[nosie]"),
+     SYNTH, "[nosie]"),
+    ("non-numeric sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = abc"),
+     SYNTH, "abc"),
+    ("nan sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = nan"),
+     SYNTH, "sigma"),
+    ("negative seed", "s.ini", _scene_with("seed = 7", "seed = -1"),
+     SYNTH, "seed"),
+    ("non-numeric clamp", "s.ini", _scene_with("hi = 1000.0", "hi = abc"),
+     SYNTH, "abc"),
+    ("nan scene timestamp", "s.ini",
+     _scene_with("fps = 2.0\nframes = 100", "timestamps = 1 nan 3"),
+     SYNTH, "timestamps"),
+    ("missing manifest", "absent.txt", None, FIT, "cannot read manifest"),
+    ("non-numeric fps", "m.txt", "width = 2\nheight = 1\nfps = x\n"
+     "frame = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
+     FIT, "fps"),
+    ("nan manifest timestamp", "m.txt", "width = 2\nheight = 1\n"
+     "timestamps = 1 nan 3\nframe = f0.csv\nframe = f1.csv\n"
+     "frame = f2.csv\n",
+     FIT, "timestamps"),
+    ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
+     ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
+      "--out", "{dir}/f.csv"], "momentum"),
+    ("eval without inputs", "absent", None, ["eval"], "eval needs"),
+]
+
+
+def test_exit_code_validation_errors(tmp_path, capsys):
+    for i in range(3):
+        (tmp_path / f"f{i}.csv").write_text(f"{5.0 - i},{6.0 - i}\n")
+    for case, name, text, argv, needle in MALFORMED_INPUTS:
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        argv = [a.format(dir=tmp_path, path=path) for a in argv]
+        assert cli.main(argv) == 2, case
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: "), case
+        assert captured.err.count("\n") == 1, (case, captured.err)
+        assert "Traceback" not in captured.err, case
+        assert needle in captured.err, (case, captured.err)
 
 
 def test_exit_code_compute_error(pipeline, tmp_path, capsys):
@@ -247,8 +296,3 @@ def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["repro", "--experiment", "warp-drive",
                   "--out", str(tmp_path)])
-
-
-def test_workers_flag_accepted(capsys):
-    assert cli.main(["--workers", "4", "eval", "--reference"]) == 0
-    capsys.readouterr()

@@ -255,63 +255,3 @@ def test_dataset_validation():
         features.Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 2,
                          np.empty((0, 2), dtype=int))
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def test_dataset_round_trip(tmp_path):
-    ds = _toy_dataset(n=40, f=5, classes=4, seed=14)
-    path = tmp_path / "set.csv"
-    features.write_dataset(ds, str(path))
-    back = features.read_dataset(str(path))
-    npt.assert_array_equal(back.vectors, ds.vectors)
-    npt.assert_array_equal(back.labels, ds.labels)
-    npt.assert_array_equal(back.provenance, ds.provenance)
-    assert back.class_count == ds.class_count
-
-
-def test_dataset_round_trip_without_sidecar(tmp_path):
-    ds = _toy_dataset(n=10, seed=3)
-    path = tmp_path / "set.csv"
-    features.write_dataset(ds, str(path))
-    (tmp_path / "set.csv.prov").unlink()
-    back = features.read_dataset(str(path))
-    npt.assert_array_equal(back.vectors, ds.vectors)
-    npt.assert_array_equal(back.provenance, -1)
-
-
-def test_read_dataset_errors(tmp_path):
-    missing = tmp_path / "nope.csv"
-    with pytest.raises(features.DatasetError):
-        features.read_dataset(str(missing))
-
-    bad_header = tmp_path / "h.csv"
-    bad_header.write_text("f0,f1\n1,2\n")
-    with pytest.raises(features.DatasetError):
-        features.read_dataset(str(bad_header))
-
-    ragged = tmp_path / "r.csv"
-    ragged.write_text("f0,f1,label\n1,2,0\n1,0\n")
-    with pytest.raises(features.DatasetError):
-        features.read_dataset(str(ragged))
-
-    empty = tmp_path / "e.csv"
-    empty.write_text("f0,label\n")
-    with pytest.raises(features.DatasetError):
-        features.read_dataset(str(empty))
-
-
-def test_stats_round_trip(tmp_path):
-    ds = _toy_dataset(n=25, f=7, seed=19)
-    stats = features.fit_scaler(ds)
-    path = tmp_path / "stats.txt"
-    features.write_stats(stats, str(path))
-    back = features.read_stats(str(path))
-    npt.assert_array_equal(back.mean, stats.mean)
-    npt.assert_array_equal(back.std, stats.std)
-
-    short = tmp_path / "short.txt"
-    short.write_text("1.0 2.0\n")
-    with pytest.raises(features.DatasetError):
-        features.read_stats(str(short))

@@ -4,9 +4,8 @@ import pytest
 
 from thermoseg import ingest
 from thermoseg.ingest import (FrameSequence, IngestError, LabelMask,
-                              SaturatedPixelError, crop,
-                              first_unsaturated_frame, load_mask,
-                              load_sequence, save_mask, trim_mask,
+                              SaturatedPixelError, first_unsaturated_frame,
+                              load_mask, load_sequence, save_mask, trim_mask,
                               write_sequence)
 
 
@@ -26,6 +25,10 @@ def test_sequence_validation():
         FrameSequence(4, 3, 5, np.array([0.0, 1, 2, 3, 4.0]), seq.data, np.inf)
     with pytest.raises(IngestError):
         FrameSequence(4, 3, 5, np.array([1.0, 2, 2, 3, 4.0]), seq.data, np.inf)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(IngestError):
+            FrameSequence(4, 3, 5, np.array([1.0, 2, bad, 3, 4.0]), seq.data,
+                          np.inf)
     with pytest.raises(IngestError):
         FrameSequence(5, 3, 5, seq.timestamps, seq.data, np.inf)
 
@@ -70,17 +73,6 @@ def test_load_sequence_errors(tmp_path):
     man.write_text("width = 2\nheight = 2\nframe = f0.csv\n")
     with pytest.raises(IngestError):      # no timing at all
         load_sequence(str(man))
-
-
-def test_crop_bounds():
-    seq = make_sequence(height=6, width=8)
-    sub = crop(seq, 2, 1, 4, 3)
-    assert (sub.width, sub.height) == (4, 3)
-    npt.assert_array_equal(sub.data, seq.data[:, 1:4, 2:6])
-    with pytest.raises(IngestError):
-        crop(seq, 5, 0, 4, 3)
-    with pytest.raises(IngestError):
-        crop(seq, 0, 0, 0, 3)
 
 
 def test_first_unsaturated_frame():

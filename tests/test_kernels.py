@@ -1,6 +1,5 @@
 import numpy as np
 import numpy.testing as npt
-import pytest
 
 from thermoseg import _kernels
 
@@ -38,18 +37,6 @@ def test_render_noise_statistics():
     out = _kernels.render_frames(base, region, 1.0, 99, -np.inf, np.inf)
     assert abs(out.mean()) < 0.05
     assert abs(out.std() - 1.0) < 0.05
-
-
-def test_render_paths_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    base = np.array([[9.0, 4.0, 1.0, 0.5], [8.0, 2.0, 1.0, 0.25]])
-    region = (np.arange(30).reshape(5, 6) % 2).astype(np.int64)
-    got_nb = np.empty((4, 5, 6))
-    _kernels._render_numba(base, region, 0.7, np.uint64(5), 0.0, 9.0, got_nb)
-    got_np = np.empty((4, 5, 6))
-    _kernels._render_numpy(base, region, 0.7, 5, 0.0, 9.0, got_np)
-    npt.assert_array_equal(got_nb, got_np)
 
 
 def _poly_series(coeffs, log_t):
@@ -99,33 +86,6 @@ def test_fit_flags_short_and_nonpositive_pixels():
     assert not valid[0, 1]
     assert not valid[0, 2]
     npt.assert_array_equal(coef[0, 1], 0.0)
-
-
-def test_fit_paths_agree():
-    if not _kernels.HAS_NUMBA:
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(3)
-    t = np.linspace(0.4, 90.0, 150)
-    log_t = np.log10(t)
-    data = np.empty((150, 3, 4))
-    for r in range(3):
-        for c in range(4):
-            coeffs = rng.uniform(-0.5, 0.5, 5)
-            data[:, r, c] = _poly_series(coeffs, log_t) + rng.normal(0, 1e-3, 150)
-    data = np.abs(data) + 1e-6
-    coef_nb = np.zeros((3, 4, 5))
-    rms_nb = np.zeros((3, 4))
-    start_nb = np.zeros((3, 4), dtype=np.int64)
-    valid_nb = np.zeros((3, 4), dtype=np.bool_)
-    _kernels._fit_image_numba(np.ascontiguousarray(data), log_t, np.inf, 4,
-                              1.0 / np.log(10.0), coef_nb, rms_nb, start_nb,
-                              valid_nb)
-    coef_np, rms_np, start_np, valid_np = _kernels._fit_image_numpy(
-        data, log_t, np.inf, 4, 1.0 / np.log(10.0))
-    npt.assert_array_equal(valid_nb, valid_np)
-    npt.assert_array_equal(start_nb, start_np)
-    npt.assert_allclose(coef_nb, coef_np, rtol=1e-7, atol=1e-9)
-    npt.assert_allclose(rms_nb, rms_np, rtol=1e-6, atol=1e-12)
 
 
 def test_affine_basis_matrix_identity():

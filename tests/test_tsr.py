@@ -143,6 +143,9 @@ def test_fit_pixel_validation():
     bad_t[4] = bad_t[3]
     with pytest.raises(ValidationError):
         tsr.fit_pixel(good, bad_t, 2)
+    bad_t[4] = np.nan
+    with pytest.raises(ValidationError):
+        tsr.fit_pixel(good, bad_t, 2)
     with pytest.raises(tsr.UnderdeterminedFitError):
         tsr.fit_pixel(good[:3], t[:3], 4)
     with pytest.raises(tsr.NonPositiveSampleError):
@@ -199,17 +202,16 @@ def test_pack_features_layout():
     first, second = tsr.derivatives(fit)
 
     trunc = tsr.pack_features(fit, tsr.PACK_TRUNCATED)
-    assert trunc.values.shape == (12,)
-    npt.assert_array_equal(trunc.values,
-                           np.concatenate([coeffs, first, second]))
+    assert trunc.shape == (12,)
+    npt.assert_array_equal(trunc, np.concatenate([coeffs, first, second]))
 
     padded = tsr.pack_features(fit, tsr.PACK_PADDED)
-    assert padded.values.shape == (15,)
-    npt.assert_array_equal(padded.values[:5], coeffs)
-    npt.assert_array_equal(padded.values[5:9], first)
-    assert padded.values[9] == 0.0
-    npt.assert_array_equal(padded.values[10:13], second)
-    npt.assert_array_equal(padded.values[13:], 0.0)
+    assert padded.shape == (15,)
+    npt.assert_array_equal(padded[:5], coeffs)
+    npt.assert_array_equal(padded[5:9], first)
+    assert padded[9] == 0.0
+    npt.assert_array_equal(padded[10:13], second)
+    npt.assert_array_equal(padded[13:], 0.0)
 
 
 def test_pack_image_matches_scalar_pack():
@@ -221,7 +223,7 @@ def test_pack_image_matches_scalar_pack():
             for c in range(4):
                 fit = tsr.TsrFit(4, coef[r, c], (0.0, 1.0), 0.0)
                 one = tsr.pack_features(fit, packing)
-                npt.assert_array_equal(stacked[r, c], one.values)
+                npt.assert_array_equal(stacked[r, c], one)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +243,30 @@ def test_fit_sequence_against_fit_one():
     for pixel in ((0, 0), (2, 3), (4, 5)):
         fit = tsr.fit_one(seq, pixel, 4)
         packed = tsr.pack_features(fit, tsr.PACK_PADDED)
-        npt.assert_allclose(image.values[pixel], packed.values,
+        npt.assert_allclose(image.values[pixel], packed,
                             rtol=1e-9, atol=1e-10)
+
+    # noisy pixels over four fit windows (three saturated prefixes), plus
+    # one pixel with a non-positive sample
+    rng = np.random.default_rng(29)
+    t = (np.arange(120) + 1.0) / 2.0
+    base = synthgen.eval_profile(profile, t)
+    stack = (base[:, None, None] * rng.uniform(0.7, 1.3, (1, 4, 5))
+             + rng.normal(0.0, 0.5, (120, 4, 5)))
+    for (row, col), prefix in (((0, 1), 3), ((1, 2), 8), ((1, 3), 8),
+                               ((3, 0), 17)):
+        stack[:prefix, row, col] = 1000.0
+    stack[60, 2, 2] = -1.0
+    seq = _sequence_from_stack(stack, t, saturation=1000.0)
+    image = tsr.fit_sequence(seq, degree=4)
+    assert set(np.unique(image.start)) == {0, 3, 8, 17}
+    assert not image.valid[2, 2]
+    assert image.valid.sum() == 19
+    for pixel in zip(*np.nonzero(image.valid)):
+        fit = tsr.fit_one(seq, pixel, 4)
+        npt.assert_allclose(image.values[pixel], tsr.pack_features(fit),
+                            rtol=1e-10)
+        npt.assert_allclose(image.rms[pixel], fit.rms_residual, rtol=1e-10)
 
 
 def test_fit_sequence_flags_bad_pixels():
@@ -270,7 +294,7 @@ def test_fit_sequence_saturated_prefix_matches_windowed_fit():
     assert image.start[0, 1] == 7
     direct = tsr.fit_pixel(stack[:, 0, 1], t, 3, first_frame=7)
     packed = tsr.pack_features(direct, tsr.PACK_PADDED)
-    npt.assert_allclose(image.values[0, 1], packed.values,
+    npt.assert_allclose(image.values[0, 1], packed,
                         rtol=1e-9, atol=1e-10)
 
 
