@@ -150,7 +150,8 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
             resid = q @ qty
             resid -= y
             coef[sub_cols] = (basis @ sol).T
-            rms[sub_cols] = np.sqrt(np.mean(resid * resid, axis=0))
+            np.square(resid, out=resid)
+            rms[sub_cols] = np.sqrt(np.mean(resid, axis=0))
 
     return (coef.reshape(height, width, m), rms.reshape(height, width),
             start.reshape(height, width), valid.reshape(height, width))

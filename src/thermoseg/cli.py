@@ -140,38 +140,29 @@ def cmd_fit(args):
     return 0
 
 
-def _assemble_sets(args, config):
+def _assemble(args, config):
     image = tsr.read_feature_image(args.features)
     mask = load_mask(args.mask)
     if config["trim_margin"] > 0:
         mask = trim_mask(mask, config["trim_margin"])
-    return image, mask, features.assemble(image, mask)
+    return features.assemble(image, mask)
 
 
 def cmd_train(args):
     config = _apply_seed(load_config(args.config), args.seed)
-    image, _, ds = _assemble_sets(args, config)
     spec = features.SplitSpec(config["train_fraction"],
                               config["validation_fraction"],
                               config["split_seed"])
-    train_ds, val_ds, _ = features.split(ds, spec)
-    if config["augment_copies"] > 0:
-        train_ds = features.augment(train_ds, config["augment_amplitude"],
-                                    config["augment_copies"],
-                                    config["augment_seed"])
-    stats = features.fit_scaler(train_ds)
-    train_s = features.apply_scaler(train_ds, stats)
-    val_s = features.apply_scaler(val_ds, stats)
-
-    sizes = (image.feature_count, *config["hidden"], ds.class_count)
-    activations = (*([config["hidden_activation"]] * len(config["hidden"])),
-                   "softmax")
-    model = nn.init_model(sizes, activations, config["train"].seed, stats)
-    model, trace = nn.train(model, train_s, val_s, config["train"])
+    augment = (config["augment_amplitude"], config["augment_copies"],
+               config["augment_seed"])
+    model, trace, *_ = repro.train_classifier(
+        _assemble(args, config), spec, config["hidden"],
+        config["hidden_activation"], config["train"], config["train"].seed,
+        augment)
     nn.save_model(model, args.out)
     if args.trace:
         nn.write_trace(trace, args.trace)
-    print(f"trained {sizes} in {trace.steps[-1]} steps "
+    print(f"trained {model.layer_sizes} in {trace.steps[-1]} steps "
           f"({trace.stop_reason}); final val acc "
           f"{trace.val_acc[-1]:.4f} -> {args.out}")
     return 0
@@ -191,16 +182,12 @@ def cmd_eval(args):
     if not (args.model and args.features and args.mask):
         raise ValidationError("eval needs --model, --features and --mask "
                               "(or --reference / --matrix)")
-    config = _apply_seed(load_config(args.config), args.seed)
     model = nn.load_model(args.model)
-    if model.stats is None:
-        raise ValidationError("model carries no scaling statistics")
-    image, mask, ds = _assemble_sets(args, config)
+    ds = _assemble(args, load_config(args.config))
     if args.perturb > 0:
         ds = features.perturb(ds, args.perturb, args.perturb_seed)
-    scaled = features.apply_scaler(ds, model.stats)
-    predicted = nn.forward(model, scaled.vectors).argmax(axis=1)
-    cm = evaluate.confusion(ds.labels, predicted, model.output_size)
+    cm = evaluate.confusion(ds.labels, nn.predict(model, ds.vectors),
+                            model.output_size)
     lines = [evaluate.format_matrix(cm),
              evaluate.format_metrics(*evaluate.metrics(cm))]
     if args.positive:
@@ -273,7 +260,6 @@ def build_parser():
     p.add_argument("--features")
     p.add_argument("--mask")
     p.add_argument("--config")
-    p.add_argument("--seed", type=int)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="relative feature perturbation before scoring")
     p.add_argument("--perturb-seed", type=int, default=0)

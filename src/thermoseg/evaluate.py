@@ -8,7 +8,6 @@ stay visible.
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 

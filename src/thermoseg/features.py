@@ -119,17 +119,23 @@ def fit_scaler(train):
                         train.vectors.std(axis=0, ddof=0))
 
 
-def apply_scaler(ds, stats):
-    """(x - mean) / std per feature; constant features collapse to 0."""
-    if stats.mean.shape[0] != ds.feature_count:
+def scale(vectors, stats):
+    """(x - mean) / std per feature of N x F rows; constant features
+    collapse to 0."""
+    if stats.mean.shape[0] != vectors.shape[1]:
         raise DatasetError(
-            f"stats cover {stats.mean.shape[0]} features, dataset has "
-            f"{ds.feature_count}")
+            f"stats cover {stats.mean.shape[0]} features, vectors have "
+            f"{vectors.shape[1]}")
     denom = np.where(stats.std == 0.0, 1.0, stats.std)
-    scaled = (ds.vectors - stats.mean) / denom
+    scaled = (vectors - stats.mean) / denom
     scaled[:, stats.constant] = 0.0
-    return Dataset(scaled, ds.labels.copy(), ds.class_count,
-                   ds.provenance.copy())
+    return scaled
+
+
+def apply_scaler(ds, stats):
+    """A copy of the dataset with its vectors scaled by `scale`."""
+    return Dataset(scale(ds.vectors, stats), ds.labels.copy(),
+                   ds.class_count, ds.provenance.copy())
 
 
 def augment(train, relative_amplitude, copies, seed):

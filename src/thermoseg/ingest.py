@@ -135,6 +135,10 @@ def read_manifest(path):
         raise IngestError(f"{path}: missing manifest key {exc}") from exc
     except ValueError as exc:
         raise IngestError(f"{path}: bad manifest value: {exc}") from exc
+    if np.isnan(saturation):
+        # every `>= nan` test is false, which would turn saturation off
+        raise IngestError(f"{path}: saturation_value must be a number, "
+                          f"not nan")
     if not frames:
         raise IngestError(f"{path}: no frame entries")
 

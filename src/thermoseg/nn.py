@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ComputeError, ValidationError
-from .features import ScalingStats, apply_scaler
+from .features import ScalingStats, scale
 from .ingest import INVALID_LABEL, LabelMask
 
 ACTIVATIONS = ("relu", "tanh", "softmax")
@@ -392,25 +392,32 @@ def train(model, train_ds, val_ds, config):
     return final, trace
 
 
-def predict_map(model, image, stats=None):
-    """Per-pixel argmax class map; invalid pixels stay invalid."""
-    stats = stats if stats is not None else model.stats
-    if stats is None:
+def _require_stats(model):
+    if model.stats is None:
         raise ValidationError("prediction needs scaling statistics")
+
+
+def predict(model, vectors):
+    """Argmax class of each raw (unscaled) N x F feature row, scaled by the
+    statistics the model carries."""
+    _require_stats(model)
+    return forward(model, scale(vectors, model.stats)).argmax(axis=1)
+
+
+def predict_map(model, image):
+    """Per-pixel argmax class map; invalid pixels stay invalid."""
+    _require_stats(model)
     if image.feature_count != model.input_size:
         raise ValidationError(
             f"feature image width {image.feature_count} does not match "
             f"model input {model.input_size}")
     flat = image.values.reshape(-1, image.feature_count)
-    denom = np.where(stats.std == 0.0, 1.0, stats.std)
-    scaled = (flat - stats.mean) / denom
-    scaled[:, stats.constant] = 0.0
     labels = np.full(flat.shape[0], INVALID_LABEL, dtype=np.int64)
     flags = image.valid.reshape(-1)
     idx = np.nonzero(flags)[0]
     for lo in range(0, idx.shape[0], 65536):
         sub = idx[lo:lo + 65536]
-        labels[sub] = forward(model, scaled[sub]).argmax(axis=1)
+        labels[sub] = predict(model, flat[sub])
     return LabelMask(image.width, image.height,
                      labels.reshape(image.height, image.width),
                      flags.reshape(image.height, image.width).copy())

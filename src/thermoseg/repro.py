@@ -32,9 +32,6 @@ from .ingest import LabelMask, save_mask, trim_mask
 # thermal diffusivity of printed polymer, m^2/s
 POLYMER_DIFFUSIVITY = 5.8e-8
 
-EXPERIMENTS = ("synthetic-2class", "surrogate-4class")
-
-
 def _file_sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -47,13 +44,30 @@ def _scaled(value, scale, minimum):
     return max(minimum, int(round(value * scale)))
 
 
-def _predict_labels(model, ds):
-    scaled = features.apply_scaler(ds, model.stats)
-    return nn.forward(model, scaled.vectors).argmax(axis=1)
-
-
 def _dataset_accuracy(model, ds):
-    return float(np.mean(_predict_labels(model, ds) == ds.labels))
+    return float(np.mean(nn.predict(model, ds.vectors) == ds.labels))
+
+
+def train_classifier(ds, split, hidden, activation, config, init_seed,
+                     augment):
+    """Split, augment, scale and train: the one training pipeline.
+
+    `split` is a SplitSpec, `hidden` the hidden layer widths (all with
+    `activation`, then a softmax head), `augment` an (amplitude, copies,
+    seed) triple for `features.augment`; 0 copies trains on the plain
+    training rows. The scaler is fitted on the (augmented) training rows.
+    Returns (model carrying its scaling stats, trace, train, val, test),
+    the three datasets unscaled and train augmented.
+    """
+    train_ds, val_ds, test_ds = features.split(ds, split)
+    train_ds = features.augment(train_ds, *augment)
+    stats = features.fit_scaler(train_ds)
+    model = nn.init_model((ds.feature_count, *hidden, ds.class_count),
+                          (*([activation] * len(hidden)), "softmax"),
+                          init_seed, stats)
+    model, trace = nn.train(model, features.apply_scaler(train_ds, stats),
+                            features.apply_scaler(val_ds, stats), config)
+    return model, trace, train_ds, val_ds, test_ds
 
 
 def _uniform_mask(width, height, class_id):
@@ -110,25 +124,15 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
         2,
         np.concatenate([ds_sound.provenance, ds_flawed.provenance]))
 
-    split = features.SplitSpec(0.8, 0.1, seed + 3)
-    train_ds, val_ds, test_ds = features.split(pure, split)
-    stats = features.fit_scaler(train_ds)
-    train_s = features.apply_scaler(train_ds, stats)
-    val_s = features.apply_scaler(val_ds, stats)
-    test_s = features.apply_scaler(test_ds, stats)
-
-    feature_count = img_sound.feature_count
-    model = nn.init_model((feature_count, 16, 32, 16, 2),
-                          ("relu", "relu", "relu", "softmax"), seed + 4)
     # staircase-decay SGD with early stopping; the rate suits standardized
     # features
     config = nn.TrainConfig(optimizer="sgd-decay", learning_rate=0.05,
                             decay_step=1000, decay_rate=0.9, batch_size=512,
                             max_steps=_scaled(12000, scale, 2000),
                             early_stopping=(100, 3), seed=seed + 5)
-    model, trace = nn.train(model, train_s, val_s, config)
-    model = nn.MlpModel(model.layer_sizes, model.activations, model.weights,
-                        model.biases, stats)
+    model, trace, _, _, test_ds = train_classifier(
+        pure, features.SplitSpec(0.8, 0.1, seed + 3), (16, 32, 16), "relu",
+        config, seed + 4, (0.0, 0, 0))
 
     model_path = os.path.join(out_dir, "model.txt")
     nn.save_model(model, model_path)
@@ -201,29 +205,20 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
 
     trimmed = trim_mask(mask, trim)
     ds = features.assemble(image, trimmed)
-    split = features.SplitSpec(0.8, 0.1, seed + 1)
-    train_ds, val_ds, test_ds = features.split(ds, split)
-    train_aug = features.augment(train_ds, 0.05, 50, seed + 2)
-    stats = features.fit_scaler(train_aug)
-    train_s = features.apply_scaler(train_aug, stats)
-    val_s = features.apply_scaler(val_ds, stats)
-
-    model = nn.init_model((image.feature_count, 10, 20, 4),
-                          ("tanh", "tanh", "softmax"), seed + 3)
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-5,
                             batch_size=2048,
                             epochs=_scaled(160, scale, 60),
                             early_stopping=(2000, 3), seed=seed + 4)
-    model, trace = nn.train(model, train_s, val_s, config)
-    model = nn.MlpModel(model.layer_sizes, model.activations, model.weights,
-                        model.biases, stats)
+    model, trace, train_aug, val_ds, test_ds = train_classifier(
+        ds, features.SplitSpec(0.8, 0.1, seed + 1), (10, 20), "tanh",
+        config, seed + 3, (0.05, 50, seed + 2))
 
     model_path = os.path.join(out_dir, "model.txt")
     nn.save_model(model, model_path)
     nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
 
     val_acc = _dataset_accuracy(model, val_ds)
-    test_pred = _predict_labels(model, test_ds)
+    test_pred = nn.predict(model, test_ds.vectors)
     test_acc = float(np.mean(test_pred == test_ds.labels))
     cm = evaluate.confusion(test_ds.labels, test_pred, 4,
                             ("0mm", "0.1mm", "0.2mm", "0.3mm"))
@@ -269,16 +264,16 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
     return result
 
 
+EXPERIMENTS = {"synthetic-2class": run_synthetic_2class,
+               "surrogate-4class": run_surrogate_4class}
+
+
 def run_experiment(name, out_dir, seed=None, scale=1.0):
-    if name == "synthetic-2class":
-        kwargs = {} if seed is None else {"seed": seed}
-        result = run_synthetic_2class(out_dir, scale=scale, **kwargs)
-    elif name == "surrogate-4class":
-        kwargs = {} if seed is None else {"seed": seed}
-        result = run_surrogate_4class(out_dir, scale=scale, **kwargs)
-    else:
+    if name not in EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {name!r}; pick from {', '.join(EXPERIMENTS)}")
+    kwargs = {} if seed is None else {"seed": seed}
+    result = EXPERIMENTS[name](out_dir, scale=scale, **kwargs)
     path = os.path.join(out_dir, "results.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

@@ -223,6 +223,10 @@ MALFORMED_INPUTS = [
      "timestamps = 1 nan 3\nframe = f0.csv\nframe = f1.csv\n"
      "frame = f2.csv\n",
      FIT, "timestamps"),
+    ("nan saturation value", "m.txt", "width = 2\nheight = 1\nfps = 2\n"
+     "saturation_value = nan\nframe = f0.csv\nframe = f1.csv\n"
+     "frame = f2.csv\n",
+     FIT, "saturation_value"),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),

@@ -9,6 +9,7 @@ import pytest
 
 from thermoseg import features, nn, tsr
 from thermoseg.errors import ComputeError, ValidationError
+from thermoseg.ingest import LabelMask
 
 
 def _zero_model(sizes=(4, 4), activations=None):
@@ -390,9 +391,9 @@ def _feature_image(values, valid=None):
 def test_predict_map_uniform_model_breaks_ties_low():
     rng = np.random.default_rng(7)
     image = _feature_image(rng.normal(size=(4, 5, 6)))
-    model = _zero_model((6, 3))
     stats = features.ScalingStats(np.zeros(6), np.ones(6))
-    label_map = nn.predict_map(model, image, stats)
+    model = replace(_zero_model((6, 3)), stats=stats)
+    label_map = nn.predict_map(model, image)
     npt.assert_array_equal(label_map.labels, 0)
     assert label_map.valid.all()
 
@@ -403,9 +404,9 @@ def test_predict_map_propagates_invalid_pixels():
     valid[2, 3] = False
     valid[0, 0] = False
     image = _feature_image(rng.normal(size=(4, 5, 6)), valid)
-    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 9)
     stats = features.ScalingStats(np.zeros(6), np.ones(6))
-    label_map = nn.predict_map(model, image, stats)
+    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 9, stats)
+    label_map = nn.predict_map(model, image)
     assert label_map.labels[2, 3] == nn.INVALID_LABEL
     assert label_map.labels[0, 0] == nn.INVALID_LABEL
     assert not label_map.valid[2, 3]
@@ -422,22 +423,43 @@ def test_predict_map_scaling_equivariance():
     model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 11)
     stats = features.ScalingStats(np.full(6, 0.5), np.full(6, 2.0))
     stats2 = features.ScalingStats(np.full(6, 1.0), np.full(6, 4.0))
-    a = nn.predict_map(model, image, stats)
-    b = nn.predict_map(model, doubled, stats2)
+    a = nn.predict_map(replace(model, stats=stats), image)
+    b = nn.predict_map(replace(model, stats=stats2), doubled)
     npt.assert_array_equal(a.labels, b.labels)
 
 
 def test_predict_map_uses_model_stats():
     rng = np.random.default_rng(12)
     image = _feature_image(rng.normal(size=(3, 3, 6)))
-    stats = features.ScalingStats(np.zeros(6), np.ones(6))
+    stats = features.ScalingStats(rng.normal(size=6), rng.uniform(0.5, 2, 6))
     bare = nn.init_model((6, 4, 2), ("tanh", "softmax"), 13)
     with pytest.raises(ValidationError):
         nn.predict_map(bare, image)
-    carrying = replace(bare, stats=stats)
-    a = nn.predict_map(carrying, image)
-    b = nn.predict_map(bare, image, stats)
-    npt.assert_array_equal(a.labels, b.labels)
+    label_map = nn.predict_map(replace(bare, stats=stats), image)
+    flat = image.values.reshape(-1, 6)
+    expected = nn.forward(bare, (flat - stats.mean) / stats.std).argmax(axis=1)
+    npt.assert_array_equal(label_map.labels.reshape(-1), expected)
+
+
+def test_predict_matches_predict_map_at_provenance():
+    rng = np.random.default_rng(14)
+    valid = rng.uniform(size=(7, 9)) > 0.2
+    image = _feature_image(rng.normal(size=(7, 9, 6)), valid)
+    labels = rng.integers(0, 3, size=(7, 9))
+    ds = features.assemble(image, LabelMask(9, 7, labels,
+                                            np.ones((7, 9), dtype=bool)))
+    bare = nn.init_model((6, 8, 3), ("tanh", "softmax"), 15)
+    model = replace(bare, stats=features.fit_scaler(ds))
+    rows, cols = ds.provenance.T
+    npt.assert_array_equal(nn.predict(model, ds.vectors),
+                           nn.predict_map(model, image).labels[rows, cols])
+    with pytest.raises(ValidationError):
+        nn.predict(bare, ds.vectors)
+    # the stats check does not depend on there being a pixel to score
+    empty = _feature_image(image.values, np.zeros((7, 9), dtype=bool))
+    with pytest.raises(ValidationError):
+        nn.predict_map(bare, empty)
+    assert not nn.predict_map(model, empty).valid.any()
 
 
 # ---------------------------------------------------------------------------
