@@ -1,13 +1,17 @@
 """Micro-benchmark for the two hot kernels: frame rendering and pixel fits.
 
 Times the public render_frames and fit_image on a noisy four-quadrant
-scene and prints the best of several runs of each.
+scene, prints the best of several runs of each, and writes them with the
+fit's tracemalloc peak to BENCH_kernels.json beside this script.
 
-Run: python3 bench/bench_kernels.py --width 160 --height 120 --frames 400
+Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
 import argparse
+import json
 import math
+import os
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -47,10 +51,37 @@ def main():
     print(f"render: {t_render:10.1f} ms")
 
     data = _kernels.render_frames(base, region_map, 1.0, 42, 0.0, math.inf)
-    t_fit = time_calls(_kernels.fit_image, args.repeats, data,
-                       np.log10(timestamps), math.inf, args.degree,
-                       1.0 / math.log(10.0))
+    fit_args = (data, np.log10(timestamps), math.inf, args.degree,
+                1.0 / math.log(10.0))
+    t_fit = time_calls(_kernels.fit_image, args.repeats, *fit_args)
     print(f"fit:    {t_fit:10.1f} ms")
+
+    tracemalloc.start()
+    _kernels.fit_image(*fit_args)
+    fit_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    print(f"fit peak: {fit_peak_mb:8.1f} MB (cube {data.nbytes / 1e6:.1f} MB)")
+
+    record = {
+        "shape": {"width": args.width, "height": args.height,
+                  "frames": args.frames, "degree": args.degree},
+        "repeats": args.repeats,
+        "render_ms": round(t_render, 1),
+        "fit_ms": round(t_fit, 1),
+        "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),
+        "cube_mb": round(data.nbytes / 1e6, 2),
+        "numpy": np.__version__,
+        "blas_threads": {k: os.environ.get(k, "unset") for k in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                          "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "BENCH_kernels.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -7,11 +7,19 @@ numpy:
   two frames per Box-Muller draw. Noise streams come from a counter-style
   splitmix64 generator keyed on (seed, row, col), so any single pixel can
   be regenerated without rendering the rest of the frame.
-* fit_image groups pixels by their first unsaturated frame. Each distinct
-  window gets one thin QR of its Vandermonde matrix on a log-time axis
-  mapped to [-1, 1]; every pixel sharing the window is then solved with
-  one Q^T product and a triangular solve, in blocks of CHUNK pixels so a
-  large frame cube never gains a full-size log copy.
+* fit_image makes one pass over the (frames, H*W) view of the cube in
+  blocks of about CHUNK adjacent pixels, so each block's frames x pixels
+  slab stays in cache. A block finds its own start frames (the frame
+  after each pixel's last saturated one). When all its pixels share one
+  start, it checks positivity on the view and takes the log straight
+  from the view into one reused buffer. Pixels of other blocks are
+  queued by start frame and gathered from the cube CHUNK at a time, so
+  scattered start frames still make full-width solves. Each window gets
+  one thin QR of its Vandermonde matrix on a log-time axis mapped to
+  [-1, 1], cached across blocks; its pixels are solved with one Q^T
+  product and a triangular solve, and their residuals are formed
+  explicitly. The fit adds a few block-sized buffers to the cube, never
+  a copy of it, and returns a reason code per pixel.
 """
 
 import math
@@ -27,8 +35,17 @@ _COL_K = np.uint64(0x165667B19E3779F9)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
 _TWO_PI = 2.0 * math.pi
 
-# pixels per log/solve block in fit_image
-CHUNK = 4096
+# pixels per block in fit_image: a (frames, CHUNK) slab stays in cache
+CHUNK = 256
+
+# fit_image reason codes (indexes into REASONS): why a pixel was dropped
+FITTED = 0
+SATURATED = 1           # saturated in the last frame
+TOO_FEW_FRAMES = 2      # fewer unsaturated frames than coefficients
+NON_POSITIVE = 3        # a fitted sample <= 0 (or NaN): log undefined
+DEGENERATE_WINDOW = 4   # constant or rank-deficient log-time window
+REASONS = ("fitted", "saturated", "too-few-frames", "non-positive",
+           "degenerate-window")
 
 
 def _splitmix64(z):
@@ -89,13 +106,24 @@ def _affine_basis_matrix(degree, scale, shift):
     return mat
 
 
-def _start_indices(flat, saturation):
-    """Per-pixel index of the first frame after the last saturated one."""
-    frame_count = flat.shape[0]
-    sat = flat >= saturation
-    any_sat = sat.any(axis=0)
-    last = np.where(any_sat, frame_count - 1 - np.argmax(sat[::-1, :], axis=0), -1)
-    return (last + 1).astype(np.int64)
+def _window(log_t, s, degree):
+    """(Q, R, raw-basis map) of the fit window from frame s, or None.
+
+    None marks a degenerate log-time axis or a rank-deficient Vandermonde
+    matrix (min |R_kk| <= 1e-12 max |R_kk|).
+    """
+    u = log_t[s:]
+    umin, umax = u[0], u[-1]
+    if umax == umin:
+        return None
+    scale = 2.0 / (umax - umin)
+    shift = -(umax + umin) / (umax - umin)
+    q, r = np.linalg.qr(np.vander(scale * u + shift, degree + 1,
+                                  increasing=True))
+    diag = np.abs(np.diag(r))
+    if diag.min() <= 1e-12 * diag.max():
+        return None
+    return q, r, _affine_basis_matrix(degree, scale, shift)
 
 
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
@@ -104,54 +132,88 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     data: (frames, H, W); log_t: (frames,) log timestamps in the working
     base; inv_ln_base converts natural logs of the data to that base.
     Returns (coef (H,W,degree+1) in the raw log-time basis, rms (H,W),
-    start (H,W) first fitted frame, valid (H,W) bool).
+    start (H,W) first fitted frame, reason (H,W) uint8), where reason is
+    FITTED for every fitted pixel and names why any other pixel was
+    dropped; a dropped pixel keeps zero coef and rms.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     log_t = np.ascontiguousarray(log_t, dtype=np.float64)
     frame_count, height, width = data.shape
     m = degree + 1
-    flat = data.reshape(frame_count, height * width)
+    pixels = height * width
+    flat = data.reshape(frame_count, pixels)
 
-    coef = np.zeros((flat.shape[1], m))
-    rms = np.zeros(flat.shape[1])
-    start = _start_indices(flat, saturation)
-    valid = start <= frame_count - m
+    coef = np.zeros((pixels, m))
+    rms = np.zeros(pixels)
+    start = np.zeros(pixels, dtype=np.int64)
+    reason = np.zeros(pixels, dtype=np.uint8)
+    # blocks of CHUNK to 2*CHUNK - 1 pixels: no narrow tail block, whose
+    # smaller BLAS products could round differently from the rest
+    count = max(1, pixels // CHUNK)
+    edges = [pixels * i // count for i in range(count + 1)]
+    widest = -(-pixels // count)
+    log_buf = np.empty(frame_count * widest)
+    resid_buf = np.empty(frame_count * widest)
+    windows = {}
 
-    for s in np.unique(start[valid]):
-        cols = np.nonzero(valid & (start == s))[0]
-        u = log_t[s:]
-        umin, umax = u[0], u[-1]
-        if umax == umin:
-            valid[cols] = False
+    def solve(s, cols, src):
+        """Fit pixels cols, whose frames from s on are the columns of src."""
+        if s not in windows:
+            # keep at most CHUNK windows: a noisy ceiling can give every
+            # pixel its own start frame
+            if len(windows) == CHUNK:
+                del windows[next(iter(windows))]
+            windows[s] = _window(log_t, s, degree)
+        if windows[s] is None:
+            reason[cols] = DEGENERATE_WINDOW
+            return
+        positive = (src > 0.0).all(axis=0)
+        if not positive.all():
+            reason[cols[~positive]] = NON_POSITIVE
+            cols, src = cols[positive], src[:, positive]
+            if cols.shape[0] == 0:
+                return
+        q, r, basis = windows[s]
+        y = log_buf[:src.size].reshape(src.shape)
+        np.log(src, out=y)
+        y *= inv_ln_base
+        qty = q.T @ y
+        # R is upper triangular, so LU pivots nowhere: back substitution
+        sol = np.linalg.solve(r, qty)
+        resid = np.matmul(q, qty, out=resid_buf[:y.size].reshape(y.shape))
+        resid -= y
+        np.square(resid, out=resid)
+        coef[cols] = (basis @ sol).T
+        rms[cols] = np.sqrt(np.mean(resid, axis=0))
+
+    # pixels of blocks that mix windows or drop pixels wait here, by start
+    # frame, and are gathered from the cube CHUNK at a time
+    pending = {}
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = flat[:, lo:hi]
+        b_start = start[lo:hi]
+        b_reason = reason[lo:hi]
+        sat = block >= saturation
+        hit = sat.any(axis=0)
+        if hit.any():
+            b_start[hit] = frame_count - np.argmax(sat[::-1, hit], axis=0)
+        b_reason[b_start > frame_count - m] = TOO_FEW_FRAMES
+        b_reason[b_start == frame_count] = SATURATED
+        cols = lo + np.nonzero(b_reason == FITTED)[0]
+        if cols.shape[0] == hi - lo and (b_start == b_start[0]).all():
+            # one window and nothing dropped: read the cube view, no copy
+            solve(b_start[0], cols, block[b_start[0]:])
             continue
-        scale = 2.0 / (umax - umin)
-        shift = -(umax + umin) / (umax - umin)
-        q, r = np.linalg.qr(np.vander(scale * u + shift, m, increasing=True))
-        diag = np.abs(np.diag(r))
-        if diag.min() <= 1e-12 * diag.max():
-            valid[cols] = False
-            continue
-        basis = _affine_basis_matrix(degree, scale, shift)
-        for lo in range(0, cols.shape[0], CHUNK):
-            sub_cols = cols[lo:lo + CHUNK]
-            y = flat[s:, sub_cols]
-            positive = (y > 0.0).all(axis=0)
-            valid[sub_cols[~positive]] = False
-            sub_cols = sub_cols[positive]
-            if sub_cols.shape[0] == 0:
-                continue
-            # y is a private copy, so the log can overwrite it in place
-            y = y[:, positive]
-            np.log(y, out=y)
-            y *= inv_ln_base
-            qty = q.T @ y
-            # R is upper triangular, so LU pivots nowhere: back substitution
-            sol = np.linalg.solve(r, qty)
-            resid = q @ qty
-            resid -= y
-            coef[sub_cols] = (basis @ sol).T
-            np.square(resid, out=resid)
-            rms[sub_cols] = np.sqrt(np.mean(resid, axis=0))
+        for s in np.unique(start[cols]):
+            queue = np.concatenate([pending.get(s, cols[:0]),
+                                    cols[start[cols] == s]])
+            while queue.shape[0] >= CHUNK:
+                solve(s, queue[:CHUNK], flat[s:, queue[:CHUNK]])
+                queue = queue[CHUNK:]
+            pending[s] = queue
+    for s, queue in pending.items():
+        if queue.shape[0]:
+            solve(s, queue, flat[s:, queue])
 
     return (coef.reshape(height, width, m), rms.reshape(height, width),
-            start.reshape(height, width), valid.reshape(height, width))
+            start.reshape(height, width), reason.reshape(height, width))

@@ -133,10 +133,12 @@ def cmd_fit(args):
     image = tsr.fit_sequence(seq, config["degree"], config["packing"],
                              config["log_base"])
     tsr.write_feature_image(image, args.out)
-    fitted = int(image.valid.sum())
-    print(f"fitted {fitted}/{image.width * image.height} pixels "
-          f"(degree {image.degree}, {image.feature_count} features) "
-          f"-> {args.out}")
+    counts = tsr.reason_counts(image)
+    fitted = counts.pop("fitted")
+    dropped = ", ".join(f"{n} {name}" for name, n in counts.items())
+    print(f"fitted {fitted}/{image.width * image.height} pixels; "
+          f"dropped {dropped} (degree {image.degree}, "
+          f"{image.feature_count} features) -> {args.out}")
     return 0
 
 

@@ -149,7 +149,8 @@ class FeatureImage:
     """Per-pixel packed feature vectors plus a validity flag.
 
     scaling_pending distinguishes raw fit output from standardized
-    features; rms and start are fit diagnostics that do not survive
+    features; rms, start and reason (the kernel's per-pixel drop code,
+    see _kernels.REASONS) are fit diagnostics that do not survive
     serialization.
     """
     width: int
@@ -162,6 +163,7 @@ class FeatureImage:
     scaling_pending: bool = True
     rms: Optional[np.ndarray] = None
     start: Optional[np.ndarray] = None
+    reason: Optional[np.ndarray] = None
 
     def __post_init__(self):
         length = feature_length(self.degree, self.packing)
@@ -205,12 +207,20 @@ def fit_sequence(seq, degree, packing=PACK_PADDED, log_base=10.0):
         raise ValidationError(f"unknown packing {packing!r}")
     ln_base = math.log(log_base)
     log_t = np.log(seq.timestamps) / ln_base
-    coef, rms, start, valid = _kernels.fit_image(
+    coef, rms, start, reason = _kernels.fit_image(
         seq.data, log_t, seq.saturation_value, degree, 1.0 / ln_base)
+    valid = reason == _kernels.FITTED
     values = _pack_image(coef, degree, packing)
     values[~valid] = 0.0
     return FeatureImage(seq.width, seq.height, degree, packing, values,
-                        valid, log_base, True, rms, start)
+                        valid, log_base, True, rms, start, reason)
+
+
+def reason_counts(image):
+    """{reason name: pixel count} over _kernels.REASONS for a fitted image."""
+    counts = np.bincount(image.reason.ravel(),
+                         minlength=len(_kernels.REASONS))
+    return dict(zip(_kernels.REASONS, counts.tolist()))
 
 
 def fit_one(seq, pixel, degree, log_base=10.0):

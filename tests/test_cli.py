@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from thermoseg import cli, nn, features
+from thermoseg.ingest import FrameSequence, write_sequence
 from thermoseg.pgmio import read_pgm
 
 SCENE = """\
@@ -262,6 +263,24 @@ def test_exit_code_compute_error(pipeline, tmp_path, capsys):
                      "--mask", str(pipeline["mask"])])
     assert code == 3
     assert "compute error" in capsys.readouterr().err
+
+
+def test_fit_reports_drop_reasons(tmp_path, capsys):
+    stack = np.full((8, 1, 5), 50.0)
+    stack[:, 0, 1] = 99.0          # saturated in the last frame
+    stack[:6, 0, 2] = 99.0         # two frames left for three coefficients
+    stack[2, 0, 3] = 0.0           # log undefined
+    stack[:5, 0, 4] = 99.0         # one log-time value left
+    t = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 1e15, 1e15 + 0.125, 1e15 + 0.25])
+    manifest = write_sequence(FrameSequence(5, 1, 8, t, stack, 99.0),
+                              str(tmp_path / "v"))
+    config = tmp_path / "c.ini"
+    config.write_text("[tsr]\ndegree = 2\n")
+    assert cli.main(["fit", "--manifest", manifest, "--config", str(config),
+                     "--out", str(tmp_path / "f.csv")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "fitted 1/5 pixels; dropped 1 saturated, 1 too-few-frames, "
+        "1 non-positive, 1 degenerate-window (degree 2, 9 features)")
 
 
 def test_config_seed_rekeying(pipeline, tmp_path):

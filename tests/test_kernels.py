@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 
-from thermoseg import _kernels
+from thermoseg import _kernels, tsr
 
 
 def test_render_deterministic_and_clamped():
@@ -52,9 +54,9 @@ def test_fit_recovers_exact_polynomial():
         coeffs = rng.uniform(-1, 1, degree + 1)
         series = _poly_series(coeffs, log_t)
         data = np.tile(series[:, None, None], (1, 2, 2))
-        coef, rms, start, valid = _kernels.fit_image(
+        coef, rms, start, reason = _kernels.fit_image(
             data, log_t, np.inf, degree, 1.0 / np.log(10.0))
-        assert valid.all()
+        assert (reason == _kernels.FITTED).all()
         assert start.max() == 0
         npt.assert_allclose(coef[0, 0], coeffs, atol=1e-9)
         assert rms.max() < 1e-10
@@ -66,9 +68,9 @@ def test_fit_skips_saturated_prefix():
     series = _poly_series(np.array([1.0, -0.5]), log_t)
     data = np.tile(series[:, None, None], (1, 1, 2))
     data[:7, 0, 0] = 300.0  # saturated prefix on one pixel only
-    coef, rms, start, valid = _kernels.fit_image(
+    coef, rms, start, reason = _kernels.fit_image(
         data, log_t, 300.0, 2, 1.0 / np.log(10.0))
-    assert valid.all()
+    assert (reason == _kernels.FITTED).all()
     assert start[0, 0] == 7 and start[0, 1] == 0
     npt.assert_allclose(coef[0, 0], [1.0, -0.5, 0.0], atol=1e-9)
     npt.assert_allclose(coef[0, 1], [1.0, -0.5, 0.0], atol=1e-9)
@@ -80,12 +82,74 @@ def test_fit_flags_short_and_nonpositive_pixels():
     data = np.ones((4, 1, 3))
     data[:, 0, 1] = [50.0, 50.0, 50.0, 2.0]   # saturated until frame 3
     data[2, 0, 2] = -1.0                      # log undefined
-    coef, rms, start, valid = _kernels.fit_image(
+    coef, rms, start, reason = _kernels.fit_image(
         data, log_t, 50.0, 2, 1.0 / np.log(10.0))
-    assert valid[0, 0]
-    assert not valid[0, 1]
-    assert not valid[0, 2]
-    npt.assert_array_equal(coef[0, 1], 0.0)
+    npt.assert_array_equal(reason[0], [_kernels.FITTED,
+                                       _kernels.TOO_FEW_FRAMES,
+                                       _kernels.NON_POSITIVE])
+    npt.assert_array_equal(coef[0, 1:], 0.0)
+    npt.assert_array_equal(rms[0, 1:], 0.0)
+
+
+def _mixed_window_cube(height, width, frames, seed):
+    """Noisy decays whose pixel kind cycles with period 7 along the flat
+    pixel index, so every run of 7 pixels holds every kind."""
+    rng = np.random.default_rng(seed)
+    t = (np.arange(frames) + 1.0) / 2.0
+    data = (300.0 * t[:, None] ** -0.5 * rng.uniform(0.7, 1.3, height * width)
+            + rng.normal(0.0, 0.5, (frames, height * width)))
+    kind = np.arange(height * width) % 7
+    for k, prefix in ((1, 3), (2, 8), (3, 17), (5, frames - 2)):
+        data[:prefix, kind == k] = 1000.0
+    data[40, kind == 4] = -1.0
+    data[-1, kind == 6] = 1000.0
+    return data.reshape(frames, height, width), t, kind.reshape(height, width)
+
+
+def test_fit_block_boundaries(monkeypatch):
+    # 581 pixels over at least two blocks; each block boundary falls
+    # between two pixels of different kinds
+    data, t, kind = _mixed_window_cube(7, 83, 60, 31)
+    assert 2 * _kernels.CHUNK <= kind.size and kind.size % _kernels.CHUNK
+    log_t = np.log10(t)
+    args = (log_t, 1000.0, 4, 1.0 / np.log(10.0))
+    coef, rms, start, reason = _kernels.fit_image(data, *args)
+
+    want_start = np.choose(kind, [0, 3, 8, 17, 0, 58, 60])
+    want_reason = np.choose(kind, [0, 0, 0, 0, _kernels.NON_POSITIVE,
+                                   _kernels.TOO_FEW_FRAMES,
+                                   _kernels.SATURATED])
+    npt.assert_array_equal(start, want_start)
+    npt.assert_array_equal(reason, want_reason)
+    for row, col in zip(*np.nonzero(reason == _kernels.FITTED)):
+        fit = tsr.fit_pixel(data[:, row, col], t, 4, start[row, col])
+        # lstsq and QR round apart, so a near-zero coefficient gets an
+        # absolute floor scaled to the largest one
+        npt.assert_allclose(coef[row, col], fit.coefficients, rtol=1e-10,
+                            atol=1e-12 * np.abs(fit.coefficients).max())
+        npt.assert_allclose(rms[row, col], fit.rms_residual, rtol=1e-10)
+
+    for chunk in (1, data.shape[1] * data.shape[2]):
+        monkeypatch.setattr(_kernels, "CHUNK", chunk)
+        c2, r2, s2, why2 = _kernels.fit_image(data, *args)
+        npt.assert_array_equal(s2, start)
+        npt.assert_array_equal(why2, reason)
+        npt.assert_allclose(c2, coef, rtol=1e-12,
+                            atol=1e-12 * np.abs(coef).max())
+        npt.assert_allclose(r2, rms, rtol=1e-12)
+
+
+def test_fit_memory_stays_below_half_the_cube():
+    # a 29.5 MB cube: the fit's own allocations stay block-sized
+    data = np.random.default_rng(5).uniform(1.0, 2.0, (1200, 48, 64))
+    log_t = np.log10(np.arange(1200) + 1.0)
+    tracemalloc.start()
+    try:
+        _kernels.fit_image(data, log_t, np.inf, 4, 1.0 / np.log(10.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * data.nbytes
 
 
 def test_affine_basis_matrix_identity():

@@ -8,7 +8,7 @@ import pytest
 
 from thermoseg import synthgen, tsr
 from thermoseg.errors import ValidationError
-from thermoseg.ingest import FrameSequence
+from thermoseg.ingest import FrameSequence, SaturatedPixelError
 
 
 def _sequence_from_stack(stack, timestamps, saturation=np.inf):
@@ -281,6 +281,40 @@ def test_fit_sequence_flags_bad_pixels():
     assert image.valid[2, 2]
     npt.assert_array_equal(image.values[0, 0], 0.0)
     npt.assert_array_equal(image.values[1, 1], 0.0)
+
+
+def _one_pixel_of_each_kind():
+    # the last three timestamps share one log value in float64
+    t = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 1e15, 1e15 + 0.125, 1e15 + 0.25])
+    stack = np.full((8, 1, 6), 50.0)
+    stack[:, 0, 1] = 99.0          # saturated in the last frame
+    stack[:6, 0, 2] = 99.0         # two frames left for three coefficients
+    stack[2, 0, 3] = 0.0           # log undefined
+    stack[:5, 0, 4] = 99.0         # window of one log-time value
+    stack[:4, 0, 5] = 99.0         # window of two log-time values: rank 2
+    return _sequence_from_stack(stack, t, saturation=99.0)
+
+
+def test_fit_sequence_reason_codes():
+    seq = _one_pixel_of_each_kind()
+    image = tsr.fit_sequence(seq, degree=2)
+    npt.assert_array_equal(image.reason[0], [0, 1, 2, 3, 4, 4])
+    npt.assert_array_equal(image.valid, image.reason == 0)
+    assert tsr.reason_counts(image) == {
+        "fitted": 1, "saturated": 1, "too-few-frames": 1, "non-positive": 1,
+        "degenerate-window": 2}
+    # the scalar oracle refuses every dropped pixel for the same reason
+    with pytest.raises(SaturatedPixelError):
+        tsr.fit_one(seq, (0, 1), 2)
+    for col, error in ((2, tsr.UnderdeterminedFitError),
+                       (3, tsr.NonPositiveSampleError),
+                       (4, tsr.RankDeficientFitError),
+                       (5, tsr.RankDeficientFitError)):
+        with pytest.raises(error):
+            tsr.fit_one(seq, (0, col), 2)
+    npt.assert_allclose(image.values[0, 0],
+                        tsr.pack_features(tsr.fit_one(seq, (0, 0), 2)),
+                        atol=1e-12)
 
 
 def test_fit_sequence_saturated_prefix_matches_windowed_fit():
