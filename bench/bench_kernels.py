@@ -1,8 +1,11 @@
-"""Micro-benchmark for the two hot kernels: frame rendering and pixel fits.
+"""Micro-benchmark for the hot kernels: frame rendering, pixel fits and
+the training step.
 
 Times the public render_frames and fit_image on a noisy four-quadrant
-scene, prints the best of several runs of each, and writes them with the
-fit's tracemalloc peak to BENCH_kernels.json beside this script.
+scene and one Adam step of the 15/10/20/4 tanh net at batch 2048 (the
+four-class experiment's), prints the best of several runs of each, and
+writes them with the fit's tracemalloc peak to BENCH_kernels.json beside
+this script.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -15,7 +18,7 @@ import tracemalloc
 
 import numpy as np
 
-from thermoseg import _kernels, synthgen
+from thermoseg import _kernels, features, nn, synthgen
 
 
 def time_calls(func, repeats, *args):
@@ -25,6 +28,25 @@ def time_calls(func, repeats, *args):
         func(*args)
         best = min(best, time.perf_counter() - t0)
     return best * 1000.0
+
+
+TRAIN_STEPS = 500
+
+
+def train_step_ms(steps, repeats):
+    """Per-step time of `steps` Adam steps through nn.train, best of
+    `repeats`; the one loss check at the last step is included."""
+    rng = np.random.default_rng(7)
+    rows = 16 * 2048
+    ds = features.Dataset(rng.normal(size=(rows, 15)),
+                          rng.integers(0, 4, rows), 4,
+                          np.full((rows, 2), -1))
+    val = ds.take(np.arange(256))
+    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0)
+    config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
+                            batch_size=2048, max_steps=steps,
+                            trace_every=steps, seed=1)
+    return time_calls(nn.train, repeats, model, ds, val, config) / steps
 
 
 def main():
@@ -62,6 +84,10 @@ def main():
     tracemalloc.stop()
     print(f"fit peak: {fit_peak_mb:8.1f} MB (cube {data.nbytes / 1e6:.1f} MB)")
 
+    t_step = train_step_ms(TRAIN_STEPS, args.repeats)
+    print(f"train step: {t_step:6.3f} ms (15/10/20/4 tanh, batch 2048, "
+          f"Adam, {TRAIN_STEPS} steps)")
+
     record = {
         "shape": {"width": args.width, "height": args.height,
                   "frames": args.frames, "degree": args.degree},
@@ -70,6 +96,9 @@ def main():
         "fit_ms": round(t_fit, 1),
         "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),
         "cube_mb": round(data.nbytes / 1e6, 2),
+        "train_step": {"layers": [15, 10, 20, 4], "batch": 2048,
+                       "optimizer": "adam", "steps": TRAIN_STEPS},
+        "train_step_ms": round(t_step, 3),
         "numpy": np.__version__,
         "blas_threads": {k: os.environ.get(k, "unset") for k in
                          ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",

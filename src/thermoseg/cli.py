@@ -164,9 +164,10 @@ def cmd_train(args):
     nn.save_model(model, args.out)
     if args.trace:
         nn.write_trace(trace, args.trace)
-    print(f"trained {model.layer_sizes} in {trace.steps[-1]} steps "
-          f"({trace.stop_reason}); final val acc "
-          f"{trace.val_acc[-1]:.4f} -> {args.out}")
+    steps = trace.steps[-1]
+    print(f"trained {model.layer_sizes} in {steps} steps "
+          f"({trace.stop_reason}, {steps / trace.seconds:.0f} steps/s); "
+          f"final val acc {trace.val_acc[-1]:.4f} -> {args.out}")
     return 0
 
 

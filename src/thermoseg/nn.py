@@ -8,6 +8,7 @@ deterministic sequence of mini-batch updates for a given seed.
 """
 
 import math
+import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -152,34 +153,168 @@ def accuracy(probs, labels):
 def backward(model, batch_x, batch_labels):
     """Gradients of the mean batch loss for every weight and bias.
 
-    Returns (weight_grads, bias_grads) matching model.weights/biases.
+    Runs the same step code as `train` and returns per-layer copies,
+    (weight_grads, bias_grads) matching model.weights/biases.
     """
     x = np.asarray(batch_x, dtype=np.float64)
     labels = np.asarray(batch_labels)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValidationError("batch must be a non-empty 2-D array")
-    acts = _forward_layers(model, x)
-    probs = acts[-1]
-    if not np.isfinite(probs).all():
-        raise ComputeError("non-finite activations in backward pass")
-    n = x.shape[0]
-    delta = probs.copy()
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
+    if x.shape[1] != model.input_size:
+        raise ValidationError(
+            f"batch width {x.shape[1]} does not match model input "
+            f"{model.input_size}")
+    if (labels.shape != (x.shape[0],) or labels.min() < 0
+            or labels.max() >= model.output_size):
+        raise ValidationError(
+            f"need one label in [0, {model.output_size}) per batch row")
+    step = _TrainStep(model, x, labels, x.shape[0])
+    step.gradients(np.arange(x.shape[0]))
+    return ([g.copy() for g in step.grad_w], [g.copy() for g in step.grad_b])
 
-    weight_grads = [None] * len(model.weights)
-    bias_grads = [None] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        weight_grads[layer] = acts[layer].T @ delta
-        bias_grads[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = delta @ model.weights[layer].T
-            a = acts[layer]
-            if model.activations[layer - 1] == "relu":
-                delta = delta * (a > 0.0)
-            else:
-                delta = delta * (1.0 - a * a)
-    return weight_grads, bias_grads
+
+class _TrainStep:
+    """One mini-batch gradient and update over buffers allocated once.
+
+    The parameters sit in one flat buffer, each layer's weights then its
+    bias as views, and so do their gradients, so an optimizer update is a
+    few ufunc calls over the whole model. Activations and deltas are
+    stored feature-major (units x batch): each layer's forward pass is
+    W.T @ a, and the softmax reduces over axis 0. A short last batch uses
+    the leading columns of the same buffers. Apart from views, a step
+    allocates nothing whose size grows with the batch.
+    """
+
+    def __init__(self, model, vectors, labels, batch_size):
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.intp)
+        self.kinds = model.activations
+        shapes = list(zip(model.layer_sizes, model.layer_sizes[1:]))
+        size = sum((n_in + 1) * n_out for n_in, n_out in shapes)
+        self.params = np.empty(size)
+        self.grads = np.empty(size)
+        self.weights, self.biases = _layer_views(self.params, shapes)
+        self.grad_w, self.grad_b = _layer_views(self.grads, shapes)
+        for view, value in zip(self.weights + self.biases,
+                               model.weights + model.biases):
+            view[...] = value
+        # the model reads the live buffer, so checks see every update
+        self.model = replace(model, weights=tuple(self.weights),
+                             biases=tuple(self.biases))
+        self.bias_cols = [b[:, None] for b in self.biases]
+        self.moment1 = np.zeros(size)
+        self.moment2 = np.zeros(size)
+        self.scratch = np.empty(size)
+        self.update = np.empty(size)
+
+        width = batch_size
+        self.width = width
+        self.x = np.empty((width, model.input_size))
+        self.y = np.empty(width, dtype=np.intp)
+        self.acts = [np.empty((n_out, width)) for _, n_out in shapes]
+        self.deltas = [np.empty((n_out, width)) for _, n_out in shapes[:-1]]
+        self.column = np.empty(width)
+        self.offsets = np.arange(width)
+        self.target = np.empty(width, dtype=np.intp)
+        self.picked = np.empty(width)
+        self._views = {}
+
+    def _columns(self, n):
+        """The first n batch columns of every buffer."""
+        views = self._views.get(n)
+        if views is None:
+            views = (self.x[:n], self.y[:n], [a[:, :n] for a in self.acts],
+                     [d[:, :n] for d in self.deltas], self.column[:n],
+                     self.offsets[:n], self.target[:n], self.picked[:n])
+            self._views[n] = views
+        return views
+
+    def gradients(self, idx):
+        """Fill `grads` with the mean cross-entropy gradient of rows idx."""
+        x, y, acts, deltas, column, offsets, target, picked = \
+            self._columns(idx.shape[0])
+        self.vectors.take(idx, axis=0, out=x, mode="clip")
+        self.labels.take(idx, out=y, mode="clip")
+        a = x.T
+        for w, b, kind, z in zip(self.weights, self.bias_cols, self.kinds,
+                                 acts):
+            np.matmul(w.T, a, out=z)
+            z += b
+            if kind == "tanh":
+                np.tanh(z, out=z)
+            elif kind == "relu":
+                np.maximum(z, 0.0, out=z)
+            a = z
+
+        probs = a
+        np.maximum.reduce(probs, axis=0, out=column)
+        probs -= column
+        np.exp(probs, out=probs)
+        np.add.reduce(probs, axis=0, out=column)
+        probs /= column
+        # every probability lies in [0, 1], so the sum is finite exactly
+        # when each entry is
+        if not math.isfinite(probs.sum()):
+            raise ComputeError("non-finite activations in backward pass")
+        # (p - onehot) / n in place: entry (y_j, j) of the full-width buffer
+        flat = self.acts[-1].reshape(-1)
+        np.multiply(y, self.width, out=target)
+        target += offsets
+        flat.take(target, out=picked, mode="clip")
+        picked -= 1.0
+        flat.put(target, picked, mode="clip")
+        probs /= probs.shape[1]
+
+        delta = probs
+        for layer in range(len(self.weights) - 1, -1, -1):
+            a = acts[layer - 1] if layer > 0 else x.T
+            np.matmul(a, delta.T, out=self.grad_w[layer])
+            np.add.reduce(delta, axis=1, out=self.grad_b[layer])
+            if layer > 0:
+                np.matmul(self.weights[layer], delta, out=deltas[layer - 1])
+                delta = deltas[layer - 1]
+                # the activation is spent: overwrite it with its derivative
+                if self.kinds[layer - 1] == "relu":
+                    np.greater(a, 0.0, out=a)
+                else:
+                    np.multiply(a, a, out=a)
+                    np.subtract(1.0, a, out=a)
+                delta *= a
+
+    def adam(self, rate, t):
+        """Bias-corrected Adam update number t (1-based)."""
+        m1, v2, grad = self.moment1, self.moment2, self.grads
+        scratch, update = self.scratch, self.update
+        m1 *= ADAM_BETA1
+        np.multiply(grad, 1.0 - ADAM_BETA1, out=scratch)
+        m1 += scratch
+        v2 *= ADAM_BETA2
+        np.multiply(grad, 1.0 - ADAM_BETA2, out=scratch)
+        scratch *= grad
+        v2 += scratch
+        np.divide(v2, 1.0 - ADAM_BETA2 ** t, out=scratch)
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m1, 1.0 - ADAM_BETA1 ** t, out=update)
+        update *= rate
+        update /= scratch
+        self.params -= update
+
+    def sgd(self, rate):
+        np.multiply(self.grads, rate, out=self.update)
+        self.params -= self.update
+
+
+def _layer_views(flat, shapes):
+    """(weights, biases) views into a flat buffer, layer by layer."""
+    weights, biases = [], []
+    offset = 0
+    for n_in, n_out in shapes:
+        weights.append(flat[offset:offset + n_in * n_out].reshape(n_in, n_out))
+        offset += n_in * n_out
+        biases.append(flat[offset:offset + n_out])
+        offset += n_out
+    return weights, biases
 
 
 @dataclass(frozen=True)
@@ -198,10 +333,16 @@ class TrainConfig:
     def __post_init__(self):
         if self.optimizer not in ("adam", "sgd-decay"):
             raise ValidationError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be > 0")
+        rate = self.learning_rate
+        if not (math.isfinite(rate) and rate > 0):
+            raise ValidationError(
+                f"learning_rate must be finite and > 0, got {rate}")
         if self.batch_size < 1:
             raise ValidationError("batch size must be >= 1")
+        for key in ("epochs", "max_steps", "trace_every", "seed"):
+            if getattr(self, key) < 0:
+                raise ValidationError(
+                    f"{key} must be >= 0, got {getattr(self, key)}")
         if self.optimizer == "sgd-decay":
             if self.decay_step < 1 or not 0 < self.decay_rate <= 1:
                 raise ValidationError("bad decay schedule")
@@ -257,6 +398,7 @@ class TrainTrace:
     val_acc: list = field(default_factory=list)
     stop_reason: str = ""
     restored_step: Optional[int] = None
+    seconds: float = 0.0          # wall time of the step loop, checks included
 
     def record(self, step, epoch, t_loss, v_loss, t_acc, v_acc):
         if self.steps and step <= self.steps[-1]:
@@ -293,19 +435,12 @@ def train(model, train_ds, val_ds, config):
     if config.epochs <= 0 and config.max_steps <= 0:
         raise ValidationError("need a positive epoch or step budget")
 
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    current = replace(model, weights=tuple(weights), biases=tuple(biases))
-
-    if config.optimizer == "adam":
-        m_w = [np.zeros_like(w) for w in weights]
-        v_w = [np.zeros_like(w) for w in weights]
-        m_b = [np.zeros_like(b) for b in biases]
-        v_b = [np.zeros_like(b) for b in biases]
-
     stopper = (EarlyStopping(*config.early_stopping)
                if config.early_stopping else None)
     n = train_ds.size
+    runner = _TrainStep(model, train_ds.vectors, train_ds.labels,
+                        min(config.batch_size, n))
+    current = runner.model
     steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
     if stopper is not None:
         check_every = stopper.checks_apart
@@ -319,22 +454,19 @@ def train(model, train_ds, val_ds, config):
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace()
 
-    def snapshot():
-        return ([w.copy() for w in weights], [b.copy() for b in biases])
-
     def run_check(step, epoch):
         t_loss, t_acc = evaluate(current, eval_x, eval_y)
         v_loss, v_acc = evaluate(current, val_ds.vectors, val_ds.labels)
         if not (math.isfinite(t_loss) and math.isfinite(v_loss)):
             raise ComputeError(f"non-finite loss at step {step}")
         trace.record(step, epoch, t_loss, v_loss, t_acc, v_acc)
-        if stopper is not None and stopper.update(step, v_loss, snapshot()):
-            return True
-        return False
+        return (stopper is not None
+                and stopper.update(step, v_loss, runner.params.copy()))
 
     step = 0
     epoch = 0
     halted = False
+    started = time.perf_counter()
     while not halted:
         if config.epochs > 0 and epoch >= config.epochs:
             trace.stop_reason = "epoch-budget"
@@ -344,28 +476,11 @@ def train(model, train_ds, val_ds, config):
             break
         order = rng.permutation(n)
         for lo in range(0, n, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            grads_w, grads_b = backward(current, train_ds.vectors[idx],
-                                        train_ds.labels[idx])
+            runner.gradients(order[lo:lo + config.batch_size])
             if config.optimizer == "adam":
-                t = step + 1
-                corr1 = 1.0 - ADAM_BETA1 ** t
-                corr2 = 1.0 - ADAM_BETA2 ** t
-                for i in range(len(weights)):
-                    for param, grad, m1, v2 in (
-                            (weights[i], grads_w[i], m_w[i], v_w[i]),
-                            (biases[i], grads_b[i], m_b[i], v_b[i])):
-                        m1 *= ADAM_BETA1
-                        m1 += (1.0 - ADAM_BETA1) * grad
-                        v2 *= ADAM_BETA2
-                        v2 += (1.0 - ADAM_BETA2) * grad * grad
-                        param -= (config.learning_rate * (m1 / corr1)
-                                  / (np.sqrt(v2 / corr2) + ADAM_EPS))
+                runner.adam(config.learning_rate, step + 1)
             else:
-                rate = lr_at(config, step)
-                for i in range(len(weights)):
-                    weights[i] -= rate * grads_w[i]
-                    biases[i] -= rate * grads_b[i]
+                runner.sgd(lr_at(config, step))
             step += 1
             if step % check_every == 0 and run_check(step, epoch):
                 trace.stop_reason = "early-stopping"
@@ -374,21 +489,20 @@ def train(model, train_ds, val_ds, config):
             if config.max_steps > 0 and step >= config.max_steps:
                 break
         epoch += 1
+    trace.seconds = time.perf_counter() - started
 
     if not trace.stop_reason:
         trace.stop_reason = "step-budget"
     if halted and stopper is not None and stopper.snapshot is not None:
-        snap_w, snap_b = stopper.snapshot
-        weights[:] = snap_w
-        biases[:] = snap_b
+        runner.params[...] = stopper.snapshot
         trace.restored_step = stopper.snapshot_step
     if not (trace.steps and trace.steps[-1] == step):
         t_loss, t_acc = evaluate(current, eval_x, eval_y)
         v_loss, v_acc = evaluate(current, val_ds.vectors, val_ds.labels)
         trace.record(step, epoch, t_loss, v_loss, t_acc, v_acc)
 
-    final = replace(model, weights=tuple(w.copy() for w in weights),
-                    biases=tuple(b.copy() for b in biases))
+    final = replace(model, weights=tuple(w.copy() for w in runner.weights),
+                    biases=tuple(b.copy() for b in runner.biases))
     return final, trace
 
 

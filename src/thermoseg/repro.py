@@ -44,6 +44,13 @@ def _scaled(value, scale, minimum):
     return max(minimum, int(round(value * scale)))
 
 
+def _train_timing(trace):
+    """Step-loop time and throughput, for results.json only: timings never
+    reach a file whose sha256 is recorded."""
+    return {"train_seconds": round(trace.seconds, 3),
+            "train_steps_per_s": round(trace.steps[-1] / trace.seconds, 1)}
+
+
 def _dataset_accuracy(model, ds):
     return float(np.mean(nn.predict(model, ds.vectors) == ds.labels))
 
@@ -167,6 +174,7 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
         "out_of_sample_accuracy": out_sample,
         "validation_accuracy": trace.val_acc[-1] if trace.val_acc else None,
         "train_steps": trace.steps[-1] if trace.steps else 0,
+        **_train_timing(trace),
         "stop_reason": trace.stop_reason,
         "targets": {"in_sample_accuracy_min": 0.93,
                     "out_of_sample_accuracy_min": 0.88},
@@ -253,6 +261,7 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         "region_majorities": {str(r): s.majority_class
                               for r, s in sorted(regions.items())},
         "train_steps": trace.steps[-1] if trace.steps else 0,
+        **_train_timing(trace),
         "stop_reason": trace.stop_reason,
         "targets": {"validation_accuracy_min": 0.90,
                     "degradation_pp_max": 5.0},

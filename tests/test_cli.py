@@ -191,6 +191,8 @@ def _scene_with(old, new):
 
 SYNTH = ["synth", "--scene", "{path}", "--out", "{dir}/v"]
 FIT = ["fit", "--manifest", "{path}", "--out", "{dir}/f.csv"]
+TRAIN = ["train", "--features", "{dir}/absent.csv", "--mask",
+         "{dir}/absent.pgm", "--config", "{path}", "--out", "{dir}/m.txt"]
 
 # (case, input file name, its text or None to leave it absent, argv, error)
 MALFORMED_INPUTS = [
@@ -231,6 +233,11 @@ MALFORMED_INPUTS = [
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),
+    ("nan learning rate", "c.ini", "[nn]\nlearning_rate = nan\n", TRAIN,
+     "learning_rate"),
+    ("negative max_steps", "c.ini", "[nn]\nmax_steps = -5\n", TRAIN,
+     "max_steps"),
+    ("negative training seed", "c.ini", "[nn]\nseed = -1\n", TRAIN, "seed"),
     ("eval without inputs", "absent", None, ["eval"], "eval needs"),
 ]
 

@@ -1,6 +1,8 @@
-"""Every name a package module imports is used in that module."""
+"""Every name a package module imports is used in that module, and every
+package name the benchmark calls exists."""
 
 import ast
+import importlib
 import pathlib
 
 import thermoseg
@@ -23,3 +25,55 @@ def test_no_unused_imports():
     unused = {p.name: _unused_imports(p) for p in sorted(PACKAGE.glob("*.py"))
               if p.name != "__init__.py"}
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+BENCHMARK = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _module_attr(node):
+    """'mod' for an `ts.mod` expression, else None."""
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "ts"):
+        return node.attr
+    return None
+
+
+def _benchmark_chains(path):
+    """(module, name) for each `ts.<module>.<name>` chain in a file, also
+    through local aliases such as `features, nn = ts.features, ts.nn`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            pairs = ([(target, node.value)] if isinstance(target, ast.Name)
+                     else zip(getattr(target, "elts", ()),
+                              getattr(node.value, "elts", ())))
+            for name, value in pairs:
+                module = _module_attr(value)
+                if isinstance(name, ast.Name) and module is not None:
+                    assert aliases.setdefault(name.id, module) == module
+    chains = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        module = _module_attr(node.value)
+        if module is None and isinstance(node.value, ast.Name):
+            module = aliases.get(node.value.id)
+        if module is not None:
+            chains.add((module, node.attr))
+    return chains
+
+
+def test_benchmark_names_resolve():
+    # the benchmark calls the package by attribute chains at run time, so a
+    # rename or a deleted function shows only as a failed benchmark pass
+    chains = set()
+    for path in sorted(BENCHMARK.glob("*.py")):
+        chains |= _benchmark_chains(path)
+    assert len(chains) >= 20
+    missing = sorted(
+        f"{module}.{name}" for module, name in chains
+        if not hasattr(importlib.import_module(f"thermoseg.{module}"), name))
+    assert missing == []

@@ -232,6 +232,12 @@ def test_train_config_validation():
         nn.TrainConfig(optimizer="sgd-decay", decay_rate=0.0)
     with pytest.raises(ValidationError):
         nn.TrainConfig(early_stopping=(0, 3))
+    for rate in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="learning_rate"):
+            nn.TrainConfig(learning_rate=rate)
+    for key in ("epochs", "max_steps", "trace_every", "seed"):
+        with pytest.raises(ValidationError, match=key):
+            nn.TrainConfig(**{key: -1})
 
 
 def test_early_stopping_consecutive_increases():
@@ -335,6 +341,114 @@ def test_early_stopping_restores_snapshot():
     at_restore = trace.val_loss[trace.steps.index(trace.restored_step)]
     npt.assert_allclose(final_loss, at_restore, rtol=1e-12)
     assert final_loss <= trace.val_loss[-1]
+
+
+def _reference_backward(model, x, labels):
+    """Batch-major backward pass, kept apart from the step code it checks."""
+    acts = [x]
+    for w, b, kind in zip(model.weights, model.biases, model.activations):
+        z = acts[-1] @ w + b
+        if kind == "relu":
+            acts.append(np.maximum(z, 0.0))
+        elif kind == "tanh":
+            acts.append(np.tanh(z))
+        else:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            acts.append(e / e.sum(axis=1, keepdims=True))
+    n = x.shape[0]
+    delta = acts[-1].copy()
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.weights)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        grads_w[layer] = acts[layer].T @ delta
+        grads_b[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ model.weights[layer].T
+            a = acts[layer]
+            if model.activations[layer - 1] == "relu":
+                delta = delta * (a > 0.0)
+            else:
+                delta = delta * (1.0 - a * a)
+    return grads_w, grads_b
+
+
+def _reference_train(model, train_ds, val_ds, config):
+    """Epoch-shuffled mini-batches with per-array Adam or SGD updates.
+
+    Returns (weights, biases, restored step or None).
+    """
+    weights = [w.copy() for w in model.weights]
+    biases = [b.copy() for b in model.biases]
+    params = weights + biases
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]
+    stopper = (nn.EarlyStopping(*config.early_stopping)
+               if config.early_stopping else None)
+    rng = np.random.default_rng(config.seed)
+    n, size = train_ds.size, config.batch_size
+    step = 0
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, size):
+            idx = order[lo:lo + size]
+            current = replace(model, weights=tuple(weights),
+                              biases=tuple(biases))
+            grads_w, grads_b = _reference_backward(
+                current, train_ds.vectors[idx], train_ds.labels[idx])
+            t = step + 1
+            for param, grad, (m1, v2) in zip(params, grads_w + grads_b,
+                                             moments):
+                if config.optimizer == "adam":
+                    m1 *= nn.ADAM_BETA1
+                    m1 += (1.0 - nn.ADAM_BETA1) * grad
+                    v2 *= nn.ADAM_BETA2
+                    v2 += (1.0 - nn.ADAM_BETA2) * grad * grad
+                    param -= (config.learning_rate
+                              * (m1 / (1.0 - nn.ADAM_BETA1 ** t))
+                              / (np.sqrt(v2 / (1.0 - nn.ADAM_BETA2 ** t))
+                                 + nn.ADAM_EPS))
+                else:
+                    param -= nn.lr_at(config, step) * grad
+            step += 1
+            if stopper is not None and step % stopper.checks_apart == 0:
+                v_loss, _ = nn.evaluate(current, val_ds.vectors,
+                                        val_ds.labels)
+                if stopper.update(step, v_loss, [p.copy() for p in params]):
+                    for param, saved in zip(params, stopper.snapshot):
+                        param[...] = saved
+                    return weights, biases, stopper.snapshot_step
+    return weights, biases, None
+
+
+@pytest.mark.parametrize("hidden, optimizer, rate, epochs, early", [
+    ("tanh", "adam", 1e-2, 3, None),
+    ("relu", "sgd-decay", 0.05, 3, None),
+    ("tanh", "adam", 0.05, 60, (8, 3)),
+])
+def test_train_matches_batch_major_reference(hidden, optimizer, rate, epochs,
+                                             early):
+    # 1000 rows at batch 64 leave a 40-row batch at the end of each epoch
+    centers = [(0.0, 0.0, 0.0, 0.0, 0.0), (0.6, 0.0, 0.3, 0.0, 0.0),
+               (0.0, 0.6, 0.0, 0.3, 0.0), (0.3, 0.3, 0.0, 0.0, 0.6)]
+    train_ds = _blob_dataset(250, centers, 0.6, seed=100)
+    val_ds = _blob_dataset(40, centers, 0.6, seed=101)
+    assert train_ds.size == 1000
+    model = nn.init_model((5, 12, 8, 4), (hidden, hidden, "softmax"), 102)
+    config = nn.TrainConfig(optimizer=optimizer, learning_rate=rate,
+                            decay_step=10, decay_rate=0.9, batch_size=64,
+                            epochs=epochs, early_stopping=early, seed=103)
+    trained, trace = nn.train(model, train_ds, val_ds, config)
+    weights, biases, restored = _reference_train(model, train_ds, val_ds,
+                                                 config)
+    assert trace.restored_step == restored
+    if early is not None:
+        # the restored weights have seen short batches, and later steps
+        # have moved the live buffer away from the snapshot
+        assert trace.stop_reason == "early-stopping"
+        assert 16 < restored < trace.steps[-1]
+    for got, want in zip(trained.weights + trained.biases, weights + biases):
+        npt.assert_allclose(got, want, rtol=1e-9, atol=0.0)
 
 
 def test_train_budget_validation():
