@@ -4,8 +4,8 @@ the training step.
 Times the public render_frames and fit_image on a noisy four-quadrant
 scene and one Adam step of the 15/10/20/4 tanh net at batch 2048 (the
 four-class experiment's), prints the best of several runs of each, and
-writes them with the fit's tracemalloc peak to BENCH_kernels.json beside
-this script.
+writes them with the render's span count and the fit's tracemalloc peak
+to BENCH_kernels.json beside this script.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -70,7 +70,8 @@ def main():
           f"degree {args.degree}, best of {args.repeats}")
     t_render = time_calls(_kernels.render_frames, args.repeats,
                           base, region_map, 1.0, 42, 0.0, math.inf)
-    print(f"render: {t_render:10.1f} ms")
+    spans = _kernels._span_count(region_map.size)
+    print(f"render: {t_render:10.1f} ms ({spans} spans)")
 
     data = _kernels.render_frames(base, region_map, 1.0, 42, 0.0, math.inf)
     fit_args = (data, np.log10(timestamps), math.inf, args.degree,
@@ -93,6 +94,7 @@ def main():
                   "frames": args.frames, "degree": args.degree},
         "repeats": args.repeats,
         "render_ms": round(t_render, 1),
+        "render_spans": spans,
         "fit_ms": round(t_fit, 1),
         "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),
         "cube_mb": round(data.nbytes / 1e6, 2),

@@ -6,7 +6,13 @@ numpy:
 * render_frames adds per-pixel Gaussian noise to each region's series,
   two frames per Box-Muller draw. Noise streams come from a counter-style
   splitmix64 generator keyed on (seed, row, col), so any single pixel can
-  be regenerated without rendering the rest of the frame.
+  be regenerated without rendering the rest of the frame. The pixels are
+  cut into contiguous spans, one per available core (none narrower than
+  MIN_SPAN pixels), rendered on threads straight into the output: each
+  span reuses a few span-sized buffers and fills, noises and clamps a
+  frame row while it is in cache. Because the noise is keyed per pixel,
+  the output is bitwise the same for any span count, so unlike a BLAS
+  thread count the core count never changes a result.
 * fit_image makes one pass over the (frames, H*W) view of the cube in
   blocks of about CHUNK adjacent pixels, so each block's frames x pixels
   slab stays in cache. A block finds its own start frames (the frame
@@ -23,6 +29,8 @@ numpy:
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -38,6 +46,9 @@ _TWO_PI = 2.0 * math.pi
 # pixels per block in fit_image: a (frames, CHUNK) slab stays in cache
 CHUNK = 256
 
+# fewest pixels per render span: below it a thread costs more than it saves
+MIN_SPAN = 4096
+
 # fit_image reason codes (indexes into REASONS): why a pixel was dropped
 FITTED = 0
 SATURATED = 1           # saturated in the last frame
@@ -48,50 +59,114 @@ REASONS = ("fitted", "saturated", "too-few-frames", "non-positive",
            "degenerate-window")
 
 
-def _splitmix64(z):
-    z = (z ^ (z >> np.uint64(30))) * _SM_M1
-    z = (z ^ (z >> np.uint64(27))) * _SM_M2
-    return z ^ (z >> np.uint64(31))
+def _mix_into(z, state, tmp):
+    """z = splitmix64(state), in place over reused buffers."""
+    np.right_shift(state, np.uint64(30), out=z)
+    z ^= state
+    z *= _SM_M1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _SM_M2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
 
 
 def _pixel_states(seed, height, width):
     """Initial splitmix64 state per pixel, keyed on (seed, row, col)."""
     rows = np.arange(height, dtype=np.uint64)[:, None]
     cols = np.arange(width, dtype=np.uint64)[None, :]
-    base = (np.uint64(seed) * _SM_GAMMA) ^ (rows * _ROW_K) ^ (cols * _COL_K)
-    return _splitmix64(base)
+    # the scalar seed product wraps on purpose; errstate is per thread, so
+    # it sits here rather than in a caller
+    with np.errstate(over="ignore"):
+        base = (np.uint64(seed) * _SM_GAMMA) ^ (rows * _ROW_K) ^ (cols * _COL_K)
+    state = np.empty_like(base)
+    _mix_into(state, base, np.empty_like(base))
+    return state
+
+
+def _render_span(flat_cols, base_t, idx, state, sigma, lo, hi):
+    """Render a span of pixel columns of the (frames, pixels) output in place.
+
+    flat_cols: (frames, n) view of the output; base_t: (frames, regions)
+    profile series; idx: (n,) region index per pixel; state: (n,) initial
+    splitmix64 states of the span's pixels (not modified). Each frame row
+    is filled, noised and clamped while it is in cache. Frames f and f+1
+    share one Box-Muller draw, in the same operation order as rendering
+    the whole frame at once, so a pixel's values do not depend on the span
+    that holds it.
+    """
+    frame_count, n = flat_cols.shape
+    if not sigma > 0.0:
+        for f in range(frame_count):
+            row = flat_cols[f]
+            np.take(base_t[f], idx, out=row, mode="clip")
+            np.clip(row, lo, hi, out=row)
+        return
+    state = state.copy()
+    z, tmp = np.empty(n, np.uint64), np.empty(n, np.uint64)
+    rad, ang, noise = np.empty(n), np.empty(n), np.empty(n)
+    for f in range(0, frame_count, 2):
+        state += _SM_GAMMA
+        _mix_into(z, state, tmp)
+        z >>= np.uint64(11)
+        z += np.uint64(1)
+        # below 2**53, so the int64 view converts exactly (and faster)
+        np.copyto(rad, z.view(np.int64))
+        rad *= _U53
+        state += _SM_GAMMA
+        _mix_into(z, state, tmp)
+        z >>= np.uint64(11)
+        np.copyto(ang, z.view(np.int64))
+        ang *= _U53
+        np.log(rad, out=rad)
+        rad *= -2.0
+        np.sqrt(rad, out=rad)
+        ang *= _TWO_PI
+        for g, trig in ((f, np.cos), (f + 1, np.sin)):
+            if g == frame_count:
+                break
+            trig(ang, out=noise)
+            noise *= rad
+            noise *= sigma
+            row = flat_cols[g]
+            np.take(base_t[g], idx, out=row, mode="clip")
+            row += noise
+            np.clip(row, lo, hi, out=row)
+
+
+def _span_count(pixels):
+    """Worker spans for a render: one per available core, but none
+    narrower than MIN_SPAN pixels."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    return max(1, min(cores, pixels // MIN_SPAN))
 
 
 def render_frames(base, region_map, sigma, seed, lo, hi):
     """Per-pixel series + seeded Gaussian noise, clamped to [lo, hi].
 
     base: (regions, frames) float64 profile series; region_map: (H, W) int
-    region index per pixel. Returns a (frames, H, W) float64 stack.
+    region index per pixel, each in [0, regions). Returns a (frames, H, W)
+    float64 stack, bitwise the same for any span count.
     """
-    base = np.ascontiguousarray(base, dtype=np.float64)
-    region_map = np.ascontiguousarray(region_map, dtype=np.int64)
-    frame_count = base.shape[1]
-    out = np.empty((frame_count,) + region_map.shape, dtype=np.float64)
-    sigma = float(sigma)
-    if sigma > 0.0:
-        with np.errstate(over="ignore"):
-            state = _pixel_states(int(seed), *region_map.shape)
-            for f in range(0, frame_count, 2):
-                state = state + _SM_GAMMA
-                z1 = _splitmix64(state)
-                state = state + _SM_GAMMA
-                z2 = _splitmix64(state)
-                u1 = ((z1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53
-                u2 = (z2 >> np.uint64(11)).astype(np.float64) * _U53
-                rad = np.sqrt(-2.0 * np.log(u1))
-                ang = _TWO_PI * u2
-                out[f] = base[region_map, f] + sigma * (rad * np.cos(ang))
-                if f + 1 < frame_count:
-                    out[f + 1] = base[region_map, f + 1] + sigma * (rad * np.sin(ang))
+    base_t = np.ascontiguousarray(np.asarray(base, dtype=np.float64).T)
+    idx = np.ascontiguousarray(region_map, dtype=np.int64).ravel()
+    frame_count = base_t.shape[0]
+    out = np.empty((frame_count,) + np.shape(region_map), dtype=np.float64)
+    flat = out.reshape(frame_count, idx.shape[0])
+    states = _pixel_states(int(seed), *out.shape[1:]).ravel()
+    args = (float(sigma), float(lo), float(hi))
+    count = _span_count(idx.shape[0])
+    edges = [idx.shape[0] * i // count for i in range(count + 1)]
+    jobs = [(flat[:, a:b], base_t, idx[a:b], states[a:b], *args)
+            for a, b in zip(edges[:-1], edges[1:])]
+    if count == 1:
+        _render_span(*jobs[0])
     else:
-        for f in range(frame_count):
-            out[f] = base[region_map, f]
-    np.clip(out, float(lo), float(hi), out=out)
+        # numpy releases the GIL inside each ufunc call
+        with ThreadPoolExecutor(count) as pool:
+            for done in [pool.submit(_render_span, *job) for job in jobs]:
+                done.result()
     return out
 
 

@@ -69,6 +69,12 @@ class ScalingStats:
         return self.std == 0.0
 
 
+def _check_seed(seed, what):
+    # np.random.default_rng rejects a negative seed with a bare ValueError
+    if seed < 0:
+        raise DatasetError(f"{what} seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
@@ -80,6 +86,7 @@ class SplitSpec:
             raise DatasetError("train_fraction must lie in (0, 1)")
         if not 0.0 < self.validation_fraction_of_train < 1.0:
             raise DatasetError("validation fraction must lie in (0, 1)")
+        _check_seed(self.seed, "split")
 
 
 def assemble(image, mask):
@@ -148,6 +155,7 @@ def augment(train, relative_amplitude, copies, seed):
         raise DatasetError("relative amplitude must be >= 0")
     if copies < 0:
         raise DatasetError("copies must be >= 0")
+    _check_seed(seed, "augment")
     if copies == 0:
         return train.take(slice(None))
     rng = np.random.default_rng(seed)
@@ -165,6 +173,7 @@ def perturb(ds, relative_amplitude, seed):
     """Replace every element with x * (1 + u), u uniform in [-a, +a]."""
     if relative_amplitude < 0:
         raise DatasetError("relative amplitude must be >= 0")
+    _check_seed(seed, "perturb")
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-relative_amplitude, relative_amplitude,
                                 size=ds.vectors.shape)

@@ -18,9 +18,12 @@ matrices, segmentations) is byte-stable for a fixed seed. A scale factor
 below 1 shrinks the canvases and budgets proportionally for smoke tests.
 """
 
+import contextlib
 import hashlib
 import json
 import os
+import resource
+import sys
 import time
 
 import numpy as np
@@ -49,6 +52,31 @@ def _train_timing(trace):
     reach a file whose sha256 is recorded."""
     return {"train_seconds": round(trace.seconds, 3),
             "train_steps_per_s": round(trace.steps[-1] / trace.seconds, 1)}
+
+
+class StageTimer:
+    """Wall seconds per named stage, summed over every entry to it."""
+
+    def __init__(self):
+        self.seconds = {}
+
+    @contextlib.contextmanager
+    def __call__(self, stage):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[stage] = (self.seconds.get(stage, 0.0)
+                                   + time.perf_counter() - t0)
+
+    def report(self):
+        """`timings` and `peak_rss_mb` for results.json; like every timing
+        they never reach a file whose sha256 is recorded."""
+        # ru_maxrss is in KiB on Linux and in bytes on macOS
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        unit = 1 if sys.platform == "darwin" else 1024
+        return {"timings": {k: round(v, 3) for k, v in self.seconds.items()},
+                "peak_rss_mb": round(rss * unit / 2 ** 20, 1)}
 
 
 def _dataset_accuracy(model, ds):
@@ -85,6 +113,7 @@ def _uniform_mask(width, height, class_id):
 def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
     """Two pure-class videos train the net; a composite video tests it."""
     t0 = time.monotonic()
+    stage = StageTimer()
     os.makedirs(out_dir, exist_ok=True)
     width = _scaled(160, scale, 16)
     height = _scaled(120, scale, 12)
@@ -103,9 +132,12 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
     sigma = 2.0
 
     def fit_video(layout, noise_seed):
-        seq = synthgen.render_video(
-            layout, timestamps, synthgen.NoiseSpec(sigma, noise_seed), clamp)
-        return tsr.fit_sequence(seq, degree)
+        with stage("render"):
+            seq = synthgen.render_video(
+                layout, timestamps, synthgen.NoiseSpec(sigma, noise_seed),
+                clamp)
+        with stage("fit"):
+            return tsr.fit_sequence(seq, degree)
 
     full = (0, 0, width, height)
     img_sound = fit_video(
@@ -137,28 +169,32 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
                             decay_step=1000, decay_rate=0.9, batch_size=512,
                             max_steps=_scaled(12000, scale, 2000),
                             early_stopping=(100, 3), seed=seed + 5)
-    model, trace, _, _, test_ds = train_classifier(
-        pure, features.SplitSpec(0.8, 0.1, seed + 3), (16, 32, 16), "relu",
-        config, seed + 4, (0.0, 0, 0))
+    with stage("train"):
+        model, trace, _, _, test_ds = train_classifier(
+            pure, features.SplitSpec(0.8, 0.1, seed + 3), (16, 32, 16),
+            "relu", config, seed + 4, (0.0, 0, 0))
 
     model_path = os.path.join(out_dir, "model.txt")
     nn.save_model(model, model_path)
     nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
 
-    in_sample = _dataset_accuracy(model, test_ds)
+    with stage("predict"):
+        in_sample = _dataset_accuracy(model, test_ds)
+        label_map = nn.predict_map(model, img_composite)
 
-    label_map = nn.predict_map(model, img_composite)
-    usable = label_map.valid & composite_mask.valid
-    out_sample = float(np.mean(
-        label_map.labels[usable] == composite_mask.labels[usable]))
-    cm = evaluate.confusion(composite_mask.labels[usable],
-                            label_map.labels[usable], 2, ("sound", "flawed"))
-    matrix_path = os.path.join(out_dir, "composite_matrix.csv")
-    evaluate.write_matrix_csv(cm, matrix_path)
-    seg_path = os.path.join(out_dir, "composite_segmentation.pgm")
-    evaluate.write_segmentation(label_map, 2, seg_path)
-    mask_path = os.path.join(out_dir, "composite_mask.pgm")
-    save_mask(composite_mask, mask_path)
+    with stage("evaluate"):
+        usable = label_map.valid & composite_mask.valid
+        out_sample = float(np.mean(
+            label_map.labels[usable] == composite_mask.labels[usable]))
+        cm = evaluate.confusion(composite_mask.labels[usable],
+                                label_map.labels[usable], 2,
+                                ("sound", "flawed"))
+        matrix_path = os.path.join(out_dir, "composite_matrix.csv")
+        evaluate.write_matrix_csv(cm, matrix_path)
+        seg_path = os.path.join(out_dir, "composite_segmentation.pgm")
+        evaluate.write_segmentation(label_map, 2, seg_path)
+        mask_path = os.path.join(out_dir, "composite_mask.pgm")
+        save_mask(composite_mask, mask_path)
 
     outputs = {"features": features_path, "model": model_path,
                "matrix": matrix_path, "segmentation": seg_path,
@@ -176,6 +212,7 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
         "train_steps": trace.steps[-1] if trace.steps else 0,
         **_train_timing(trace),
         "stop_reason": trace.stop_reason,
+        **stage.report(),
         "targets": {"in_sample_accuracy_min": 0.93,
                     "out_of_sample_accuracy_min": 0.88},
         "passed": bool(in_sample >= 0.93 and out_sample >= 0.88),
@@ -189,6 +226,7 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
 def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
     """Quadrant gap-grading scene: train, evaluate, perturbed replay."""
     t0 = time.monotonic()
+    stage = StageTimer()
     os.makedirs(out_dir, exist_ok=True)
     width = _scaled(236, scale, 24)
     height = _scaled(182, scale, 20)
@@ -201,9 +239,11 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         width, height, (0.0, 0.1, 0.2, 0.3), depth_mm=5.0,
         diffusivity=POLYMER_DIFFUSIVITY, base_depth_mm=20.0, amplitude=100.0)
     # sigma 0.5 keeps the two deepest grades separable (max d' ~ 3.3)
-    seq = synthgen.render_video(layout, timestamps,
-                                synthgen.NoiseSpec(0.5, seed))
-    image = tsr.fit_sequence(seq, degree=4, packing=tsr.PACK_PADDED)
+    with stage("render"):
+        seq = synthgen.render_video(layout, timestamps,
+                                    synthgen.NoiseSpec(0.5, seed))
+    with stage("fit"):
+        image = tsr.fit_sequence(seq, degree=4, packing=tsr.PACK_PADDED)
     del seq
 
     features_path = os.path.join(out_dir, "features.csv")
@@ -217,30 +257,32 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
                             batch_size=2048,
                             epochs=_scaled(160, scale, 60),
                             early_stopping=(2000, 3), seed=seed + 4)
-    model, trace, train_aug, val_ds, test_ds = train_classifier(
-        ds, features.SplitSpec(0.8, 0.1, seed + 1), (10, 20), "tanh",
-        config, seed + 3, (0.05, 50, seed + 2))
+    with stage("train"):
+        model, trace, train_aug, val_ds, test_ds = train_classifier(
+            ds, features.SplitSpec(0.8, 0.1, seed + 1), (10, 20), "tanh",
+            config, seed + 3, (0.05, 50, seed + 2))
 
     model_path = os.path.join(out_dir, "model.txt")
     nn.save_model(model, model_path)
     nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
 
-    val_acc = _dataset_accuracy(model, val_ds)
-    test_pred = nn.predict(model, test_ds.vectors)
-    test_acc = float(np.mean(test_pred == test_ds.labels))
-    cm = evaluate.confusion(test_ds.labels, test_pred, 4,
-                            ("0mm", "0.1mm", "0.2mm", "0.3mm"))
-    matrix_path = os.path.join(out_dir, "test_matrix.csv")
-    evaluate.write_matrix_csv(cm, matrix_path)
+    with stage("predict"):
+        val_acc = _dataset_accuracy(model, val_ds)
+        test_pred = nn.predict(model, test_ds.vectors)
+        perturbed = features.perturb(test_ds, 0.03, seed + 5)
+        pert_acc = _dataset_accuracy(model, perturbed)
+        label_map = nn.predict_map(model, image)
 
-    perturbed = features.perturb(test_ds, 0.03, seed + 5)
-    pert_acc = _dataset_accuracy(model, perturbed)
-    degradation = (test_acc - pert_acc) * 100.0
-
-    label_map = nn.predict_map(model, image)
-    seg_path = os.path.join(out_dir, "segmentation.pgm")
-    evaluate.write_segmentation(label_map, 4, seg_path)
-    regions = evaluate.region_report(label_map, trimmed)
+    with stage("evaluate"):
+        test_acc = float(np.mean(test_pred == test_ds.labels))
+        degradation = (test_acc - pert_acc) * 100.0
+        cm = evaluate.confusion(test_ds.labels, test_pred, 4,
+                                ("0mm", "0.1mm", "0.2mm", "0.3mm"))
+        matrix_path = os.path.join(out_dir, "test_matrix.csv")
+        evaluate.write_matrix_csv(cm, matrix_path)
+        seg_path = os.path.join(out_dir, "segmentation.pgm")
+        evaluate.write_segmentation(label_map, 4, seg_path)
+        regions = evaluate.region_report(label_map, trimmed)
 
     outputs = {"features": features_path, "mask": mask_path,
                "model": model_path, "matrix": matrix_path,
@@ -263,6 +305,7 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         "train_steps": trace.steps[-1] if trace.steps else 0,
         **_train_timing(trace),
         "stop_reason": trace.stop_reason,
+        **stage.report(),
         "targets": {"validation_accuracy_min": 0.90,
                     "degradation_pp_max": 5.0},
         "passed": bool(val_acc >= 0.90 and degradation <= 5.0),

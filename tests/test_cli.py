@@ -193,6 +193,9 @@ SYNTH = ["synth", "--scene", "{path}", "--out", "{dir}/v"]
 FIT = ["fit", "--manifest", "{path}", "--out", "{dir}/f.csv"]
 TRAIN = ["train", "--features", "{dir}/absent.csv", "--mask",
          "{dir}/absent.pgm", "--config", "{path}", "--out", "{dir}/m.txt"]
+# augmentation comes after assembly, so its seed needs real inputs
+TRAIN_PIPELINE = ["train", "--features", "{features}", "--mask", "{mask}",
+                  "--config", "{path}", "--out", "{dir}/m.txt"]
 
 # (case, input file name, its text or None to leave it absent, argv, error)
 MALFORMED_INPUTS = [
@@ -238,18 +241,32 @@ MALFORMED_INPUTS = [
     ("negative max_steps", "c.ini", "[nn]\nmax_steps = -5\n", TRAIN,
      "max_steps"),
     ("negative training seed", "c.ini", "[nn]\nseed = -1\n", TRAIN, "seed"),
+    ("negative split seed", "c.ini", "[features]\nsplit_seed = -3\n", TRAIN,
+     "split seed"),
+    ("negative augment seed", "c.ini", "[features]\naugment_seed = -3\n",
+     TRAIN_PIPELINE, "augment seed"),
+    # --seed s re-keys split, augment and training seeds to s+1, s+2, s+3
+    ("base seed -2", "c.ini", "[nn]\nepochs = 1\n",
+     TRAIN + ["--seed", "-2"], "split seed"),
+    ("base seed -5", "c.ini", "[nn]\nepochs = 1\n",
+     TRAIN + ["--seed", "-5"], "seed must be >= 0"),
+    ("negative perturb seed", "c.ini", "[tsr]\ndegree = 3\n",
+     ["eval", "--model", "{model}", "--features", "{features}", "--mask",
+      "{mask}", "--config", "{path}", "--perturb", "0.1",
+      "--perturb-seed", "-1"], "perturb seed"),
     ("eval without inputs", "absent", None, ["eval"], "eval needs"),
 ]
 
 
-def test_exit_code_validation_errors(tmp_path, capsys):
+def test_exit_code_validation_errors(pipeline, tmp_path, capsys):
+    files = {key: pipeline[key] for key in ("features", "mask", "model")}
     for i in range(3):
         (tmp_path / f"f{i}.csv").write_text(f"{5.0 - i},{6.0 - i}\n")
     for case, name, text, argv, needle in MALFORMED_INPUTS:
         path = tmp_path / name
         if text is not None:
             path.write_text(text)
-        argv = [a.format(dir=tmp_path, path=path) for a in argv]
+        argv = [a.format(dir=tmp_path, path=path, **files) for a in argv]
         assert cli.main(argv) == 2, case
         captured = capsys.readouterr()
         assert captured.err.startswith("error: "), case
@@ -320,6 +337,11 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
     assert r1["sha256"] == r2["sha256"]
     assert r1["validation_accuracy"] == r2["validation_accuracy"]
     assert r1["scale"] == 0.1
+    for r in (r1, r2):
+        assert set(r["timings"]) == {"render", "fit", "train", "predict",
+                                     "evaluate"}
+        assert all(v >= 0.0 for v in r["timings"].values())
+        assert r["peak_rss_mb"] > 0.0
 
 
 def test_unknown_experiment_rejected(tmp_path):

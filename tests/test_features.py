@@ -176,6 +176,12 @@ def test_augment_validation():
         features.augment(ds, -0.1, 2, 0)
     with pytest.raises(features.DatasetError):
         features.augment(ds, 0.1, -1, 0)
+    # checked even when no copy draws from the seed
+    for copies in (0, 2):
+        with pytest.raises(features.DatasetError, match="augment seed"):
+            features.augment(ds, 0.1, copies, -3)
+    with pytest.raises(features.DatasetError, match="perturb seed"):
+        features.perturb(ds, 0.1, -1)
 
 
 def test_perturb_bounds_and_determinism():
@@ -238,6 +244,8 @@ def test_split_spec_validation():
         features.SplitSpec(0.0, 0.1, 0)
     with pytest.raises(features.DatasetError):
         features.SplitSpec(0.8, 1.0, 0)
+    with pytest.raises(features.DatasetError, match="split seed"):
+        features.SplitSpec(0.8, 0.1, -3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
+import math
+import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from thermoseg import _kernels, tsr
 
@@ -39,6 +43,141 @@ def test_render_noise_statistics():
     out = _kernels.render_frames(base, region, 1.0, 99, -np.inf, np.inf)
     assert abs(out.mean()) < 0.05
     assert abs(out.std() - 1.0) < 0.05
+
+
+# The whole-frame renderer that spans replaced, kept verbatim as an
+# oracle: the span kernel must reproduce it bit for bit.
+_SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM_M2 = np.uint64(0x94D049BB133111EB)
+_ROW_K = np.uint64(0xC2B2AE3D27D4EB4F)
+_COL_K = np.uint64(0x165667B19E3779F9)
+_U53 = 1.0 / 9007199254740992.0
+_TWO_PI = 2.0 * math.pi
+
+
+def _splitmix64(z):
+    z = (z ^ (z >> np.uint64(30))) * _SM_M1
+    z = (z ^ (z >> np.uint64(27))) * _SM_M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _pixel_states(seed, height, width):
+    rows = np.arange(height, dtype=np.uint64)[:, None]
+    cols = np.arange(width, dtype=np.uint64)[None, :]
+    base = (np.uint64(seed) * _SM_GAMMA) ^ (rows * _ROW_K) ^ (cols * _COL_K)
+    return _splitmix64(base)
+
+
+def _whole_frame_render(base, region_map, sigma, seed, lo, hi):
+    base = np.ascontiguousarray(base, dtype=np.float64)
+    region_map = np.ascontiguousarray(region_map, dtype=np.int64)
+    frame_count = base.shape[1]
+    out = np.empty((frame_count,) + region_map.shape, dtype=np.float64)
+    sigma = float(sigma)
+    if sigma > 0.0:
+        with np.errstate(over="ignore"):
+            state = _pixel_states(int(seed), *region_map.shape)
+            for f in range(0, frame_count, 2):
+                state = state + _SM_GAMMA
+                z1 = _splitmix64(state)
+                state = state + _SM_GAMMA
+                z2 = _splitmix64(state)
+                u1 = ((z1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53
+                u2 = (z2 >> np.uint64(11)).astype(np.float64) * _U53
+                rad = np.sqrt(-2.0 * np.log(u1))
+                ang = _TWO_PI * u2
+                out[f] = base[region_map, f] + sigma * (rad * np.cos(ang))
+                if f + 1 < frame_count:
+                    out[f + 1] = base[region_map, f + 1] + sigma * (rad * np.sin(ang))
+    else:
+        for f in range(frame_count):
+            out[f] = base[region_map, f]
+    np.clip(out, float(lo), float(hi), out=out)
+    return out
+
+
+def _render_case(height, width, frames, regions, seed):
+    """Decaying series per region around 100 and a scattered region map."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(frames) + 1.0
+    base = 100.0 * rng.uniform(0.8, 1.2, (regions, 1)) * t ** -0.01
+    region_map = rng.integers(0, regions, (height, width))
+    return base, region_map
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    npt.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# (height, width, frames, regions, sigma, seed, lo, hi)
+RENDER_CASES = [
+    (5, 7, 6, 1, 1.5, 3, 0.0, math.inf),          # even frame count
+    (6, 5, 7, 3, 1.5, 4, 0.0, math.inf),          # odd frame count
+    (4, 9, 5, 2, 0.0, 5, 0.0, math.inf),          # no noise
+    (5, 9, 4, 6, 0.0, 8, 95.0, 105.0),            # no noise, bounds bind
+    (7, 6, 9, 4, 3.0, 2 ** 64 - 1, 99.0, 101.0),  # both bounds bind
+    (6, 8, 4, 5, 0.7, 6, -math.inf, math.inf),
+    (97, 89, 3, 4, 2.0, 7, 98.0, 102.0),          # above 2 * MIN_SPAN
+]
+
+
+@pytest.mark.parametrize("case", RENDER_CASES)
+def test_render_matches_whole_frame_oracle(case):
+    height, width, frames, regions, sigma, seed, lo, hi = case
+    base, region_map = _render_case(height, width, frames, regions, seed % 97)
+    want = _whole_frame_render(base, region_map, sigma, seed, lo, hi)
+    if math.isfinite(hi):
+        # a finite clamp must bind on both sides for the case to test it
+        assert (want == lo).any() and (want == hi).any()
+    _assert_bitwise(_kernels.render_frames(base, region_map, sigma, seed,
+                                           lo, hi), want)
+
+
+@pytest.mark.parametrize("spans", [1, 2, 3, 7])
+def test_render_is_independent_of_span_count(monkeypatch, spans):
+    base, region_map = _render_case(31, 29, 5, 3, 9)
+    want = _whole_frame_render(base, region_map, 1.0, 11, 99.0, 101.0)
+    monkeypatch.setattr(_kernels, "_span_count", lambda pixels: spans)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.render_frames(base, region_map, 1.0, 11, 99.0, 101.0)
+    _assert_bitwise(got, want)
+
+
+def test_render_span_splits_reassemble_whole_render():
+    base, region_map = _render_case(13, 17, 7, 3, 12)
+    want = _kernels.render_frames(base, region_map, 2.0, 21, 97.0, 103.0)
+    pixels = region_map.size
+    base_t = np.ascontiguousarray(base.T)
+    idx = region_map.ravel()
+    states = _kernels._pixel_states(21, *region_map.shape).ravel()
+    kept = states.copy()
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        inner = np.sort(rng.choice(np.arange(1, pixels), 4, replace=False))
+        edges = [0, *inner.tolist(), pixels]
+        out = np.full((7, pixels), np.nan)
+        for a, b in zip(edges[:-1], edges[1:]):
+            _kernels._render_span(out[:, a:b], base_t, idx[a:b], states[a:b],
+                                  2.0, 97.0, 103.0)
+        _assert_bitwise(out.reshape(want.shape), want)
+    npt.assert_array_equal(states, kept)
+
+
+def test_span_count_follows_pixels_and_cores():
+    cores = len(os.sched_getaffinity(0))
+    assert _kernels._span_count(1) == 1
+    assert _kernels._span_count(2 * _kernels.MIN_SPAN - 1) == 1
+    assert _kernels._span_count(2 * _kernels.MIN_SPAN) == min(cores, 2)
+    assert _kernels._span_count(10 ** 9) == cores
+
+
+def test_pixel_states_are_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _kernels._pixel_states(2 ** 63 + 5, 3, 4)
 
 
 def _poly_series(coeffs, log_t):
