@@ -28,7 +28,7 @@ from .ingest import load_mask, load_sequence, save_mask, trim_mask, write_sequen
 # ---------------------------------------------------------------------------
 
 TRAIN_DEFAULTS = {
-    "tsr": {"degree": "4", "packing": tsr.PACK_PADDED, "log_base": "10.0"},
+    "tsr": {"degree": "4", "packing": tsr.PACK_PADDED},
     "features": {"trim_margin": "0", "train_fraction": "0.8",
                  "validation_fraction": "0.1", "split_seed": "0",
                  "augment_amplitude": "0.0", "augment_copies": "0",
@@ -66,7 +66,6 @@ def load_config(path):
         config = {
             "degree": parser.getint("tsr", "degree"),
             "packing": parser.get("tsr", "packing"),
-            "log_base": parser.getfloat("tsr", "log_base"),
             "trim_margin": parser.getint("features", "trim_margin"),
             "train_fraction": parser.getfloat("features", "train_fraction"),
             "validation_fraction": parser.getfloat("features",
@@ -130,8 +129,7 @@ def cmd_synth(args):
 def cmd_fit(args):
     config = load_config(args.config)
     seq = load_sequence(args.manifest)
-    image = tsr.fit_sequence(seq, config["degree"], config["packing"],
-                             config["log_base"])
+    image = tsr.fit_sequence(seq, config["degree"], config["packing"])
     tsr.write_feature_image(image, args.out)
     counts = tsr.reason_counts(image)
     fitted = counts.pop("fitted")

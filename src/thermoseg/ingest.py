@@ -8,11 +8,11 @@ class id and 255 marks invalid pixels.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ComputeError, ValidationError
+from .errors import ValidationError
 from .pgmio import read_pgm, write_pgm
 
 INVALID_LABEL = 255
@@ -20,10 +20,6 @@ INVALID_LABEL = 255
 
 class IngestError(ValidationError):
     pass
-
-
-class SaturatedPixelError(ComputeError):
-    """Raised when a pixel has no unsaturated suffix to fit."""
 
 
 def check_timestamps(t, error=IngestError):
@@ -62,9 +58,6 @@ class FrameSequence:
                 f"data shape {self.data.shape} does not match "
                 f"({self.frame_count}, {self.height}, {self.width})")
 
-    def pixel_series(self, row, col):
-        return self.data[:, row, col]
-
 
 @dataclass(frozen=True)
 class LabelMask:
@@ -84,21 +77,6 @@ class LabelMask:
         if self.valid.shape != (self.height, self.width):
             raise IngestError("valid shape does not match mask dimensions")
 
-    def class_count(self):
-        if not self.valid.any():
-            return 0
-        return int(self.labels[self.valid].max()) + 1
-
-
-@dataclass(frozen=True)
-class SequenceManifest:
-    frame_paths: list = field(default_factory=list)
-    timestamps: np.ndarray = None
-    width: int = 0
-    height: int = 0
-    saturation_value: float = float("inf")
-    units: str = "counts"
-
 
 def _parse_keyvals(path):
     pairs = []
@@ -117,14 +95,23 @@ def _parse_keyvals(path):
     return pairs
 
 
+_MANIFEST_KEYS = ("width", "height", "saturation_value", "units", "fps",
+                  "timestamps")
+
+
 def read_manifest(path):
-    """Parse a manifest sidecar into a SequenceManifest."""
-    pairs = _parse_keyvals(path)
+    """Parse a manifest sidecar into (frame paths, timestamps, width,
+    height, saturation value, units); unknown keys and repeats of any key
+    but `frame` are rejected."""
     single = {}
     frames = []
-    for key, value in pairs:
+    for key, value in _parse_keyvals(path):
         if key == "frame":
             frames.append(value)
+        elif key not in _MANIFEST_KEYS:
+            raise IngestError(f"{path}: unknown manifest key {key!r}")
+        elif key in single:
+            raise IngestError(f"{path}: repeated manifest key {key!r}")
         else:
             single[key] = value
     try:
@@ -163,8 +150,8 @@ def read_manifest(path):
                           f"{len(stamps)} timestamps")
     base = os.path.dirname(os.path.abspath(path))
     frames = [os.path.normpath(os.path.join(base, f)) for f in frames]
-    return SequenceManifest(frames, stamps, width, height, saturation,
-                            single.get("units", "counts"))
+    return (frames, stamps, width, height, saturation,
+            single.get("units", "counts"))
 
 
 def _load_frame_csv(path):
@@ -179,17 +166,18 @@ def _load_frame_csv(path):
 
 def load_sequence(manifest_path):
     """Load and validate the frame sequence described by a manifest."""
-    man = read_manifest(manifest_path)
-    data = np.empty((len(man.frame_paths), man.height, man.width))
-    for i, fpath in enumerate(man.frame_paths):
+    frames, stamps, width, height, saturation, units = read_manifest(
+        manifest_path)
+    data = np.empty((len(frames), height, width))
+    for i, fpath in enumerate(frames):
         frame = _load_frame_csv(fpath)
-        if frame.shape != (man.height, man.width):
+        if frame.shape != (height, width):
             raise IngestError(
                 f"{fpath}: frame is {frame.shape[1]}x{frame.shape[0]}, "
-                f"manifest says {man.width}x{man.height}")
+                f"manifest says {width}x{height}")
         data[i] = frame
-    return FrameSequence(man.width, man.height, len(man.frame_paths),
-                         man.timestamps, data, man.saturation_value, man.units)
+    return FrameSequence(width, height, len(frames), stamps, data, saturation,
+                         units)
 
 
 def write_sequence(seq, out_dir, stem="frame"):
@@ -251,21 +239,6 @@ def trim_mask(mask, margin):
         edge[margin:height - margin, margin:width - margin] = False
     valid = mask.valid & ~near_boundary & ~edge
     return LabelMask(width, height, labels.copy(), valid)
-
-
-def first_unsaturated_frame(seq, pixel):
-    """Smallest frame index from which (row, col) stays strictly below the
-    saturation value for every later frame."""
-    row, col = pixel
-    if not (0 <= row < seq.height and 0 <= col < seq.width):
-        raise IngestError(f"pixel {pixel} outside {seq.width}x{seq.height}")
-    values = seq.data[:, row, col]
-    saturated = np.nonzero(values >= seq.saturation_value)[0]
-    start = 0 if saturated.size == 0 else int(saturated[-1]) + 1
-    if start >= seq.frame_count:
-        raise SaturatedPixelError(
-            f"pixel {pixel} is saturated through the final frame")
-    return start
 
 
 def save_mask(mask, path):

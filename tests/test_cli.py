@@ -197,6 +197,19 @@ TRAIN = ["train", "--features", "{dir}/absent.csv", "--mask",
 TRAIN_PIPELINE = ["train", "--features", "{features}", "--mask", "{mask}",
                   "--config", "{path}", "--out", "{dir}/m.txt"]
 
+SEGMENT = ["segment", "--model", "{model}", "--features", "{path}",
+           "--out", "{dir}/seg.pgm"]
+EVAL = ["eval", "--model", "{model}", "--features", "{path}", "--mask",
+        "{mask}"]
+
+
+def _features_with(log_base="10.0", row="1,1.5"):
+    """A one-pixel degree-3 feature file for the pipeline's model."""
+    return ("# thermoseg-features v1\nwidth = 1\nheight = 1\ndegree = 3\n"
+            f"packing = concat-padded\nlog_base = {log_base}\n"
+            f"scaling_pending = 1\n{row}" + ",0.5" * 11 + "\n")
+
+
 # (case, input file name, its text or None to leave it absent, argv, error)
 MALFORMED_INPUTS = [
     ("missing scene", "absent.ini", None, SYNTH, "cannot read scene file"),
@@ -233,9 +246,25 @@ MALFORMED_INPUTS = [
      "saturation_value = nan\nframe = f0.csv\nframe = f1.csv\n"
      "frame = f2.csv\n",
      FIT, "saturation_value"),
+    ("misspelled manifest key", "m.txt", "width = 2\nheight = 1\nfps = 2\n"
+     "saturation_valu = 40.0\nframe = f0.csv\nframe = f1.csv\n"
+     "frame = f2.csv\n",
+     FIT, "'saturation_valu'"),
+    ("repeated manifest key", "m.txt", "width = 2\nheight = 1\nwidth = 3\n"
+     "fps = 2\nframe = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
+     FIT, "'width'"),
+    ("nan in a valid feature row (segment)", "f.csv",
+     _features_with(row="1,nan"), SEGMENT, "row 0"),
+    ("nan in a valid feature row (eval)", "f.csv",
+     _features_with(row="1,nan"), EVAL, "row 0"),
+    ("feature file in another log base", "f.csv",
+     _features_with(log_base="2.0"), SEGMENT, "log_base"),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),
+    ("fit log base in config", "c.ini", "[tsr]\nlog_base = 10\n",
+     ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
+      "--out", "{dir}/f.csv"], "'log_base'"),
     ("nan learning rate", "c.ini", "[nn]\nlearning_rate = nan\n", TRAIN,
      "learning_rate"),
     ("negative max_steps", "c.ini", "[nn]\nmax_steps = -5\n", TRAIN,

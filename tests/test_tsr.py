@@ -6,9 +6,10 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+import oracle
 from thermoseg import synthgen, tsr
 from thermoseg.errors import ValidationError
-from thermoseg.ingest import FrameSequence, SaturatedPixelError
+from thermoseg.ingest import FrameSequence
 
 
 def _sequence_from_stack(stack, timestamps, saturation=np.inf):
@@ -19,8 +20,18 @@ def _sequence_from_stack(stack, timestamps, saturation=np.inf):
                          stack, float(saturation))
 
 
+def _fit_series(series, t, degree, first_frame=0):
+    """(raw-basis coefficients, rms) of one pixel history through
+    fit_sequence; frames before first_frame are saturated."""
+    stack = np.array(series, dtype=np.float64)[:, None, None]
+    stack[:first_frame] = np.inf
+    image = tsr.fit_sequence(_sequence_from_stack(stack, t, np.inf), degree)
+    assert image.valid[0, 0] and image.start[0, 0] == first_frame
+    return image.values[0, 0, :degree + 1], float(image.rms[0, 0])
+
+
 # ---------------------------------------------------------------------------
-# single-pixel fits
+# single-pixel fits through the image kernel
 # ---------------------------------------------------------------------------
 
 def test_power_law_recovered_exactly():
@@ -29,14 +40,12 @@ def test_power_law_recovered_exactly():
     t = np.linspace(0.5, 120.0, 200)
     amplitude, exponent = 380.0, -0.5
     series = amplitude * t ** exponent
-    fit = tsr.fit_pixel(series, t, degree=3)
+    coef, rms = _fit_series(series, t, degree=3)
     expected = np.zeros(4)
     expected[0] = math.log10(amplitude)
     expected[1] = exponent
-    npt.assert_allclose(fit.coefficients, expected, atol=1e-9)
-    assert fit.rms_residual < 1e-12
-    npt.assert_allclose(fit.fit_domain,
-                        (math.log10(t[0]), math.log10(t[-1])), rtol=1e-15)
+    npt.assert_allclose(coef, expected, atol=1e-9)
+    assert rms < 1e-12
 
 
 def test_power_law_recovery_loop():
@@ -48,19 +57,19 @@ def test_power_law_recovery_loop():
         n = int(rng.integers(degree + 5, 300))
         t0 = float(rng.uniform(0.05, 2.0))
         t = t0 + np.sort(rng.uniform(0.0, 200.0, n))
-        fit = tsr.fit_pixel(amplitude * t ** exponent, t, degree)
+        coef, _ = _fit_series(amplitude * t ** exponent, t, degree)
         expected = np.zeros(degree + 1)
         expected[0] = math.log10(amplitude)
         expected[1] = exponent
-        npt.assert_allclose(fit.coefficients, expected, atol=1e-8)
+        npt.assert_allclose(coef, expected, atol=1e-8)
 
 
 def test_constant_series_recovery():
     t = np.linspace(1.0, 30.0, 60)
-    fit = tsr.fit_pixel(np.full(60, 40.0), t, degree=4)
+    coef, _ = _fit_series(np.full(60, 40.0), t, degree=4)
     expected = np.zeros(5)
     expected[0] = math.log10(40.0)
-    npt.assert_allclose(fit.coefficients, expected, atol=1e-10)
+    npt.assert_allclose(coef, expected, atol=1e-10)
 
 
 def test_fit_matches_polyfit_oracle():
@@ -72,10 +81,9 @@ def test_fit_matches_polyfit_oracle():
         t = np.sort(rng.uniform(0.3, 250.0, n))
         t += np.arange(n) * 1e-9          # enforce strict increase
         series = rng.uniform(10.0, 400.0, n)
-        fit = tsr.fit_pixel(series, t, degree)
-        oracle = np.polyfit(np.log10(t), np.log10(series), degree)
-        npt.assert_allclose(fit.coefficients, oracle[::-1],
-                            rtol=1e-7, atol=1e-9)
+        coef, _ = _fit_series(series, t, degree)
+        reference = np.polyfit(np.log10(t), np.log10(series), degree)
+        npt.assert_allclose(coef, reference[::-1], rtol=1e-7, atol=1e-9)
 
 
 def test_fit_is_linear_in_log_space():
@@ -86,24 +94,21 @@ def test_fit_is_linear_in_log_space():
     for _ in range(10):
         s1 = rng.uniform(5.0, 50.0, t.shape[0])
         s2 = rng.uniform(2.0, 20.0, t.shape[0])
-        f1 = tsr.fit_pixel(s1, t, 4)
-        f2 = tsr.fit_pixel(s2, t, 4)
-        f12 = tsr.fit_pixel(s1 * s2, t, 4)
-        npt.assert_allclose(f12.coefficients,
-                            f1.coefficients + f2.coefficients,
-                            rtol=1e-8, atol=1e-10)
+        c1, _ = _fit_series(s1, t, 4)
+        c2, _ = _fit_series(s2, t, 4)
+        c12, _ = _fit_series(s1 * s2, t, 4)
+        npt.assert_allclose(c12, c1 + c2, rtol=1e-8, atol=1e-10)
 
 
 def test_refit_of_projection_is_idempotent():
     rng = np.random.default_rng(5)
     t = np.linspace(1.0, 200.0, 90)
     series = rng.uniform(20.0, 120.0, 90)
-    fit = tsr.fit_pixel(series, t, 3)
-    projected = 10.0 ** fit.value(np.log10(t))
-    refit = tsr.fit_pixel(projected, t, 3)
-    npt.assert_allclose(refit.coefficients, fit.coefficients,
-                        rtol=1e-9, atol=1e-11)
-    assert refit.rms_residual < 1e-10
+    coef, _ = _fit_series(series, t, 3)
+    projected = 10.0 ** np.polyval(coef[::-1], np.log10(t))
+    recoef, rms = _fit_series(projected, t, 3)
+    npt.assert_allclose(recoef, coef, rtol=1e-9, atol=1e-11)
+    assert rms < 1e-10
 
 
 def test_window_independent_coefficients():
@@ -111,9 +116,9 @@ def test_window_independent_coefficients():
     # change the reported raw-basis coefficients of an exact signal.
     t = np.linspace(0.4, 60.0, 120)
     series = 210.0 * t ** -0.5
-    full = tsr.fit_pixel(series, t, 4)
-    windowed = tsr.fit_pixel(series, t, 4, first_frame=37)
-    npt.assert_allclose(windowed.coefficients, full.coefficients, atol=1e-9)
+    full, _ = _fit_series(series, t, 4)
+    windowed, _ = _fit_series(series, t, 4, first_frame=37)
+    npt.assert_allclose(windowed, full, atol=1e-9)
 
 
 def test_rms_tracks_relative_noise():
@@ -123,43 +128,43 @@ def test_rms_tracks_relative_noise():
     base, sigma = 200.0, 2.0
     t = np.linspace(1.0, 400.0, 4000)
     series = base + rng.normal(0.0, sigma, t.shape[0])
-    fit = tsr.fit_pixel(series, t, 3)
+    _, rms = _fit_series(series, t, 3)
     expected = sigma / (base * math.log(10.0))
-    npt.assert_allclose(fit.rms_residual, expected, rtol=0.1)
+    npt.assert_allclose(rms, expected, rtol=0.1)
 
+
+# ---------------------------------------------------------------------------
+# the scalar oracle (tests/oracle.py): argument checks, derivatives, packing
+# ---------------------------------------------------------------------------
 
 def test_fit_pixel_validation():
     t = np.linspace(1.0, 10.0, 12)
     good = np.full(12, 5.0)
     with pytest.raises(ValidationError):
-        tsr.fit_pixel(good[:-1], t, 2)
+        oracle.fit_pixel(good[:-1], t, 2)
     with pytest.raises(ValidationError):
-        tsr.fit_pixel(good, t, -1)
+        oracle.fit_pixel(good, t, -1)
     with pytest.raises(ValidationError):
-        tsr.fit_pixel(good, t, 2, first_frame=12)
+        oracle.fit_pixel(good, t, 2, first_frame=12)
     with pytest.raises(ValidationError):
-        tsr.fit_pixel(good, t - 5.0, 2)          # nonpositive time
+        oracle.fit_pixel(good, t - 5.0, 2)          # nonpositive time
     bad_t = t.copy()
     bad_t[4] = bad_t[3]
     with pytest.raises(ValidationError):
-        tsr.fit_pixel(good, bad_t, 2)
+        oracle.fit_pixel(good, bad_t, 2)
     bad_t[4] = np.nan
     with pytest.raises(ValidationError):
-        tsr.fit_pixel(good, bad_t, 2)
-    with pytest.raises(tsr.UnderdeterminedFitError):
-        tsr.fit_pixel(good[:3], t[:3], 4)
-    with pytest.raises(tsr.NonPositiveSampleError):
+        oracle.fit_pixel(good, bad_t, 2)
+    with pytest.raises(oracle.UnderdeterminedFitError):
+        oracle.fit_pixel(good[:3], t[:3], 4)
+    with pytest.raises(oracle.NonPositiveSampleError):
         series = good.copy()
         series[6] = 0.0
-        tsr.fit_pixel(series, t, 2)
+        oracle.fit_pixel(series, t, 2)
 
-
-# ---------------------------------------------------------------------------
-# derivatives and packing
-# ---------------------------------------------------------------------------
 
 def test_derivative_coefficients_hand_case():
-    first, second = tsr.derivative_coefficients([1.0, 2.0, 3.0, 4.0])
+    first, second = oracle.derivative_coefficients([1.0, 2.0, 3.0, 4.0])
     npt.assert_array_equal(first, [2.0, 6.0, 12.0])
     npt.assert_array_equal(second, [6.0, 24.0])
 
@@ -169,8 +174,8 @@ def test_derivatives_match_finite_differences():
     for _ in range(15):
         degree = int(rng.integers(2, 7))
         coeffs = rng.uniform(-2.0, 2.0, degree + 1)
-        fit = tsr.TsrFit(degree, coeffs, (0.0, 1.0), 0.0)
-        first, second = tsr.derivatives(fit)
+        fit = oracle.TsrFit(degree, coeffs, (0.0, 1.0), 0.0)
+        first, second = oracle.derivatives(fit)
         x = rng.uniform(-0.8, 0.8, 6)
         h = 1e-6
         d1 = (fit.value(x + h) - fit.value(x - h)) / (2 * h)
@@ -182,9 +187,9 @@ def test_derivatives_match_finite_differences():
 
 
 def test_derivatives_reject_low_degree():
-    fit = tsr.fit_pixel(np.full(9, 3.0), np.linspace(1, 5, 9), 1)
+    fit = oracle.fit_pixel(np.full(9, 3.0), np.linspace(1, 5, 9), 1)
     with pytest.raises(ValidationError):
-        tsr.derivatives(fit)
+        oracle.derivatives(fit)
 
 
 def test_feature_lengths():
@@ -198,14 +203,14 @@ def test_feature_lengths():
 
 def test_pack_features_layout():
     coeffs = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    fit = tsr.TsrFit(4, coeffs, (0.0, 1.0), 0.0)
-    first, second = tsr.derivatives(fit)
+    fit = oracle.TsrFit(4, coeffs, (0.0, 1.0), 0.0)
+    first, second = oracle.derivatives(fit)
 
-    trunc = tsr.pack_features(fit, tsr.PACK_TRUNCATED)
+    trunc = oracle.pack_features(fit, tsr.PACK_TRUNCATED)
     assert trunc.shape == (12,)
     npt.assert_array_equal(trunc, np.concatenate([coeffs, first, second]))
 
-    padded = tsr.pack_features(fit, tsr.PACK_PADDED)
+    padded = oracle.pack_features(fit, tsr.PACK_PADDED)
     assert padded.shape == (15,)
     npt.assert_array_equal(padded[:5], coeffs)
     npt.assert_array_equal(padded[5:9], first)
@@ -221,8 +226,8 @@ def test_pack_image_matches_scalar_pack():
         stacked = tsr._pack_image(coef, 4, packing)
         for r in range(3):
             for c in range(4):
-                fit = tsr.TsrFit(4, coef[r, c], (0.0, 1.0), 0.0)
-                one = tsr.pack_features(fit, packing)
+                fit = oracle.TsrFit(4, coef[r, c], (0.0, 1.0), 0.0)
+                one = oracle.pack_features(fit, packing)
                 npt.assert_array_equal(stacked[r, c], one)
 
 
@@ -241,8 +246,8 @@ def test_fit_sequence_against_fit_one():
     assert image.valid.all()
     assert image.feature_count == 15
     for pixel in ((0, 0), (2, 3), (4, 5)):
-        fit = tsr.fit_one(seq, pixel, 4)
-        packed = tsr.pack_features(fit, tsr.PACK_PADDED)
+        fit = oracle.fit_one(seq, pixel, 4)
+        packed = oracle.pack_features(fit, tsr.PACK_PADDED)
         npt.assert_allclose(image.values[pixel], packed,
                             rtol=1e-9, atol=1e-10)
 
@@ -263,8 +268,8 @@ def test_fit_sequence_against_fit_one():
     assert not image.valid[2, 2]
     assert image.valid.sum() == 19
     for pixel in zip(*np.nonzero(image.valid)):
-        fit = tsr.fit_one(seq, pixel, 4)
-        npt.assert_allclose(image.values[pixel], tsr.pack_features(fit),
+        fit = oracle.fit_one(seq, pixel, 4)
+        npt.assert_allclose(image.values[pixel], oracle.pack_features(fit),
                             rtol=1e-10)
         npt.assert_allclose(image.rms[pixel], fit.rms_residual, rtol=1e-10)
 
@@ -304,16 +309,16 @@ def test_fit_sequence_reason_codes():
         "fitted": 1, "saturated": 1, "too-few-frames": 1, "non-positive": 1,
         "degenerate-window": 2}
     # the scalar oracle refuses every dropped pixel for the same reason
-    with pytest.raises(SaturatedPixelError):
-        tsr.fit_one(seq, (0, 1), 2)
-    for col, error in ((2, tsr.UnderdeterminedFitError),
-                       (3, tsr.NonPositiveSampleError),
-                       (4, tsr.RankDeficientFitError),
-                       (5, tsr.RankDeficientFitError)):
+    with pytest.raises(oracle.SaturatedPixelError):
+        oracle.fit_one(seq, (0, 1), 2)
+    for col, error in ((2, oracle.UnderdeterminedFitError),
+                       (3, oracle.NonPositiveSampleError),
+                       (4, oracle.RankDeficientFitError),
+                       (5, oracle.RankDeficientFitError)):
         with pytest.raises(error):
-            tsr.fit_one(seq, (0, col), 2)
+            oracle.fit_one(seq, (0, col), 2)
     npt.assert_allclose(image.values[0, 0],
-                        tsr.pack_features(tsr.fit_one(seq, (0, 0), 2)),
+                        oracle.pack_features(oracle.fit_one(seq, (0, 0), 2)),
                         atol=1e-12)
 
 
@@ -326,8 +331,10 @@ def test_fit_sequence_saturated_prefix_matches_windowed_fit():
     image = tsr.fit_sequence(seq, degree=3)
     assert image.valid.all()
     assert image.start[0, 1] == 7
-    direct = tsr.fit_pixel(stack[:, 0, 1], t, 3, first_frame=7)
-    packed = tsr.pack_features(direct, tsr.PACK_PADDED)
+    direct = oracle.fit_pixel(stack[:, 0, 1], t, 3, first_frame=7)
+    npt.assert_allclose(direct.fit_domain,
+                        (math.log10(t[7]), math.log10(t[-1])), rtol=1e-15)
+    packed = oracle.pack_features(direct, tsr.PACK_PADDED)
     npt.assert_allclose(image.values[0, 1], packed,
                         rtol=1e-9, atol=1e-10)
 
@@ -363,8 +370,8 @@ def test_feature_image_round_trip(tmp_path):
     assert back.height == image.height
     assert back.degree == image.degree
     assert back.packing == image.packing
-    assert back.log_base == image.log_base
-    assert back.scaling_pending == image.scaling_pending
+    assert path.read_text().splitlines()[5:7] == ["log_base = 10.0",
+                                                   "scaling_pending = 1"]
     npt.assert_array_equal(back.valid, image.valid)
     npt.assert_array_equal(back.values, image.values)
 
@@ -392,3 +399,21 @@ def test_read_feature_image_errors(tmp_path):
 
     with pytest.raises(ValidationError):
         tsr.read_feature_image(str(tmp_path / "absent.csv"))
+
+    # the fit base, the scaling flag and the packing are fixed or known
+    for line, value in ((5, "log_base = 2.0\n"), (5, "log_base = nan\n"),
+                        (6, "scaling_pending = 0\n"),
+                        (4, "packing = concat-mystery\n")):
+        header = tmp_path / "header.csv"
+        header.write_text("".join(text[:line] + [value] + text[line + 1:]))
+        with pytest.raises(ValidationError):
+            tsr.read_feature_image(str(header))
+
+    # a pixel flagged valid must hold finite features
+    row = next(i for i, ln in enumerate(text) if ln.startswith("1,"))
+    nonfinite = tmp_path / "nan.csv"
+    flag, _, rest = text[row].split(",", 2)
+    nonfinite.write_text("".join(text[:row] + [f"{flag},nan,{rest}"]
+                                 + text[row + 1:]))
+    with pytest.raises(ValidationError, match=f"row {row - 7}"):
+        tsr.read_feature_image(str(nonfinite))
