@@ -9,7 +9,8 @@ Subcommands compose the library stages over files on disk:
   segment  model + feature image -> greyscale PGM
   repro    pinned end-to-end experiment runs with target checks
 
-Exit codes: 0 success, 2 validation/input error, 3 compute error.
+Exit codes: 0 success, 2 validation/input error (a file that cannot be
+read or written included), 3 compute error.
 """
 
 import argparse
@@ -169,16 +170,35 @@ def cmd_train(args):
     return 0
 
 
+def _collapse_spec(text):
+    """The --positive class ids as a binary collapse, None when absent."""
+    if text is None:
+        return None
+    try:
+        ids = frozenset(int(v) for v in text.split())
+    except ValueError as exc:
+        raise ValidationError(
+            f"--positive takes space-separated class ids, got {text!r}") from exc
+    return evaluate.BinaryCollapseSpec(ids)
+
+
+def _score(cm, spec):
+    """The matrix and its metrics, then, given a collapse spec, the 2x2
+    collapse and its metrics."""
+    lines = []
+    for table in [cm] if spec is None else [cm, evaluate.collapse(cm, spec)]:
+        lines += [evaluate.format_matrix(table),
+                  evaluate.format_metrics(*evaluate.metrics(table))]
+    return "\n".join(lines)
+
+
 def cmd_eval(args):
     if args.reference:
         print(evaluate.reference_report())
         return 0
+    spec = _collapse_spec(args.positive)
     if args.matrix:
-        cm = evaluate.read_matrix_csv(args.matrix)
-        positive = (frozenset(int(v) for v in args.positive.split())
-                    if args.positive else None)
-        print(evaluate.format_matrix(cm))
-        print(evaluate.format_metrics(*evaluate.metrics(cm, positive)))
+        print(_score(evaluate.read_matrix_csv(args.matrix), spec))
         return 0
     if not (args.model and args.features and args.mask):
         raise ValidationError("eval needs --model, --features and --mask "
@@ -189,15 +209,7 @@ def cmd_eval(args):
         ds = features.perturb(ds, args.perturb, args.perturb_seed)
     cm = evaluate.confusion(ds.labels, nn.predict(model, ds.vectors),
                             model.output_size)
-    lines = [evaluate.format_matrix(cm),
-             evaluate.format_metrics(*evaluate.metrics(cm))]
-    if args.positive:
-        spec = evaluate.BinaryCollapseSpec(
-            frozenset(int(v) for v in args.positive.split()))
-        two = evaluate.collapse(cm, spec)
-        lines.append(evaluate.format_matrix(two))
-        lines.append(evaluate.format_metrics(*evaluate.metrics(two, spec)))
-    report = "\n".join(lines)
+    report = _score(cm, spec)
     print(report)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
@@ -294,7 +306,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputeError as exc:

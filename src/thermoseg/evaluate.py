@@ -1,9 +1,9 @@
 """Confusion matrices, binary collapses, metrics and segmentation images.
 
-Accuracy is trace/total. Precision and recall are reported for a
-designated positive aggregate (the defect classes); zero denominators
-yield None rather than a fabricated 0 or 1 so degenerate classifiers
-stay visible.
+Accuracy is trace/total. Precision and recall are reported for the
+positive aggregate (the defect classes) of a binary collapse; zero
+denominators yield None rather than a fabricated 0 or 1 so degenerate
+classifiers stay visible.
 """
 
 import warnings
@@ -90,30 +90,17 @@ def collapse(cm, spec):
     return ConfusionMatrix(counts, ("negative", spec.name))
 
 
-def metrics(cm, positive=None):
-    """(accuracy, precision, recall); the latter two need a positive set.
-
-    positive may be a class id, an id collection, or a BinaryCollapseSpec;
-    for a 2x2 matrix it defaults to class 1. Undefined ratios are None.
-    """
+def metrics(cm):
+    """(accuracy, precision, recall); precision and recall are those of
+    class 1 of a 2x2 matrix, where `collapse` puts the positive aggregate,
+    and None for any other size. Undefined ratios are None too."""
     total = cm.total
     if total == 0:
         raise EvalError("empty confusion matrix")
     acc = float(np.trace(cm.counts)) / total
-    if positive is None:
-        if cm.class_count != 2:
-            return acc, None, None
-        positive = {1}
-    if isinstance(positive, BinaryCollapseSpec):
-        positive = positive.positive_set
-    elif isinstance(positive, (int, np.integer)):
-        positive = {int(positive)}
-    pos = np.array([i in set(positive) for i in range(cm.class_count)])
-    if not pos.any() or pos.all():
-        raise EvalError("positive set must be a non-empty proper subset")
-    tp = int(cm.counts[pos][:, pos].sum())
-    fp = int(cm.counts[~pos][:, pos].sum())
-    fn = int(cm.counts[pos][:, ~pos].sum())
+    if cm.class_count != 2:
+        return acc, None, None
+    (_, fp), (fn, tp) = cm.counts.tolist()
     precision = tp / (tp + fp) if tp + fp else None
     recall = tp / (tp + fn) if tp + fn else None
     return acc, precision, recall
@@ -233,11 +220,8 @@ def write_matrix_csv(cm, path):
 
 
 def read_matrix_csv(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise EvalError(f"cannot read matrix {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("actual,"):
         raise EvalError(f"{path}: not a confusion matrix file")
     names = tuple(lines[0].split(",")[1:])

@@ -80,18 +80,15 @@ class LabelMask:
 
 def _parse_keyvals(path):
     pairs = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise IngestError(f"{path}:{lineno}: expected key = value")
-                key, _, value = line.partition("=")
-                pairs.append((key.strip(), value.strip()))
-    except OSError as exc:
-        raise IngestError(f"cannot read manifest {path}: {exc}") from exc
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise IngestError(f"{path}:{lineno}: expected key = value")
+            key, _, value = line.partition("=")
+            pairs.append((key.strip(), value.strip()))
     return pairs
 
 
@@ -157,8 +154,6 @@ def read_manifest(path):
 def _load_frame_csv(path):
     try:
         frame = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except OSError as exc:
-        raise IngestError(f"missing frame file {path}") from exc
     except ValueError as exc:
         raise IngestError(f"{path}: non-numeric cell: {exc}") from exc
     return frame
@@ -180,7 +175,7 @@ def load_sequence(manifest_path):
                          units)
 
 
-def write_sequence(seq, out_dir, stem="frame"):
+def write_sequence(seq, out_dir):
     """Write frame CSVs plus manifest under out_dir; returns manifest path.
 
     Cells are written with repr so a load round-trips bit exactly.
@@ -189,7 +184,7 @@ def write_sequence(seq, out_dir, stem="frame"):
     os.makedirs(frame_dir, exist_ok=True)
     names = []
     for i in range(seq.frame_count):
-        name = f"{stem}_{i:05d}.csv"
+        name = f"frame_{i:05d}.csv"
         names.append(name)
         rows = seq.data[i]
         with open(os.path.join(frame_dir, name), "w", encoding="utf-8") as fh:

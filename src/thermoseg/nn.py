@@ -87,63 +87,58 @@ def init_model(layer_sizes, activations, seed=0, stats=None):
                     tuple(biases), stats)
 
 
-def _softmax(z):
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+def _forward_into(weights, bias_cols, kinds, a, acts, column):
+    """Class probabilities of a feature-major (features, n) batch, in place.
 
-
-def _forward_layers(model, x):
-    """All layer outputs, input first; x must be (B, F)."""
-    acts = [x]
-    for w, b, kind in zip(model.weights, model.biases, model.activations):
-        z = acts[-1] @ w + b
-        if kind == "relu":
-            acts.append(np.maximum(z, 0.0))
-        elif kind == "tanh":
-            acts.append(np.tanh(z))
-        else:
-            acts.append(_softmax(z))
-    return acts
+    Layer l writes W_l.T @ a plus its bias column, then its activation,
+    into acts[l] (units x n); the softmax reduces over axis 0, with
+    `column` (length n) as its scratch row. Returns the probability
+    buffer acts[-1].
+    """
+    for w, b, kind, z in zip(weights, bias_cols, kinds, acts):
+        np.matmul(w.T, a, out=z)
+        z += b
+        if kind == "tanh":
+            np.tanh(z, out=z)
+        elif kind == "relu":
+            np.maximum(z, 0.0, out=z)
+        a = z
+    np.maximum.reduce(a, axis=0, out=column)
+    a -= column
+    np.exp(a, out=a)
+    np.add.reduce(a, axis=0, out=column)
+    a /= column
+    # every probability lies in [0, 1], so the sum is finite exactly when
+    # each entry is
+    if not math.isfinite(a.sum()):
+        raise ComputeError("non-finite class probabilities")
+    return a
 
 
 def forward(model, x):
-    """Class probabilities for one vector (1-D) or a batch (2-D)."""
+    """(N, K) class probabilities of an N x F batch."""
     x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    batch = x[None, :] if single else x
-    if batch.ndim != 2 or batch.shape[1] != model.input_size:
+    if x.ndim != 2 or x.shape[1] != model.input_size:
         raise ValidationError(
-            f"input width {batch.shape[-1]} does not match model input "
-            f"{model.input_size}")
+            f"expected an N x {model.input_size} batch, got shape {x.shape}")
     if not all(np.isfinite(w).all() for w in model.weights):
         raise ComputeError("model weights are non-finite")
-    probs = _forward_layers(model, batch)[-1]
-    return probs[0] if single else probs
+    n = x.shape[0]
+    acts = [np.empty((units, n)) for units in model.layer_sizes[1:]]
+    return _forward_into(model.weights, [b[:, None] for b in model.biases],
+                         model.activations, x.T, acts, np.empty(n)).T
 
 
 def loss(probs, labels):
-    """Mean categorical cross entropy, probabilities floored at 1e-15.
-
-    Labels may be class indices or one-hot rows.
-    """
-    probs = np.asarray(probs, dtype=np.float64)
-    labels = np.asarray(labels)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-        if labels.ndim <= 1:
-            labels = labels[None, ...]
-    if labels.ndim == 2:          # one-hot form
-        labels = labels.argmax(axis=1)
+    """Mean categorical cross entropy of (N, K) probabilities against N
+    class indices, probabilities floored at 1e-15."""
     picked = probs[np.arange(probs.shape[0]), labels]
     return float(np.mean(-np.log(np.maximum(picked, PROB_FLOOR))))
 
 
 def accuracy(probs, labels):
-    probs = np.asarray(probs)
-    if probs.ndim == 1:
-        probs = probs[None, :]
-    return float(np.mean(probs.argmax(axis=1) == np.asarray(labels)))
+    """Share of the (N, K) probability rows whose argmax is the label."""
+    return float(np.mean(probs.argmax(axis=1) == labels))
 
 
 class _TrainStep:
@@ -152,10 +147,10 @@ class _TrainStep:
     The parameters sit in one flat buffer, each layer's weights then its
     bias as views, and so do their gradients, so an optimizer update is a
     few ufunc calls over the whole model. Activations and deltas are
-    stored feature-major (units x batch): each layer's forward pass is
-    W.T @ a, and the softmax reduces over axis 0. A short last batch uses
-    the leading columns of the same buffers. Apart from views, a step
-    allocates nothing whose size grows with the batch.
+    stored feature-major (units x batch), and the forward pass is
+    `_forward_into` over them. A short last batch uses the leading
+    columns of the same buffers. Apart from views, a step allocates
+    nothing whose size grows with the batch.
     """
 
     def __init__(self, model, vectors, labels, batch_size):
@@ -208,27 +203,8 @@ class _TrainStep:
             self._columns(idx.shape[0])
         self.vectors.take(idx, axis=0, out=x, mode="clip")
         self.labels.take(idx, out=y, mode="clip")
-        a = x.T
-        for w, b, kind, z in zip(self.weights, self.bias_cols, self.kinds,
-                                 acts):
-            np.matmul(w.T, a, out=z)
-            z += b
-            if kind == "tanh":
-                np.tanh(z, out=z)
-            elif kind == "relu":
-                np.maximum(z, 0.0, out=z)
-            a = z
-
-        probs = a
-        np.maximum.reduce(probs, axis=0, out=column)
-        probs -= column
-        np.exp(probs, out=probs)
-        np.add.reduce(probs, axis=0, out=column)
-        probs /= column
-        # every probability lies in [0, 1], so the sum is finite exactly
-        # when each entry is
-        if not math.isfinite(probs.sum()):
-            raise ComputeError("non-finite activations in backward pass")
+        probs = _forward_into(self.weights, self.bias_cols, self.kinds,
+                              x.T, acts, column)
         # (p - onehot) / n in place: entry (y_j, j) of the full-width buffer
         flat = self.acts[-1].reshape(-1)
         np.multiply(y, self.width, out=target)
@@ -549,11 +525,7 @@ def _floats(line, path, count):
 
 
 def load_model(path):
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ModelFormatError(f"cannot read model {path}: {exc}") from exc
-    with fh:
+    with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().rstrip("\n")
         if not magic.startswith(_MODEL_MAGIC):
             raise ModelFormatError(f"{path}: not a model file")

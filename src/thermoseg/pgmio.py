@@ -9,18 +9,14 @@ class PgmError(ValidationError):
     pass
 
 
-def write_pgm(path, image, maxval=255):
-    """Write a 2-D uint8 array as a binary P5 PGM."""
-    image = np.asarray(image)
-    if image.ndim != 2:
-        raise PgmError(f"PGM image must be 2-D, got shape {image.shape}")
-    if image.dtype != np.uint8:
-        if image.min() < 0 or image.max() > maxval:
-            raise PgmError("pixel values outside [0, maxval]")
-        image = image.astype(np.uint8)
+def write_pgm(path, image):
+    """Write a 2-D uint8 array as a binary P5 PGM with maxval 255."""
+    if image.ndim != 2 or image.dtype != np.uint8:
+        raise PgmError(f"PGM image must be a 2-D uint8 array, got "
+                       f"{image.dtype} of shape {image.shape}")
     height, width = image.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(image.tobytes())
 
 

@@ -208,20 +208,20 @@ def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
                          timestamps, data, saturation)
 
 
-def composite_layout(width, height, inner_rect, inner_profile, outer_profile,
-                     inner_class=1, outer_class=0):
-    """Centered-rectangle-in-border layout; the border is four rectangles."""
+def composite_layout(width, height, inner_rect, inner_profile, outer_profile):
+    """Centered-rectangle-in-border layout: the inner rectangle is class 1,
+    the border, four rectangles, class 0."""
     x0, y0, w, h = inner_rect
     if w < 1 or h < 1:
         raise SceneError("inner rect must have positive size")
     if x0 <= 0 or y0 <= 0 or x0 + w >= width or y0 + h >= height:
         raise SceneError("inner rect must sit strictly inside the canvas")
     regions = (
-        Region((0, 0, width, y0), outer_class, outer_profile),
-        Region((0, y0, x0, h), outer_class, outer_profile),
-        Region((x0, y0, w, h), inner_class, inner_profile),
-        Region((x0 + w, y0, width - x0 - w, h), outer_class, outer_profile),
-        Region((0, y0 + h, width, height - y0 - h), outer_class, outer_profile),
+        Region((0, 0, width, y0), 0, outer_profile),
+        Region((0, y0, x0, h), 0, outer_profile),
+        Region((x0, y0, w, h), 1, inner_profile),
+        Region((x0 + w, y0, width - x0 - w, h), 0, outer_profile),
+        Region((0, y0 + h, width, height - y0 - h), 0, outer_profile),
     )
     return RegionLayout(width, height, regions)
 

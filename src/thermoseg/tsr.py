@@ -138,11 +138,7 @@ def write_feature_image(image, path):
 
 
 def read_feature_image(path):
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise ValidationError(f"cannot read feature file {path}: {exc}") from exc
-    with fh:
+    with open(path, "r", encoding="utf-8") as fh:
         magic = fh.readline().strip()
         if magic != f"# {_MAGIC}":
             raise ValidationError(f"{path}: not a feature image file")

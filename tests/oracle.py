@@ -3,8 +3,9 @@
 No command runs these. The single-pixel fit solves each window with
 numpy.polynomial on the raw log-time axis, apart from the package's
 kernel (its QR on a [-1, 1] axis and its raw-basis map), so that the
-kernel is compared with an independent solution. `backward` exposes the
-gradient of the training step that `nn.train` runs.
+kernel is compared with an independent solution. `forward_layers` is the
+batch-major forward pass `nn.forward` is checked against, and `backward`
+exposes the gradient of the training step that `nn.train` runs.
 """
 
 import math
@@ -149,6 +150,27 @@ def fit_one(seq, pixel, degree):
     start = first_unsaturated_frame(seq, pixel)
     row, col = pixel
     return fit_pixel(seq.data[:, row, col], seq.timestamps, degree, start)
+
+
+def _softmax(z):
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def forward_layers(model, x):
+    """All layer outputs of a (B, F) batch, input first, batch-major and
+    allocating: the reference for the in-place pass `nn.forward` runs."""
+    acts = [x]
+    for w, b, kind in zip(model.weights, model.biases, model.activations):
+        z = acts[-1] @ w + b
+        if kind == "relu":
+            acts.append(np.maximum(z, 0.0))
+        elif kind == "tanh":
+            acts.append(np.tanh(z))
+        else:
+            acts.append(_softmax(z))
+    return acts
 
 
 def param_count(model):

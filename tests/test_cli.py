@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from thermoseg import cli, nn, features
-from thermoseg.ingest import FrameSequence, write_sequence
+from thermoseg.ingest import (FrameSequence, load_mask, save_mask,
+                              write_sequence)
 from thermoseg.pgmio import read_pgm
 
 SCENE = """\
@@ -177,11 +178,40 @@ def test_matrix_scoring(tmp_path, capsys):
     from thermoseg import evaluate
     path = tmp_path / "matrix.csv"
     evaluate.write_matrix_csv(evaluate.REFERENCE_FOUR_STATE, str(path))
-    assert cli.main(["eval", "--matrix", str(path),
-                     "--positive", "1 2 3"]) == 0
-    text = capsys.readouterr().out
-    assert "0.2mm" in text
-    assert "accuracy 95.39%" in text
+    for positive, collapsed in (
+            ("1 2 3", "accuracy 96.54%  precision 97.57%  recall 97.94%"),
+            ("2 3", "accuracy 98.60%  precision 98.91%  recall 98.43%")):
+        assert cli.main(["eval", "--matrix", str(path),
+                         "--positive", positive]) == 0
+        text = capsys.readouterr().out
+        # the four-class table first, then the binary collapse
+        assert "0.2mm" in text
+        assert "accuracy 95.39%  precision undefined" in text
+        assert collapsed in text
+
+
+def test_eval_positive_scores_that_class(pipeline, capsys, tmp_path):
+    # relabel two columns of the class-1 half as class 0, so that the
+    # classes' precision and recall differ
+    mask = load_mask(str(pipeline["mask"]))
+    labels = mask.labels.copy()
+    labels[:, 8:10] = 0
+    relabeled = tmp_path / "mask.pgm"
+    save_mask(replace(mask, labels=labels), str(relabeled))
+    out = tmp_path / "report"
+    assert cli.main(["eval", "--model", str(pipeline["model"]),
+                     "--features", str(pipeline["features"]),
+                     "--mask", str(relabeled),
+                     "--config", str(pipeline["config"]),
+                     "--positive", "0", "--out", str(out)]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    rows = (out / "matrix.csv").read_text().splitlines()[1:]
+    counts = np.array([[int(v) for v in row.split(",")[1:]] for row in rows])
+    assert counts[0, 1] > 0 and counts[1, 0] == 0
+    precision = counts[0, 0] / counts[:, 0].sum()
+    recall = counts[0, 0] / counts[0, :].sum()
+    assert last.endswith(f"precision {100 * precision:.2f}%  "
+                         f"recall {100 * recall:.2f}%")
 
 
 def _scene_with(old, new):
@@ -234,7 +264,7 @@ MALFORMED_INPUTS = [
     ("nan scene timestamp", "s.ini",
      _scene_with("fps = 2.0\nframes = 100", "timestamps = 1 nan 3"),
      SYNTH, "timestamps"),
-    ("missing manifest", "absent.txt", None, FIT, "cannot read manifest"),
+    ("missing manifest", "absent.txt", None, FIT, "absent.txt"),
     ("non-numeric fps", "m.txt", "width = 2\nheight = 1\nfps = x\n"
      "frame = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
      FIT, "fps"),
@@ -284,6 +314,19 @@ MALFORMED_INPUTS = [
       "{mask}", "--config", "{path}", "--perturb", "0.1",
       "--perturb-seed", "-1"], "perturb seed"),
     ("eval without inputs", "absent", None, ["eval"], "eval needs"),
+    ("missing training mask", "nope.pgm", None,
+     ["train", "--features", "{features}", "--mask", "{path}",
+      "--out", "{dir}/m.txt"], "nope.pgm"),
+    ("segment into a missing directory", "absent", None,
+     ["segment", "--model", "{model}", "--features", "{features}",
+      "--out", "{dir}/nodir/s.pgm"], "nodir/s.pgm"),
+    ("fit into a missing directory", "m.txt", "width = 2\nheight = 1\n"
+     "fps = 2\nframe = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
+     ["fit", "--manifest", "{path}", "--out", "{dir}/nodir/f.csv"],
+     "nodir/f.csv"),
+    ("non-numeric positive class", "absent", None,
+     ["eval", "--model", "{model}", "--features", "{features}", "--mask",
+      "{mask}", "--positive", "x"], "--positive"),
 ]
 
 

@@ -117,15 +117,16 @@ def test_collapse_spec_validation():
 # metrics
 # ---------------------------------------------------------------------------
 
-def test_metrics_positive_forms_agree():
+def test_collapsed_metrics_match_hand_counts():
+    # pairs (actual, predicted): (0,0) (1,1) (2,1) (2,2) (1,0)
     cm = evaluate.confusion([0, 1, 2, 2, 1], [0, 1, 1, 2, 0], 3)
-    by_set = evaluate.metrics(cm, {1, 2})
-    by_spec = evaluate.metrics(cm, evaluate.BinaryCollapseSpec(
-        frozenset({1, 2})))
-    assert by_set == by_spec
-    single_int = evaluate.metrics(cm, 2)
-    single_set = evaluate.metrics(cm, {2})
-    assert single_int == single_set
+    for positive, want in [
+            ({1, 2}, (4 / 5, 3 / 3, 3 / 4)),   # tp 3, fp 0, fn 1, tn 1
+            ({2}, (4 / 5, 1 / 1, 1 / 2)),      # tp 1, fp 0, fn 1, tn 3
+            ({0}, (4 / 5, 1 / 2, 1 / 1))]:     # tp 1, fp 1, fn 0, tn 3
+        two = evaluate.collapse(cm, evaluate.BinaryCollapseSpec(
+            frozenset(positive)))
+        assert evaluate.metrics(two) == want
 
 
 def test_metrics_undefined_ratios_are_none():
@@ -146,7 +147,7 @@ def test_metrics_undefined_ratios_are_none():
 def test_metrics_validation():
     cm = evaluate.confusion([0, 1], [0, 1], 2)
     with pytest.raises(evaluate.EvalError):
-        evaluate.metrics(cm, {0, 1})
+        evaluate.collapse(cm, evaluate.BinaryCollapseSpec(frozenset({0, 1})))
     with pytest.raises(evaluate.EvalError):
         evaluate.metrics(evaluate.ConfusionMatrix(
             np.zeros((2, 2), dtype=np.int64), ("a", "b")))
@@ -279,7 +280,7 @@ def test_matrix_csv_round_trip(tmp_path):
 
 
 def test_matrix_csv_errors(tmp_path):
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(FileNotFoundError, match="none.csv"):
         evaluate.read_matrix_csv(str(tmp_path / "none.csv"))
     bad = tmp_path / "bad.csv"
     bad.write_text("whatever\n1,2\n")

@@ -116,3 +116,75 @@ def test_public_names_have_callers():
                        for t in trees.values()):
                 uncalled.append(f"{path.stem}.{node.name}")
     assert uncalled == []
+
+
+def _calls_and_values(tree):
+    """(calls, attribute values, bare-name values) of a module: each call
+    as (callee name, positional count or None after a *args, keyword names
+    or None after a **kwargs), and the names used other than as a callee."""
+    callees = set()
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callees.add(id(node.func))
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.append((name, None if starred else len(node.args),
+                          None if None in keywords else keywords))
+    attributes = {n.attr for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and id(n) not in callees}
+    names = {n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and id(n) not in callees}
+    return calls, attributes, names
+
+
+def _defaulted_parameters(tree):
+    """(callee name, parameter, positional index or None) for each
+    parameter with a default; a method's index leaves out `self`, and
+    `__init__` is called by its class name."""
+    classes = {id(node): owner.name for owner in ast.walk(tree)
+               if isinstance(owner, ast.ClassDef) for node in owner.body}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        name, shift = node.name, 0
+        if id(node) in classes:
+            shift = 1
+            name = classes[id(node)] if name == "__init__" else name
+        for i, arg in enumerate(positional):
+            if i >= len(positional) - len(args.defaults):
+                found.append((name, arg.arg, i - shift))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((name, arg.arg, None))
+    return found
+
+
+def test_defaulted_parameters_are_passed():
+    # a default that no caller overrides is a constant dressed as a knob
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted(PACKAGE.glob("*.py"))}
+    callers = list(trees.values()) + [
+        ast.parse(p.read_text(encoding="utf-8"))
+        for p in sorted(BENCHMARK.glob("*.py"))
+        + sorted(BENCHMARK.with_name("bench").glob("*.py"))]
+    scans = [_calls_and_values(t) for t in callers]
+    calls = [c for scan in scans for c in scan[0]]
+    as_values = set().union(*(scan[1] for scan in scans))
+    unpassed = []
+    for path, tree in trees.items():
+        # a bare name is the function only in the module that defines it
+        local_values = _calls_and_values(tree)[2]
+        for name, param, index in _defaulted_parameters(tree):
+            if name in as_values or name in local_values:
+                continue
+            if not any(callee == name and (
+                    count is None or keywords is None or param in keywords
+                    or (index is not None and count > index))
+                       for callee, count, keywords in calls):
+                unpassed.append(f"{path.stem}.{name}({param}=)")
+    assert unpassed == []

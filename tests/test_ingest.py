@@ -7,6 +7,7 @@ from oracle import SaturatedPixelError, first_unsaturated_frame
 from thermoseg.ingest import (FrameSequence, IngestError, LabelMask,
                               load_mask, load_sequence, save_mask, trim_mask,
                               write_sequence)
+from thermoseg.pgmio import PgmError, read_pgm, write_pgm
 
 
 def make_sequence(frames=5, height=3, width=4, saturation=np.inf):
@@ -56,7 +57,7 @@ def test_load_sequence_fps_timestamps(tmp_path):
 def test_load_sequence_errors(tmp_path):
     man = tmp_path / "manifest.txt"
     man.write_text("width = 2\nheight = 2\nfps = 4\nframe = missing.csv\n")
-    with pytest.raises(IngestError):      # frame file absent
+    with pytest.raises(FileNotFoundError, match="missing.csv"):
         load_sequence(str(man))
 
     frame = tmp_path / "f0.csv"
@@ -154,3 +155,14 @@ def test_mask_pgm_round_trip(tmp_path):
     npt.assert_array_equal(back.valid, valid)
     npt.assert_array_equal(back.labels[valid], labels[valid])
     assert (back.labels[~valid] == ingest.INVALID_LABEL).all()
+
+
+def test_write_pgm_takes_only_2d_uint8(tmp_path):
+    path = str(tmp_path / "x.pgm")
+    for image in (np.zeros((2, 3), dtype=np.int64), np.zeros(6, np.uint8),
+                  np.zeros((2, 3, 1), np.uint8)):
+        with pytest.raises(PgmError, match="2-D uint8"):
+            write_pgm(path, image)
+    write_pgm(path, np.arange(6, dtype=np.uint8).reshape(2, 3))
+    npt.assert_array_equal(read_pgm(path),
+                           np.arange(6, dtype=np.uint8).reshape(2, 3))

@@ -42,7 +42,8 @@ def _blob_dataset(n_per_class, centers, sigma, seed, classes=None):
 
 def test_zero_model_is_uniform():
     model = _zero_model((3, 4))
-    probs = nn.forward(model, np.array([0.3, -2.0, 5.0]))
+    probs = nn.forward(model, np.array([[0.3, -2.0, 5.0]]))
+    assert probs.shape == (1, 4)
     npt.assert_allclose(probs, 0.25)
 
 
@@ -61,18 +62,44 @@ def test_forward_single_matches_batch():
     batch = rng.normal(size=(7, 6))
     stacked = nn.forward(model, batch)
     for i in range(7):
-        # single-row and batched matmuls may differ in the last ulp
-        npt.assert_allclose(nn.forward(model, batch[i]), stacked[i],
+        # each row as a (1, F) batch; single-row and batched matmuls may
+        # differ in the last ulp
+        npt.assert_allclose(nn.forward(model, batch[i:i + 1])[0], stacked[i],
                             rtol=1e-13, atol=1e-16)
+
+
+@pytest.mark.parametrize("sizes, hidden", [
+    ((15, 10, 20, 4), "tanh"),
+    ((27, 16, 32, 16, 2), "relu"),
+])
+@pytest.mark.parametrize("rows", [1, 7, 2048, 65536])
+def test_forward_matches_batch_major_reference(sizes, hidden, rows):
+    # the experiments' two architectures, against the allocating
+    # batch-major pass kept in the oracle
+    activations = (hidden,) * (len(sizes) - 2) + ("softmax",)
+    model = nn.init_model(sizes, activations, rows)
+    model = replace(model, biases=tuple(
+        np.random.default_rng(rows).normal(scale=0.5, size=b.shape)
+        for b in model.biases))
+    x = np.random.default_rng(rows + 1).normal(scale=2.0,
+                                               size=(rows, sizes[0]))
+    got = nn.forward(model, x)
+    assert got.shape == (rows, sizes[-1])
+    npt.assert_allclose(got, oracle.forward_layers(model, x)[-1],
+                        rtol=1e-13, atol=0.0)
 
 
 def test_forward_validation():
     model = _zero_model((3, 2))
     with pytest.raises(ValidationError):
         nn.forward(model, np.zeros(4))
+    for shape in [(3,), (2, 4), (1, 1, 3)]:
+        # only an N x F batch is accepted, also a 1-D vector of width F
+        with pytest.raises(ValidationError, match="N x 3 batch"):
+            nn.forward(model, np.zeros(shape))
     broken = replace(model, weights=(np.full((3, 2), np.nan),))
     with pytest.raises(ComputeError):
-        nn.forward(broken, np.zeros(3))
+        nn.forward(broken, np.zeros((1, 3)))
 
 
 def test_loss_reference_values():
@@ -87,17 +114,6 @@ def test_loss_reference_values():
     wrong = np.array([[1.0, 0.0, 0.0]])
     npt.assert_allclose(nn.loss(wrong, np.array([1])),
                         -math.log(nn.PROB_FLOOR), rtol=1e-15)
-
-
-def test_loss_accepts_one_hot():
-    rng = np.random.default_rng(8)
-    probs = rng.dirichlet(np.ones(5), size=20)
-    labels = rng.integers(0, 5, 20)
-    one_hot = np.eye(5)[labels]
-    npt.assert_allclose(nn.loss(probs, one_hot), nn.loss(probs, labels),
-                        rtol=1e-15)
-    single = nn.loss(probs[0], one_hot[0])
-    npt.assert_allclose(single, nn.loss(probs[:1], labels[:1]), rtol=1e-15)
 
 
 def test_accuracy():
@@ -346,16 +362,7 @@ def test_early_stopping_restores_snapshot():
 
 def _reference_backward(model, x, labels):
     """Batch-major backward pass, kept apart from the step code it checks."""
-    acts = [x]
-    for w, b, kind in zip(model.weights, model.biases, model.activations):
-        z = acts[-1] @ w + b
-        if kind == "relu":
-            acts.append(np.maximum(z, 0.0))
-        elif kind == "tanh":
-            acts.append(np.tanh(z))
-        else:
-            e = np.exp(z - z.max(axis=1, keepdims=True))
-            acts.append(e / e.sum(axis=1, keepdims=True))
+    acts = oracle.forward_layers(model, x)
     n = x.shape[0]
     delta = acts[-1].copy()
     delta[np.arange(n), labels] -= 1.0
@@ -634,7 +641,7 @@ def test_load_model_corrupt_files(tmp_path):
     with pytest.raises(nn.ModelFormatError):
         nn.load_model(str(not_model))
 
-    with pytest.raises(nn.ModelFormatError):
+    with pytest.raises(FileNotFoundError, match="missing.txt"):
         nn.load_model(str(tmp_path / "missing.txt"))
 
 

@@ -397,7 +397,7 @@ def test_read_feature_image_errors(tmp_path):
     with pytest.raises(ValidationError):
         tsr.read_feature_image(str(ragged))
 
-    with pytest.raises(ValidationError):
+    with pytest.raises(FileNotFoundError, match="absent.csv"):
         tsr.read_feature_image(str(tmp_path / "absent.csv"))
 
     # the fit base, the scaling flag and the packing are fixed or known
