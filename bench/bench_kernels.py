@@ -1,11 +1,13 @@
-"""Micro-benchmark for the hot kernels: frame rendering, pixel fits and
-the training step.
+"""Micro-benchmark for the hot kernels: frame rendering, pixel fits,
+training-set preparation and the training step.
 
 Times the public render_frames and fit_image on a noisy four-quadrant
-scene and one Adam step of the 15/10/20/4 tanh net at batch 2048 (the
-four-class experiment's), prints the best of several runs of each, and
-writes them with the render's span count and the fit's tracemalloc peak
-to BENCH_kernels.json beside this script.
+scene, the x50 augment, fit_scaler and apply_scaler of a training split
+the size of the four-class benchmark's (25,195 rows of 15 features), and
+one Adam step of the 15/10/20/4 tanh net at batch 2048 (the four-class
+experiment's), prints the best of several runs of each, and writes them
+with the render's span count and the fit's and preparation's tracemalloc
+peaks to BENCH_kernels.json beside this script.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -39,14 +41,23 @@ def train_step_ms(steps, repeats):
     rng = np.random.default_rng(7)
     rows = 16 * 2048
     ds = features.Dataset(rng.normal(size=(rows, 15)),
-                          rng.integers(0, 4, rows), 4,
-                          np.full((rows, 2), -1))
+                          rng.integers(0, 4, rows), 4)
     val = ds.take(np.arange(256))
     model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0)
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
                             batch_size=2048, max_steps=steps,
                             trace_every=steps, seed=1)
     return time_calls(nn.train, repeats, model, ds, val, config) / steps
+
+
+PREP_ROWS, PREP_COPIES = 25195, 50
+
+
+def prepare(train):
+    """x50 augment, then fit the scaler on and scale the augmented rows."""
+    augmented = features.augment(train, 0.05, PREP_COPIES, 3)
+    return features.apply_scaler(augmented,
+                                 features.fit_scaler(augmented))
 
 
 def main():
@@ -85,6 +96,18 @@ def main():
     tracemalloc.stop()
     print(f"fit peak: {fit_peak_mb:8.1f} MB (cube {data.nbytes / 1e6:.1f} MB)")
 
+    rng = np.random.default_rng(5)
+    train = features.Dataset(rng.normal(size=(PREP_ROWS, 15)),
+                             rng.integers(0, 4, PREP_ROWS), 4)
+    t_prep = time_calls(prepare, args.repeats, train)
+    tracemalloc.start()
+    prepare(train)
+    prep_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    tracemalloc.stop()
+    augmented_mb = (PREP_COPIES + 1) * train.vectors.nbytes / 1e6
+    print(f"prep:   {t_prep:10.1f} ms, peak {prep_peak_mb:.1f} MB "
+          f"(augmented matrix {augmented_mb:.1f} MB)")
+
     t_step = train_step_ms(TRAIN_STEPS, args.repeats)
     print(f"train step: {t_step:6.3f} ms (15/10/20/4 tanh, batch 2048, "
           f"Adam, {TRAIN_STEPS} steps)")
@@ -98,6 +121,11 @@ def main():
         "fit_ms": round(t_fit, 1),
         "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),
         "cube_mb": round(data.nbytes / 1e6, 2),
+        "prep": {"rows": PREP_ROWS, "features": 15, "copies": PREP_COPIES,
+                 "steps": ["augment", "fit_scaler", "apply_scaler"]},
+        "prep_ms": round(t_prep, 1),
+        "prep_tracemalloc_peak_mb": round(prep_peak_mb, 2),
+        "augmented_mb": round(augmented_mb, 2),
         "train_step": {"layers": [15, 10, 20, 4], "batch": 2048,
                        "optimizer": "adam", "steps": TRAIN_STEPS},
         "train_step_ms": round(t_step, 3),

@@ -48,7 +48,11 @@ def load_config(path):
     for section, defaults in TRAIN_DEFAULTS.items():
         parser[section] = dict(defaults)
     if path is not None:
-        if not parser.read(path):
+        try:
+            read = parser.read(path)
+        except configparser.Error as exc:
+            raise ValidationError(" ".join(str(exc).split())) from exc
+        if not read:
             raise ValidationError(f"cannot read config {path}")
     for section in parser.sections():
         if section not in TRAIN_DEFAULTS:

@@ -1,10 +1,18 @@
 """Labeled datasets: assembly from feature images, scaling, noise, splits.
 
+A dataset is vectors and labels only. Its rows follow `assemble`'s order,
+the row-major `np.nonzero` order of the usable pixels, so a caller that
+needs the source pixel of a row recomputes it from the masks.
+
 Scaling statistics use the population (1/N) convention and are fitted on
 training rows only; applying them maps constant features to 0 instead of
-dividing by zero. Augmentation and perturbation add bounded multiplicative
-uniform noise per element. Splitting happens before augmentation in the
-pipeline so near-duplicate rows cannot leak into validation or test.
+dividing by zero. `scale` standardizes the matrix it is given in place, so
+the training pipeline scales its augmented matrix without a second copy;
+`apply_scaler` scales a copy. Augmentation and perturbation add bounded
+multiplicative uniform noise per element. `augment` writes the originals
+and every noisy copy into one preallocated matrix, drawing the noise one
+copy at a time. Splitting happens before augmentation in the pipeline so
+near-duplicate rows cannot leak into validation or test.
 """
 
 from dataclasses import dataclass
@@ -24,7 +32,6 @@ class Dataset:
     vectors: np.ndarray           # (N, F)
     labels: np.ndarray            # (N,) int
     class_count: int
-    provenance: np.ndarray        # (N, 2) source pixel (row, col), -1 unknown
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
@@ -32,8 +39,6 @@ class Dataset:
         n = self.vectors.shape[0]
         if self.labels.shape != (n,):
             raise DatasetError("labels must be one per row")
-        if self.provenance.shape != (n, 2):
-            raise DatasetError("provenance must be one (row, col) per row")
         if self.class_count < 1:
             raise DatasetError("class_count must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
@@ -49,7 +54,7 @@ class Dataset:
 
     def take(self, index):
         return Dataset(self.vectors[index], self.labels[index],
-                       self.class_count, self.provenance[index])
+                       self.class_count)
 
 
 @dataclass(frozen=True)
@@ -113,36 +118,61 @@ def assemble(image, mask):
     if missing.size:
         raise DatasetError(f"classes {missing.tolist()} lost every pixel "
                            f"to fit failures")
-    vectors = image.values[rows, cols].copy()
-    provenance = np.stack([rows, cols], axis=1).astype(np.int64)
-    return Dataset(vectors, labels, int(labels.max()) + 1, provenance)
+    return Dataset(image.values[rows, cols], labels, int(labels.max()) + 1)
+
+
+# rows per block of the scaler's spread pass
+BLOCK_ROWS = 4096
 
 
 def fit_scaler(train):
-    """Per-feature mean and population standard deviation of train rows."""
+    """Per-feature mean and population standard deviation of train rows.
+
+    The squared deviations are summed BLOCK_ROWS rows at a time in one
+    reused buffer whose row 0 carries the running sum. An axis-0 sum
+    adds rows in order, so this is bitwise `np.std(axis=0)` (for two or
+    more features; numpy sums a single column pairwise) without its
+    matrix-sized `x - mean`.
+    """
     if train.size < 2:
         raise DatasetError("scaler needs at least 2 training rows")
-    return ScalingStats(train.vectors.mean(axis=0),
-                        train.vectors.std(axis=0, ddof=0))
+    x, n = train.vectors, train.size
+    mean = x.mean(axis=0)
+    buf = np.zeros((min(BLOCK_ROWS, n) + 1, x.shape[1]))
+    for i in range(0, n, BLOCK_ROWS):
+        b = min(BLOCK_ROWS, n - i)
+        block = buf[1:b + 1]
+        np.subtract(x[i:i + b], mean, out=block)
+        np.multiply(block, block, out=block)
+        np.add.reduce(buf[:b + 1], axis=0, out=buf[0])
+    return ScalingStats(mean, np.sqrt(buf[0] / n))
 
 
 def scale(vectors, stats):
-    """(x - mean) / std per feature of N x F rows; constant features
-    collapse to 0."""
+    """Standardize float N x F rows in place, (x - mean) / std per
+    feature, and return them; constant features collapse to 0."""
     if stats.mean.shape[0] != vectors.shape[1]:
         raise DatasetError(
             f"stats cover {stats.mean.shape[0]} features, vectors have "
             f"{vectors.shape[1]}")
     denom = np.where(stats.std == 0.0, 1.0, stats.std)
-    scaled = (vectors - stats.mean) / denom
-    scaled[:, stats.constant] = 0.0
-    return scaled
+    np.subtract(vectors, stats.mean, out=vectors)
+    np.divide(vectors, denom, out=vectors)
+    vectors[:, stats.constant] = 0.0
+    return vectors
 
 
 def apply_scaler(ds, stats):
-    """A copy of the dataset with its vectors scaled by `scale`."""
-    return Dataset(scale(ds.vectors, stats), ds.labels.copy(),
-                   ds.class_count, ds.provenance.copy())
+    """The dataset with a scaled copy of its vectors; labels are shared."""
+    return Dataset(scale(np.array(ds.vectors, dtype=np.float64), stats),
+                   ds.labels, ds.class_count)
+
+
+def _check_amplitude(relative_amplitude):
+    # Generator.uniform raises OverflowError on a non-finite range
+    if not (np.isfinite(relative_amplitude) and relative_amplitude >= 0):
+        raise DatasetError(f"relative amplitude must be finite and >= 0, "
+                           f"got {relative_amplitude}")
 
 
 def augment(train, relative_amplitude, copies, seed):
@@ -150,35 +180,39 @@ def augment(train, relative_amplitude, copies, seed):
 
     Clone elements are x * (1 + u) with u uniform in [-a, +a], drawn
     independently per element, so each clone deviates at most a*|x|.
+    The result is one new ((copies + 1) N, F) matrix: the originals, then
+    each copy, whose factors are drawn as one (N, F) block. Drawing them
+    a copy at a time gives the same stream as one (copies, N, F) draw.
     """
-    if relative_amplitude < 0:
-        raise DatasetError("relative amplitude must be >= 0")
+    _check_amplitude(relative_amplitude)
     if copies < 0:
         raise DatasetError("copies must be >= 0")
     _check_seed(seed, "augment")
-    if copies == 0:
-        return train.take(slice(None))
-    rng = np.random.default_rng(seed)
     n, f = train.vectors.shape
-    factors = 1.0 + rng.uniform(-relative_amplitude, relative_amplitude,
-                                size=(copies, n, f))
-    clones = (train.vectors[None, :, :] * factors).reshape(copies * n, f)
-    vectors = np.concatenate([train.vectors, clones], axis=0)
-    labels = np.concatenate([train.labels] + [train.labels] * copies)
-    provenance = np.concatenate([train.provenance] + [train.provenance] * copies)
-    return Dataset(vectors, labels, train.class_count, provenance)
+    rows = (copies + 1) * n
+    if rows * f * 8 > np.iinfo(np.intp).max:
+        raise DatasetError(f"augment copies {copies} give {rows} rows, more "
+                           f"than an array can hold")
+    vectors = np.empty((rows, f))
+    vectors[:n] = train.vectors
+    rng = np.random.default_rng(seed)
+    for k in range(1, copies + 1):
+        block = rng.uniform(-relative_amplitude, relative_amplitude,
+                            size=(n, f))
+        block += 1.0
+        np.multiply(train.vectors, block, out=vectors[k * n:(k + 1) * n])
+    return Dataset(vectors, np.tile(train.labels, copies + 1),
+                   train.class_count)
 
 
 def perturb(ds, relative_amplitude, seed):
     """Replace every element with x * (1 + u), u uniform in [-a, +a]."""
-    if relative_amplitude < 0:
-        raise DatasetError("relative amplitude must be >= 0")
+    _check_amplitude(relative_amplitude)
     _check_seed(seed, "perturb")
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-relative_amplitude, relative_amplitude,
                                 size=ds.vectors.shape)
-    return Dataset(ds.vectors * factors, ds.labels.copy(), ds.class_count,
-                   ds.provenance.copy())
+    return Dataset(ds.vectors * factors, ds.labels.copy(), ds.class_count)
 
 
 def _round_half_up(x):

@@ -464,7 +464,8 @@ def predict(model, vectors):
     """Argmax class of each raw (unscaled) N x F feature row, scaled by the
     statistics the model carries."""
     _require_stats(model)
-    return forward(model, scale(vectors, model.stats)).argmax(axis=1)
+    scaled = scale(np.array(vectors, dtype=np.float64), model.stats)
+    return forward(model, scaled).argmax(axis=1)
 
 
 def predict_map(model, image):

@@ -109,18 +109,21 @@ def train_classifier(ds, split, hidden, activation, config, init_seed,
 
     `split` is a SplitSpec, `hidden` the hidden layer widths (all with
     `activation`, then a softmax head), `augment` an (amplitude, copies,
-    seed) triple for `features.augment`; 0 copies trains on the plain
-    training rows. The scaler is fitted on the (augmented) training rows.
+    seed) triple for `features.augment`; 0 copies trains on a copy of the
+    plain training rows. The scaler is fitted on the (augmented) training
+    rows, which are then scaled in place: the augmented matrix is the only
+    training matrix held, and `ds` is left untouched.
     Returns (model carrying its scaling stats, trace, train, val, test),
-    the three datasets unscaled and train augmented.
+    train augmented and scaled, val and test unscaled.
     """
     train_ds, val_ds, test_ds = features.split(ds, split)
     train_ds = features.augment(train_ds, *augment)
     stats = features.fit_scaler(train_ds)
+    features.scale(train_ds.vectors, stats)
     model = nn.init_model((ds.feature_count, *hidden, ds.class_count),
                           (*([activation] * len(hidden)), "softmax"),
                           init_seed, stats)
-    model, trace = nn.train(model, features.apply_scaler(train_ds, stats),
+    model, trace = nn.train(model, train_ds,
                             features.apply_scaler(val_ds, stats), config)
     return model, trace, train_ds, val_ds, test_ds
 
@@ -181,9 +184,7 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
     ds_flawed = features.assemble(img_flawed, mask_flawed)
     pure = features.Dataset(
         np.concatenate([ds_sound.vectors, ds_flawed.vectors]),
-        np.concatenate([ds_sound.labels, ds_flawed.labels]),
-        2,
-        np.concatenate([ds_sound.provenance, ds_flawed.provenance]))
+        np.concatenate([ds_sound.labels, ds_flawed.labels]), 2)
 
     # staircase-decay SGD with early stopping; the rate suits standardized
     # features

@@ -343,7 +343,10 @@ def load_scene(path):
     per region with rect = "x0 y0 w h", class, and profile options.
     """
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise SceneError(" ".join(str(exc).split())) from exc
     if not read:
         raise SceneError(f"cannot read scene file {path}")
     _check_scene_keys(parser, path)

@@ -6,6 +6,9 @@ kernel (its QR on a [-1, 1] axis and its raw-basis map), so that the
 kernel is compared with an independent solution. `forward_layers` is the
 batch-major forward pass `nn.forward` is checked against, and `backward`
 exposes the gradient of the training step that `nn.train` runs.
+`augment`, `scaler_stats` and `scaled` are the whole-matrix formulas the
+package's preallocated augmentation, block-wise scaler statistics and
+in-place scaling must reproduce bitwise.
 """
 
 import math
@@ -198,3 +201,27 @@ def backward(model, batch_x, batch_labels):
     step = nn._TrainStep(model, x, labels, x.shape[0])
     step.gradients(np.arange(x.shape[0]))
     return ([g.copy() for g in step.grad_w], [g.copy() for g in step.grad_b])
+
+
+def augment(train, relative_amplitude, copies, seed):
+    """(vectors, labels) of `features.augment` from one (copies, N, F)
+    draw of factors and a concatenation."""
+    rng = np.random.default_rng(seed)
+    n, f = train.vectors.shape
+    factors = 1.0 + rng.uniform(-relative_amplitude, relative_amplitude,
+                                size=(copies, n, f))
+    clones = (train.vectors[None, :, :] * factors).reshape(copies * n, f)
+    return (np.concatenate([train.vectors, clones], axis=0),
+            np.concatenate([train.labels] * (copies + 1)))
+
+
+def scaler_stats(vectors):
+    """Per-feature mean and population std by numpy's whole-matrix std."""
+    return vectors.mean(axis=0), vectors.std(axis=0, ddof=0)
+
+
+def scaled(vectors, mean, std):
+    """(x - mean) / std as a new matrix; constant features become 0."""
+    out = (vectors - mean) / np.where(std == 0.0, 1.0, std)
+    out[:, std == 0.0] = 0.0
+    return out

@@ -253,6 +253,8 @@ MALFORMED_INPUTS = [
      SYNTH, "'thickness'"),
     ("unknown section", "s.ini", _scene_with("[noise]", "[nosie]"),
      SYNTH, "[nosie]"),
+    ("repeated scene section", "s.ini", SCENE + "\n[noise]\nsigma = 1.0\n",
+     SYNTH, "section 'noise' already exists"),
     ("non-numeric sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = abc"),
      SYNTH, "abc"),
     ("nan sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = nan"),
@@ -304,6 +306,16 @@ MALFORMED_INPUTS = [
      "split seed"),
     ("negative augment seed", "c.ini", "[features]\naugment_seed = -3\n",
      TRAIN_PIPELINE, "augment seed"),
+    ("nan augment amplitude", "c.ini",
+     "[features]\naugment_amplitude = nan\naugment_copies = 2\n",
+     TRAIN_PIPELINE, "amplitude"),
+    # refused by arithmetic on the count, before any array is allocated
+    ("unshapeable augment copies", "c.ini",
+     "[features]\naugment_amplitude = 0.05\n"
+     "augment_copies = 99999999999999999999\n",
+     TRAIN_PIPELINE, "copies 99999999999999999999"),
+    ("repeated config option", "c.ini", "[tsr]\ndegree = 3\ndegree = 3\n",
+     TRAIN, "[line 3]: option 'degree'"),
     # --seed s re-keys split, augment and training seeds to s+1, s+2, s+3
     ("base seed -2", "c.ini", "[nn]\nepochs = 1\n",
      TRAIN + ["--seed", "-2"], "split seed"),

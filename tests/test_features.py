@@ -1,12 +1,14 @@
 """Dataset assembly, scaling, augmentation, splitting, serialization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from thermoseg import features, tsr
+import oracle
+from thermoseg import features, nn, repro, tsr
 from thermoseg.ingest import INVALID_LABEL, LabelMask
 
 
@@ -15,8 +17,7 @@ def _toy_dataset(n=12, f=4, classes=3, seed=0):
     vectors = rng.normal(size=(n, f))
     labels = rng.integers(0, classes, n)
     labels[:classes] = np.arange(classes)       # guarantee presence
-    prov = np.stack([np.arange(n), np.arange(n)], axis=1)
-    return features.Dataset(vectors, labels, classes, prov)
+    return features.Dataset(vectors, labels, classes)
 
 
 def _image_and_mask(height=6, width=8, classes=2):
@@ -40,10 +41,10 @@ def test_assemble_counts_and_provenance():
     assert ds.size == 48
     assert ds.feature_count == 9
     assert ds.class_count == 2
-    row = 17
-    r, c = ds.provenance[row]
-    npt.assert_array_equal(ds.vectors[row], image.values[r, c])
-    assert ds.labels[row] == mask.labels[r, c]
+    # rows follow the documented np.nonzero order of the usable pixels
+    rows, cols = np.nonzero(np.ones((mask.height, mask.width), dtype=bool))
+    npt.assert_array_equal(ds.vectors, image.values[rows, cols])
+    npt.assert_array_equal(ds.labels, mask.labels[rows, cols])
 
 
 def test_assemble_skips_invalid_pixels():
@@ -53,9 +54,10 @@ def test_assemble_skips_invalid_pixels():
     mask.labels[2, 2] = INVALID_LABEL
     ds = features.assemble(image, mask)
     assert ds.size == 45
-    skipped = {(0, 0), (1, 1), (2, 2)}
-    got = {tuple(p) for p in ds.provenance}
-    assert got.isdisjoint(skipped)
+    usable = np.ones((mask.height, mask.width), dtype=bool)
+    usable[0, 0] = usable[1, 1] = usable[2, 2] = False
+    rows, cols = np.nonzero(usable)
+    npt.assert_array_equal(ds.vectors, image.values[rows, cols])
 
 
 def test_assemble_errors():
@@ -84,8 +86,7 @@ def test_assemble_errors():
 def test_scaler_hand_case():
     # mean of 1,2,3 is 2; population std is sqrt(2/3)
     vectors = np.array([[1.0], [2.0], [3.0]])
-    ds = features.Dataset(vectors, np.array([0, 0, 1]), 2,
-                          np.full((3, 2), -1))
+    ds = features.Dataset(vectors, np.array([0, 0, 1]), 2)
     stats = features.fit_scaler(ds)
     npt.assert_allclose(stats.mean, [2.0])
     npt.assert_allclose(stats.std, [math.sqrt(2.0 / 3.0)])
@@ -108,7 +109,7 @@ def test_scaled_data_is_standardized():
 
 def test_constant_feature_maps_to_zero():
     vectors = np.array([[1.0, 7.0], [2.0, 7.0], [4.0, 7.0]])
-    ds = features.Dataset(vectors, np.array([0, 1, 0]), 2, np.full((3, 2), -1))
+    ds = features.Dataset(vectors, np.array([0, 1, 0]), 2)
     stats = features.fit_scaler(ds)
     assert stats.constant.tolist() == [False, True]
     scaled = features.apply_scaler(ds, stats)
@@ -149,7 +150,6 @@ def test_augment_shape_and_bounds():
     assert out.size == 5 * 30
     npt.assert_array_equal(out.vectors[:30], ds.vectors)
     npt.assert_array_equal(out.labels, np.tile(ds.labels, 5))
-    npt.assert_array_equal(out.provenance, np.tile(ds.provenance, (5, 1)))
     clones = out.vectors[30:].reshape(4, 30, 5)
     deviation = np.abs(clones - ds.vectors[None])
     assert np.all(deviation <= 0.05 * np.abs(ds.vectors[None]) + 1e-15)
@@ -167,7 +167,10 @@ def test_augment_zero_copies_is_identity():
     ds = _toy_dataset(n=8, seed=2)
     out = features.augment(ds, 0.1, 0, seed=1)
     npt.assert_array_equal(out.vectors, ds.vectors)
-    assert out.vectors is not ds.vectors
+    npt.assert_array_equal(out.labels, ds.labels)
+    # the training pipeline scales this result in place
+    assert not np.shares_memory(out.vectors, ds.vectors)
+    assert not np.shares_memory(out.labels, ds.labels)
 
 
 def test_augment_validation():
@@ -182,6 +185,90 @@ def test_augment_validation():
             features.augment(ds, 0.1, copies, -3)
     with pytest.raises(features.DatasetError, match="perturb seed"):
         features.perturb(ds, 0.1, -1)
+    # Generator.uniform would raise OverflowError on these
+    for amplitude in (math.nan, math.inf):
+        with pytest.raises(features.DatasetError, match="amplitude"):
+            features.augment(ds, amplitude, 2, 0)
+        with pytest.raises(features.DatasetError, match="amplitude"):
+            features.perturb(ds, amplitude, 0)
+    # rejected by arithmetic alone: no array of this size is attempted
+    with pytest.raises(features.DatasetError, match="copies 99999999999"):
+        features.augment(ds, 0.1, 99999999999999999999, 0)
+
+
+def _prep_dataset(n, f, seed):
+    rng = np.random.default_rng(seed)
+    vectors = rng.normal(size=(n, f)) * rng.uniform(0.1, 1e3, f) \
+        + rng.normal(scale=1e4, size=f)
+    vectors[:, 1] = 0.0          # stays constant through augmentation
+    vectors[:, 2] = 4.25         # constant until augmented
+    return features.Dataset(vectors, rng.integers(0, 3, n), 3)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("copies", [0, 1, 3])
+def test_prep_matches_whole_matrix_oracle_bitwise(copies):
+    # a row count that no copy count turns into a multiple of the block
+    n = features.BLOCK_ROWS + 37
+    ds = _prep_dataset(n, 6, seed=copies)
+    out = features.augment(ds, 0.05, copies, seed=17)
+    vectors, labels = oracle.augment(ds, 0.05, copies, seed=17)
+    assert out.size % features.BLOCK_ROWS != 0
+    assert _same_bits(out.vectors, vectors)
+    assert _same_bits(out.labels, labels)
+    for data in (ds, out):
+        stats = features.fit_scaler(data)
+        mean, std = oracle.scaler_stats(data.vectors)
+        assert _same_bits(stats.mean, mean) and _same_bits(stats.std, std)
+        assert stats.constant[1] and stats.constant[2] == (data.size == n)
+        scaled = features.apply_scaler(data, stats)
+        assert _same_bits(scaled.vectors, oracle.scaled(data.vectors, mean,
+                                                        std))
+        assert scaled.labels is data.labels
+
+
+def test_prep_peak_memory():
+    # an augmented matrix of 88,000 x 15 floats, 10.6 MB
+    n, f, copies = 8000, 15, 10
+    ds = _prep_dataset(n, f, seed=4)
+    slack = 256 * 1024
+    tracemalloc.start()
+    try:
+        out = features.augment(ds, 0.05, copies, seed=1)
+        augment_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        stats = features.fit_scaler(out)
+        fit_peak = tracemalloc.get_traced_memory()[1] - held
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        features.apply_scaler(out, stats)
+        scale_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    matrix = out.vectors.nbytes
+    # the output (vectors and labels) and one (n, F) block of factors
+    assert augment_peak <= matrix + out.labels.nbytes + n * f * 8 + slack
+    assert fit_peak <= matrix / 10
+    assert scale_peak <= matrix + slack
+
+
+@pytest.mark.parametrize("copies", [0, 4])
+def test_train_classifier_leaves_input_untouched(copies):
+    ds = _toy_dataset(n=200, f=5, seed=9)
+    vectors, labels = ds.vectors.tobytes(), ds.labels.tobytes()
+    config = nn.TrainConfig(optimizer="adam", learning_rate=1e-2,
+                            batch_size=32, max_steps=20, seed=2)
+    _, _, train, _, _ = repro.train_classifier(
+        ds, features.SplitSpec(0.8, 0.1, 3), (4,), "tanh", config, 1,
+        (0.05, copies, 5))
+    assert ds.vectors.tobytes() == vectors and ds.labels.tobytes() == labels
+    # the returned training rows are the scaled ones
+    npt.assert_allclose(train.vectors.mean(axis=0), 0.0, atol=1e-12)
 
 
 def test_perturb_bounds_and_determinism():
@@ -219,8 +306,11 @@ def test_split_is_a_partition():
     stacked = np.concatenate([train.vectors, val.vectors, test.vectors])
     npt.assert_array_equal(np.sort(stacked, axis=0),
                            np.sort(ds.vectors, axis=0))
-    kept = np.concatenate([train.provenance[:, 0], val.provenance[:, 0],
-                           test.provenance[:, 0]])
+    # tag each row with its index through a feature column
+    ds.vectors[:, 0] = np.arange(73)
+    train, val, test = features.split(ds, features.SplitSpec(0.8, 0.1, 3))
+    kept = np.concatenate([train.vectors[:, 0], val.vectors[:, 0],
+                           test.vectors[:, 0]])
     assert sorted(kept.tolist()) == list(range(73))
 
 
@@ -230,7 +320,7 @@ def test_split_determinism_and_seed_sensitivity():
     a2, _, _ = features.split(ds, features.SplitSpec(0.8, 0.1, 5))
     b1, _, _ = features.split(ds, features.SplitSpec(0.8, 0.1, 6))
     npt.assert_array_equal(a1.vectors, a2.vectors)
-    assert np.any(a1.provenance != b1.provenance)
+    assert np.any(a1.vectors != b1.vectors)
 
 
 def test_split_rejects_empty_parts():
@@ -255,11 +345,9 @@ def test_split_spec_validation():
 def test_dataset_validation():
     good = _toy_dataset()
     with pytest.raises(features.DatasetError):
-        features.Dataset(good.vectors, good.labels[:-1], good.class_count,
-                         good.provenance)
+        features.Dataset(good.vectors, good.labels[:-1], good.class_count)
     with pytest.raises(features.DatasetError):
-        features.Dataset(good.vectors, good.labels, 1, good.provenance)
+        features.Dataset(good.vectors, good.labels, 1)
     with pytest.raises(features.DatasetError):
-        features.Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 2,
-                         np.empty((0, 2), dtype=int))
+        features.Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 2)
 

@@ -32,8 +32,7 @@ def _blob_dataset(n_per_class, centers, sigma, seed, classes=None):
     labels = np.concatenate(labels)
     order = rng.permutation(vectors.shape[0])
     classes = classes or len(centers)
-    return features.Dataset(vectors[order], labels[order], classes,
-                            np.full((vectors.shape[0], 2), -1))
+    return features.Dataset(vectors[order], labels[order], classes)
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +571,8 @@ def test_predict_matches_predict_map_at_provenance():
                                             np.ones((7, 9), dtype=bool)))
     bare = nn.init_model((6, 8, 3), ("tanh", "softmax"), 15)
     model = replace(bare, stats=features.fit_scaler(ds))
-    rows, cols = ds.provenance.T
+    # assemble's rows follow np.nonzero of the usable pixels
+    rows, cols = np.nonzero(valid)
     npt.assert_array_equal(nn.predict(model, ds.vectors),
                            nn.predict_map(model, image).labels[rows, cols])
     with pytest.raises(ValidationError):
