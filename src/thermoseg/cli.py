@@ -10,16 +10,16 @@ Subcommands compose the library stages over files on disk:
   repro    pinned end-to-end experiment runs with target checks
 
 Exit codes: 0 success, 2 validation/input error (a file that cannot be
-read or written included), 3 compute error.
+read, decoded or written, and an allocation that memory cannot hold,
+included), 3 compute error.
 """
 
 import argparse
-import configparser
 import dataclasses
 import os
 import sys
 
-from . import evaluate, features, nn, repro, synthgen, tsr
+from . import evaluate, features, keyfile, nn, repro, synthgen, tsr
 from .errors import ComputeError, ValidationError
 from .ingest import load_mask, load_sequence, save_mask, trim_mask, write_sequence
 
@@ -28,78 +28,41 @@ from .ingest import load_mask, load_sequence, save_mask, trim_mask, write_sequen
 # config handling
 # ---------------------------------------------------------------------------
 
-TRAIN_DEFAULTS = {
-    "tsr": {"degree": "4", "packing": tsr.PACK_PADDED},
-    "features": {"trim_margin": "0", "train_fraction": "0.8",
-                 "validation_fraction": "0.1", "split_seed": "0",
-                 "augment_amplitude": "0.0", "augment_copies": "0",
-                 "augment_seed": "0"},
-    "nn": {"hidden": "10 20", "hidden_activation": "tanh",
-           "optimizer": "adam", "learning_rate": "1e-5",
-           "decay_step": "1000", "decay_rate": "0.9", "batch_size": "2048",
-           "epochs": "0", "max_steps": "0", "early_stopping": "off",
-           "trace_every": "0", "seed": "0"},
-}
-
-
 def load_config(path):
-    """Parse and validate a pipeline INI; unknown keys are rejected."""
-    parser = configparser.ConfigParser()
-    for section, defaults in TRAIN_DEFAULTS.items():
-        parser[section] = dict(defaults)
-    if path is not None:
-        try:
-            read = parser.read(path)
-        except configparser.Error as exc:
-            raise ValidationError(" ".join(str(exc).split())) from exc
-        if not read:
-            raise ValidationError(f"cannot read config {path}")
-    for section in parser.sections():
-        if section not in TRAIN_DEFAULTS:
-            raise ValidationError(f"{path}: unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in TRAIN_DEFAULTS[section]:
-                raise ValidationError(
-                    f"{path}: unknown key {key!r} in [{section}]")
-    try:
-        es_text = parser.get("nn", "early_stopping").strip()
-        if es_text in ("off", "none", ""):
-            early_stopping = None
-        else:
-            apart, runs = (int(v) for v in es_text.split())
-            early_stopping = (apart, runs)
-        config = {
-            "degree": parser.getint("tsr", "degree"),
-            "packing": parser.get("tsr", "packing"),
-            "trim_margin": parser.getint("features", "trim_margin"),
-            "train_fraction": parser.getfloat("features", "train_fraction"),
-            "validation_fraction": parser.getfloat("features",
-                                                   "validation_fraction"),
-            "split_seed": parser.getint("features", "split_seed"),
-            "augment_amplitude": parser.getfloat("features",
-                                                 "augment_amplitude"),
-            "augment_copies": parser.getint("features", "augment_copies"),
-            "augment_seed": parser.getint("features", "augment_seed"),
-            "hidden": [int(v) for v in parser.get("nn", "hidden").split()],
-            "hidden_activation": parser.get("nn", "hidden_activation"),
-            "train": nn.TrainConfig(
-                optimizer=parser.get("nn", "optimizer"),
-                learning_rate=parser.getfloat("nn", "learning_rate"),
-                decay_step=parser.getint("nn", "decay_step"),
-                decay_rate=parser.getfloat("nn", "decay_rate"),
-                batch_size=parser.getint("nn", "batch_size"),
-                epochs=parser.getint("nn", "epochs"),
-                max_steps=parser.getint("nn", "max_steps"),
-                early_stopping=early_stopping,
-                trace_every=parser.getint("nn", "trace_every"),
-                seed=parser.getint("nn", "seed")),
-        }
-    except (configparser.Error, ValueError) as exc:
-        raise ValidationError(f"{path}: bad config value: {exc}") from exc
-    if config["hidden_activation"] not in ("relu", "tanh"):
-        raise ValidationError("hidden_activation must be relu or tanh")
-    if any(h < 1 for h in config["hidden"]) or not config["hidden"]:
-        raise ValidationError("hidden sizes must be positive")
+    """Parse and validate a pipeline INI, or give the defaults for `path`
+    None; every key is optional, unknown sections and keys are errors."""
+    keys = (keyfile.KeyFile((), path, ValidationError, 1) if path is None
+            else keyfile.read(path, ValidationError))
+    fit, feats, net = (keys.section(s) for s in ("tsr", "features", "nn"))
+    base = nn.TrainConfig()
+    config = {
+        "degree": fit.integer("degree", 2, 4),
+        "packing": fit.text("packing", tsr.PACK_PADDED,
+                            (tsr.PACK_PADDED, tsr.PACK_TRUNCATED)),
+        "trim_margin": feats.integer("trim_margin", 0, 0),
+        "train_fraction": feats.number("train_fraction", 0.8),
+        "validation_fraction": feats.number("validation_fraction", 0.1),
+        # seeds are range-checked where they are used
+        "split_seed": feats.integer("split_seed", keyfile.INT64_MIN, 0),
+        "augment_amplitude": feats.number("augment_amplitude", 0.0),
+        "augment_copies": feats.integer("augment_copies", 0, 0),
+        "augment_seed": feats.integer("augment_seed", keyfile.INT64_MIN, 0),
+        "hidden": net.integers("hidden", 1, (10, 20)),
+        "hidden_activation": net.text("hidden_activation", "tanh",
+                                      ("relu", "tanh")),
+        "train": nn.TrainConfig(
+            optimizer=net.text("optimizer", base.optimizer),
+            learning_rate=net.number("learning_rate", base.learning_rate),
+            decay_step=net.integer("decay_step", 1, base.decay_step),
+            decay_rate=net.number("decay_rate", base.decay_rate),
+            batch_size=net.integer("batch_size", 1, base.batch_size),
+            epochs=net.integer("epochs", 0, base.epochs),
+            max_steps=net.integer("max_steps", 0, base.max_steps),
+            early_stopping=net.integers("early_stopping", 1, None),
+            trace_every=net.integer("trace_every", 0, base.trace_every),
+            seed=net.integer("seed", keyfile.INT64_MIN, base.seed)),
+    }
+    keys.finish()
     return config
 
 
@@ -147,9 +110,7 @@ def cmd_fit(args):
 
 def _assemble(args, config):
     image = tsr.read_feature_image(args.features)
-    mask = load_mask(args.mask)
-    if config["trim_margin"] > 0:
-        mask = trim_mask(mask, config["trim_margin"])
+    mask = trim_mask(load_mask(args.mask), config["trim_margin"])
     return features.assemble(image, mask)
 
 
@@ -310,7 +271,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, OSError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ComputeError as exc:

@@ -235,7 +235,7 @@ def read_matrix_csv(path):
             raise EvalError(f"{path}: row {i} has {len(parts)} fields")
         try:
             counts[i] = [int(v) for v in parts[1:]]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:   # not an int64
             raise EvalError(f"{path}: row {i}: {exc}") from exc
     return ConfusionMatrix(counts, names)
 

@@ -1,17 +1,19 @@
 """Loading, validation and masking of thermographic sequences.
 
 A sequence on disk is one CSV file per frame (rows = image rows, comma
-separated columns) plus a manifest sidecar - a flat key=value text file
+separated columns) plus a manifest sidecar - a flat key = value file
 listing the frame files in order together with the timing, dimensions and
 sensor ceiling. Label masks are binary PGMs where the pixel value is the
 class id and 255 marks invalid pixels.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import keyfile
 from .errors import ValidationError
 from .pgmio import read_pgm, write_pgm
 
@@ -45,7 +47,6 @@ class FrameSequence:
     timestamps: np.ndarray
     data: np.ndarray
     saturation_value: float
-    units: str = "counts"
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.frame_count < 1:
@@ -78,101 +79,48 @@ class LabelMask:
             raise IngestError("valid shape does not match mask dimensions")
 
 
-def _parse_keyvals(path):
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise IngestError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
-    return pairs
-
-
-_MANIFEST_KEYS = ("width", "height", "saturation_value", "units", "fps",
-                  "timestamps")
-
-
-def read_manifest(path):
-    """Parse a manifest sidecar into (frame paths, timestamps, width,
-    height, saturation value, units); unknown keys and repeats of any key
-    but `frame` are rejected."""
-    single = {}
-    frames = []
-    for key, value in _parse_keyvals(path):
-        if key == "frame":
-            frames.append(value)
-        elif key not in _MANIFEST_KEYS:
-            raise IngestError(f"{path}: unknown manifest key {key!r}")
-        elif key in single:
-            raise IngestError(f"{path}: repeated manifest key {key!r}")
-        else:
-            single[key] = value
+def _load_frame_csv(path, width, height):
     try:
-        width = int(single["width"])
-        height = int(single["height"])
-        saturation = float(single.get("saturation_value", "inf"))
-    except KeyError as exc:
-        raise IngestError(f"{path}: missing manifest key {exc}") from exc
+        frame = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
     except ValueError as exc:
-        raise IngestError(f"{path}: bad manifest value: {exc}") from exc
-    if np.isnan(saturation):
-        # every `>= nan` test is false, which would turn saturation off
-        raise IngestError(f"{path}: saturation_value must be a number, "
-                          f"not nan")
-    if not frames:
-        raise IngestError(f"{path}: no frame entries")
+        raise IngestError(f"{path}: non-numeric cell: {exc}") from exc
+    if frame.shape != (height, width):
+        raise IngestError(f"{path}: frame is {frame.shape[1]}x"
+                          f"{frame.shape[0]}, manifest says {width}x{height}")
+    return frame
 
-    if "timestamps" in single:
-        try:
-            stamps = np.array([float(v) for v in single["timestamps"].split()])
-        except ValueError as exc:
-            raise IngestError(f"{path}: bad timestamps: {exc}") from exc
-    elif "fps" in single:
-        try:
-            fps = float(single["fps"])
-        except ValueError as exc:
-            raise IngestError(f"{path}: bad fps: {exc}") from exc
+
+def load_sequence(path):
+    """Load and validate the frame sequence a manifest describes. A
+    manifest is a keyfile without sections. Frame 0 is read, and its size
+    checked, before the cube is allocated."""
+    keys = keyfile.read(path, IngestError)
+    head = keys.section("")
+    width, height = head.integer("width", 1), head.integer("height", 1)
+    saturation = head.number("saturation_value", math.inf)
+    head.text("units", None)       # written by older versions, not used
+    frames = head.texts("frame")
+    stamps = head.numbers("timestamps", None)
+    if stamps is None:
+        fps = head.number("fps")
         if not fps > 0:
-            raise IngestError(f"{path}: fps must be positive")
+            head.fail("fps", f"must be > 0, got {fps}")
         # first frame follows the flash by one frame interval, so t > 0
         stamps = (np.arange(len(frames)) + 1.0) / fps
-    else:
-        raise IngestError(f"{path}: need either timestamps or fps")
+    keys.finish()
+    if not frames:
+        raise IngestError(f"{path}: no frame entries")
     if len(stamps) != len(frames):
         raise IngestError(f"{path}: {len(frames)} frames but "
                           f"{len(stamps)} timestamps")
     base = os.path.dirname(os.path.abspath(path))
     frames = [os.path.normpath(os.path.join(base, f)) for f in frames]
-    return (frames, stamps, width, height, saturation,
-            single.get("units", "counts"))
-
-
-def _load_frame_csv(path):
-    try:
-        frame = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise IngestError(f"{path}: non-numeric cell: {exc}") from exc
-    return frame
-
-
-def load_sequence(manifest_path):
-    """Load and validate the frame sequence described by a manifest."""
-    frames, stamps, width, height, saturation, units = read_manifest(
-        manifest_path)
+    first = _load_frame_csv(frames[0], width, height)
     data = np.empty((len(frames), height, width))
     for i, fpath in enumerate(frames):
-        frame = _load_frame_csv(fpath)
-        if frame.shape != (height, width):
-            raise IngestError(
-                f"{fpath}: frame is {frame.shape[1]}x{frame.shape[0]}, "
-                f"manifest says {width}x{height}")
-        data[i] = frame
-    return FrameSequence(width, height, len(frames), stamps, data, saturation,
-                         units)
+        data[i] = first if i == 0 else _load_frame_csv(fpath, width, height)
+    return FrameSequence(width, height, len(frames), np.array(stamps), data,
+                         saturation)
 
 
 def write_sequence(seq, out_dir):
@@ -196,7 +144,6 @@ def write_sequence(seq, out_dir):
         fh.write(f"width = {seq.width}\n")
         fh.write(f"height = {seq.height}\n")
         fh.write(f"saturation_value = {repr(float(seq.saturation_value))}\n")
-        fh.write(f"units = {seq.units}\n")
         fh.write("timestamps = "
                  + " ".join(repr(float(t)) for t in seq.timestamps) + "\n")
         for name in names:
@@ -213,11 +160,12 @@ def trim_mask(mask, margin):
     """
     if margin < 0:
         raise IngestError("margin must be >= 0")
-    if margin == 0:
-        return LabelMask(mask.width, mask.height, mask.labels.copy(),
-                         mask.valid.copy())
     height, width = mask.height, mask.width
     labels = mask.labels
+    if 2 * margin >= min(height, width):
+        # every pixel lies within the margin of an edge
+        return LabelMask(width, height, labels.copy(),
+                         np.zeros((height, width), dtype=bool))
     near_boundary = np.zeros((height, width), dtype=bool)
     for dy in range(-margin, margin + 1):
         for dx in range(-margin, margin + 1):
@@ -225,13 +173,10 @@ def trim_mask(mask, margin):
                 continue
             ys0, ys1 = max(0, -dy), min(height, height - dy)
             xs0, xs1 = max(0, -dx), min(width, width - dx)
-            if ys0 >= ys1 or xs0 >= xs1:
-                continue
             shifted = labels[ys0 + dy:ys1 + dy, xs0 + dx:xs1 + dx]
             near_boundary[ys0:ys1, xs0:xs1] |= shifted != labels[ys0:ys1, xs0:xs1]
     edge = np.ones((height, width), dtype=bool)
-    if height > 2 * margin and width > 2 * margin:
-        edge[margin:height - margin, margin:width - margin] = False
+    edge[margin:height - margin, margin:width - margin] = False
     valid = mask.valid & ~near_boundary & ~edge
     return LabelMask(width, height, labels.copy(), valid)
 

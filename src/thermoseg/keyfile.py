@@ -1,0 +1,149 @@
+"""The one reader of scenes, configs, manifests and feature and model
+file headers. A line is blank, a full-line `#` or `;` comment, a
+`[section]` header, or `key = value` split at the first `=`. Keys are
+case-sensitive and values verbatim: no inline comments, interpolation,
+`DEFAULT` section, `:` delimiter or continuation lines. Keys above the
+first header, all that a manifest or file header has, form section `""`.
+A repeated section or key is an error, except a key read as a list.
+
+Typed getters read a section's values: integers must fit int64 and reach
+the caller's minimum, floats must not be nan. Each getter marks its key
+read, and `KeyFile.finish` rejects every section and key left unread.
+Every error is the caller's exception class, with one line naming the
+file, the line, the section and the key.
+"""
+
+import math
+
+INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
+
+_REQUIRED = object()               # a getter default: the key must be set
+
+
+def _integer(minimum):
+    def convert(word):
+        value = int(word)
+        if value > INT64_MAX:
+            raise ValueError(f"{word} does not fit in int64")
+        if value < minimum:
+            raise ValueError(f"must be >= {minimum}, got {word}")
+        return value
+    return convert
+
+
+def _number(word):
+    value = float(word)
+    if math.isnan(value):
+        raise ValueError(f"{word} is not a number")
+    return value
+
+
+class Section:
+    """The `key = value` lines under one header, with typed getters."""
+
+    def __init__(self, owner, name, lineno):
+        self.owner, self.name, self.lineno = owner, name, lineno
+        self.entries, self.read = {}, set()    # key -> [(lineno, value)]
+
+    def fail(self, key, problem, index=0):
+        """Raise the file's error for `key`, at its index-th line if set."""
+        entries = self.entries.get(key)
+        prefix = f"[{self.name}] " if self.name else ""
+        self.owner.fail(entries[index][0] if entries else None,
+                        f"{prefix}{key!r}: {problem}")
+
+    def _value(self, key, default):
+        """(text, False) for a key set once, (default, True) when unset."""
+        self.read.add(key)
+        entries = self.entries.get(key, ())
+        if len(entries) > 1:
+            self.fail(key, f"repeated, first set on line {entries[0][0]}", 1)
+        if not entries and default is _REQUIRED:
+            self.fail(key, "missing")
+        return (entries[0][1], False) if entries else (default, True)
+
+    def _get(self, key, default, convert, many):
+        text, unset = self._value(key, default)
+        if unset:
+            return text
+        try:
+            words = text.split() if many else [text]
+            if not words:
+                raise ValueError("expected at least one value")
+            values = tuple(convert(word) for word in words)
+        except ValueError as exc:
+            self.fail(key, str(exc))
+        return values if many else values[0]
+
+    def text(self, key, default=_REQUIRED, choices=None):
+        value, unset = self._value(key, default)
+        if not unset and choices is not None and value not in choices:
+            self.fail(key, f"{value!r} is not one of {', '.join(choices)}")
+        return value
+
+    def texts(self, key):
+        """Every value of a key that may repeat, in file order."""
+        self.read.add(key)
+        return [value for _, value in self.entries.get(key, ())]
+
+    def integer(self, key, minimum, default=_REQUIRED):
+        return self._get(key, default, _integer(minimum), False)
+
+    def integers(self, key, minimum, default=_REQUIRED):
+        return self._get(key, default, _integer(minimum), True)
+
+    def number(self, key, default=_REQUIRED):
+        return self._get(key, default, _number, False)
+
+    def numbers(self, key, default=_REQUIRED):
+        return self._get(key, default, _number, True)
+
+
+class KeyFile:
+    """The sections parsed from a file's lines, numbered from `first_line`."""
+
+    def __init__(self, lines, path, error, first_line):
+        self.path, self.error, self.used = path, error, set()
+        self.sections = {"": Section(self, "", None)}
+        section = self.sections[""]
+        for lineno, line in enumerate(lines, first_line):
+            line = line.strip()
+            if not line or line[0] in "#;":
+                continue
+            name = line[1:-1].strip()
+            if line[0] == "[" and line[-1] == "]" and name:
+                if name in self.sections:
+                    self.fail(lineno, f"[{name}] repeated, first on line "
+                                      f"{self.sections[name].lineno}")
+                section = self.sections[name] = Section(self, name, lineno)
+                continue
+            key, eq, value = line.partition("=")
+            if not (eq and key.strip()):
+                self.fail(lineno, f"expected [section] or key = value, "
+                                  f"got {line!r}")
+            section.entries.setdefault(key.strip(), []).append(
+                (lineno, value.strip()))
+
+    def fail(self, lineno, message):
+        where = self.path if lineno is None else f"{self.path}:{lineno}"
+        raise self.error(f"{where}: {message}")
+
+    def section(self, name):
+        """The named section, empty when the file has none."""
+        self.used.add(name)
+        return self.sections.get(name) or Section(self, name, None)
+
+    def finish(self):
+        """Reject every section and key that no getter read."""
+        for name, section in self.sections.items():
+            if name and name not in self.used:
+                self.fail(section.lineno, f"[{name}] is not a known section")
+            for key in section.entries:
+                if key not in section.read:
+                    section.fail(key, "unknown key")
+
+
+def read(path, error):
+    with open(path, "r", encoding="utf-8") as fh:
+        return KeyFile(fh, path, error, 1)
+

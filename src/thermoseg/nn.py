@@ -8,12 +8,14 @@ deterministic sequence of mini-batch updates for a given seed.
 """
 
 import math
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
+from . import keyfile
 from .errors import ComputeError, ValidationError
 from .features import ScalingStats, scale
 from .ingest import INVALID_LABEL, LabelMask
@@ -295,10 +297,10 @@ class TrainConfig:
         if self.optimizer == "sgd-decay":
             if self.decay_step < 1 or not 0 < self.decay_rate <= 1:
                 raise ValidationError("bad decay schedule")
-        if self.early_stopping is not None:
-            apart, runs = self.early_stopping
-            if apart < 1 or runs < 1:
-                raise ValidationError("bad early-stopping parameters")
+        stop = self.early_stopping
+        if stop is not None and (len(stop) != 2 or min(stop) < 1):
+            raise ValidationError(f"early_stopping takes two integers >= 1, "
+                                  f"got {stop}")
 
 
 def lr_at(config, step):
@@ -539,27 +541,27 @@ def load_model(path):
                 f"{path}: model version {version} is not supported "
                 f"(expected {MODEL_VERSION})")
 
-        def keyval(key):
-            line = fh.readline()
-            head, _, value = line.partition("=")
-            if head.strip() != key:
-                raise ModelFormatError(f"{path}: expected {key}")
-            return value.strip()
-
-        try:
-            sizes = tuple(int(v) for v in keyval("layers").split())
-            activations = tuple(keyval("activations").split())
-            has_scaling = int(keyval("scaling"))
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}: bad header: {exc}") from exc
+        keys = keyfile.KeyFile([fh.readline() for _ in range(3)], path,
+                               ModelFormatError, 2)
+        head = keys.section("")
+        sizes = head.integers("layers", 1)
+        activations = tuple(head.text("activations").split())
+        scaled = head.text("scaling", choices=("0", "1")) == "1"
+        keys.finish()
         stats = None
-        if has_scaling:
-            try:
-                mean = np.array([float(v) for v in keyval("mean").split()])
-                std = np.array([float(v) for v in keyval("std").split()])
-            except ValueError as exc:
-                raise ModelFormatError(f"{path}: bad scaling row: {exc}") from exc
-            stats = ScalingStats(mean, std)
+        if scaled:             # the two scaling rows are header lines too
+            keys = keyfile.KeyFile([fh.readline() for _ in range(2)], path,
+                                   ModelFormatError, 5)
+            head = keys.section("")
+            stats = ScalingStats(np.array(head.numbers("mean")),
+                                 np.array(head.numbers("std")))
+            keys.finish()
+        # each field of a row takes a character and a comma or newline
+        size = os.fstat(fh.fileno()).st_size
+        if sum((n_in + 1) * 2 * n_out
+               for n_in, n_out in zip(sizes, sizes[1:])) > size:
+            raise ModelFormatError(f"{path}: layers {sizes} do not fit in "
+                                   f"the file's {size} bytes")
         weights = []
         biases = []
         for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):

@@ -16,13 +16,12 @@ The plate series is truncated once the next term falls below 1e-12 of the
 running bracket value, so the gap-0 case degrades exactly to the power law.
 """
 
-import configparser
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, keyfile
 from .errors import ComputeError, ValidationError
 from .ingest import FrameSequence, LabelMask, check_timestamps
 
@@ -284,120 +283,60 @@ class Scene:
     clamp: tuple = (0.0, math.inf)
 
 
-# keys each scene section accepts; a region also takes its profile's keys
-_SECTION_KEYS = {"canvas": {"width", "height"},
-                 "timing": {"fps", "frames", "timestamps"},
-                 "noise": {"sigma", "seed"},
-                 "clamp": {"lo", "hi"}}
-_REGION_KEYS = {"rect", "class", "profile"}
-_PROFILE_KEYS = {"power-law": {"amplitude", "exponent"},
-                 "adiabatic-plate": {"amplitude", "thickness", "diffusivity",
-                                     "contrast"},
-                 "polynomial-in-log-time": {"coefficients", "log_base"}}
-
-
-def _profile_from_options(opts, where):
-    kind = opts.get("profile", "power-law").strip()
-    try:
-        if kind == "power-law":
-            return power_law(float(opts.get("amplitude", 1.0)),
-                             float(opts.get("exponent", -0.5)))
-        if kind == "adiabatic-plate":
-            return adiabatic_plate(float(opts.get("amplitude", 1.0)),
-                                   float(opts["thickness"]),
-                                   float(opts["diffusivity"]),
-                                   float(opts.get("contrast", 1.0)))
-        # polynomial-in-log-time; _check_scene_keys rejected other kinds
-        coeffs = [float(v) for v in opts["coefficients"].split()]
-        return log_polynomial(coeffs, float(opts.get("log_base", 10.0)))
-    except KeyError as exc:
-        raise SceneError(f"{where}: profile {kind!r} missing option {exc}")
-    except ValueError as exc:
-        raise SceneError(f"{where}: bad profile value: {exc}")
-
-
-def _check_scene_keys(parser, path):
-    """Reject unknown sections and keys, so a typo cannot fall back to a
-    default."""
-    for section in parser.sections():
-        if section.startswith("region."):
-            kind = parser.get(section, "profile", fallback="power-law").strip()
-            if kind not in _PROFILE_KEYS:
-                raise SceneError(
-                    f"{path} [{section}]: unknown profile kind {kind!r}")
-            allowed = _REGION_KEYS | _PROFILE_KEYS[kind]
-        elif section in _SECTION_KEYS:
-            allowed = _SECTION_KEYS[section]
-        else:
-            raise SceneError(f"{path}: unknown scene section [{section}]")
-        for key in parser[section]:
-            if key not in allowed:
-                raise SceneError(f"{path}: unknown key {key!r} in [{section}]")
+def _profile(keys):
+    """The profile a region section's keys describe."""
+    kind = keys.text("profile", "power-law")
+    if kind == "power-law":
+        return power_law(keys.number("amplitude", 1.0),
+                         keys.number("exponent", -0.5))
+    if kind == "adiabatic-plate":
+        return adiabatic_plate(keys.number("amplitude", 1.0),
+                               keys.number("thickness"),
+                               keys.number("diffusivity"),
+                               keys.number("contrast", 1.0))
+    if kind == "polynomial-in-log-time":
+        return log_polynomial(keys.numbers("coefficients"),
+                              keys.number("log_base", 10.0))
+    keys.fail("profile", f"unknown kind {kind!r}")
 
 
 def load_scene(path):
-    """Parse a flat INI scene description.
+    """Parse a scene description (keyfile syntax).
 
     Sections: [canvas] width/height; [timing] fps+frames or timestamps;
     optional [noise] sigma/seed; optional [clamp] lo/hi; one [region.NAME]
     per region with rect = "x0 y0 w h", class, and profile options.
     """
-    parser = configparser.ConfigParser()
-    try:
-        read = parser.read(path)
-    except configparser.Error as exc:
-        raise SceneError(" ".join(str(exc).split())) from exc
-    if not read:
-        raise SceneError(f"cannot read scene file {path}")
-    _check_scene_keys(parser, path)
-    try:
-        width = parser.getint("canvas", "width")
-        height = parser.getint("canvas", "height")
-    except (configparser.Error, ValueError) as exc:
-        raise SceneError(f"{path}: bad [canvas] section: {exc}")
-
-    if parser.has_option("timing", "timestamps"):
-        try:
-            stamps = np.array([float(v) for v in
-                               parser.get("timing", "timestamps").split()])
-        except ValueError as exc:
-            raise SceneError(f"{path}: bad timestamps: {exc}")
+    keys = keyfile.read(path, SceneError)
+    canvas, timing = keys.section("canvas"), keys.section("timing")
+    width, height = canvas.integer("width", 1), canvas.integer("height", 1)
+    stamps = timing.numbers("timestamps", None)
+    if stamps is None:
+        fps, frames = timing.number("fps"), timing.integer("frames", 1)
+        if not fps > 0:
+            timing.fail("fps", f"must be > 0, got {fps}")
     else:
-        try:
-            fps = parser.getfloat("timing", "fps")
-            frames = parser.getint("timing", "frames")
-        except (configparser.Error, ValueError) as exc:
-            raise SceneError(f"{path}: [timing] needs timestamps "
-                             f"or fps+frames: {exc}")
-        if fps <= 0 or frames < 1:
-            raise SceneError(f"{path}: fps and frames must be positive")
+        frames = len(stamps)
+    # the rendered (frames, H, W) float64 video must be addressable
+    if width * height * frames * 8 > np.iinfo(np.intp).max:
+        raise SceneError(f"{path}: a {width}x{height} canvas of {frames} "
+                         f"frames is more than an array can hold")
+    if stamps is None:
         stamps = (np.arange(frames) + 1.0) / fps
-
-    try:
-        sigma = parser.getfloat("noise", "sigma", fallback=0.0)
-        seed = parser.getint("noise", "seed", fallback=0)
-        lo = parser.getfloat("clamp", "lo", fallback=0.0)
-        hi = parser.getfloat("clamp", "hi", fallback=math.inf)
-    except ValueError as exc:
-        raise SceneError(f"{path}: bad [noise] or [clamp] value: {exc}")
-
+    noise_keys, clamp_keys = keys.section("noise"), keys.section("clamp")
+    noise = NoiseSpec(noise_keys.number("sigma", 0.0),
+                      noise_keys.integer("seed", 0, 0))
+    clamp = (clamp_keys.number("lo", 0.0), clamp_keys.number("hi", math.inf))
     regions = []
-    for section in parser.sections():
-        if not section.startswith("region."):
-            continue
-        opts = dict(parser.items(section))
-        try:
-            rect = tuple(int(v) for v in opts["rect"].split())
-            class_id = int(opts["class"])
-        except KeyError as exc:
-            raise SceneError(f"{path} [{section}]: missing option {exc}")
-        except ValueError as exc:
-            raise SceneError(f"{path} [{section}]: bad value: {exc}")
+    for section in [keys.section(name) for name in keys.sections
+                    if name.startswith("region.")]:
+        rect = section.integers("rect", 0)
         if len(rect) != 4:
-            raise SceneError(f"{path} [{section}]: rect needs 4 integers")
-        regions.append(Region(rect, class_id,
-                              _profile_from_options(opts, f"{path} [{section}]")))
+            section.fail("rect", "needs 4 integers: x0 y0 width height")
+        regions.append(Region(rect, section.integer("class", 0),
+                              _profile(section)))
+    keys.finish()
     if not regions:
         raise SceneError(f"{path}: no [region.*] sections")
-    layout = RegionLayout(width, height, tuple(regions))
-    return Scene(layout, stamps, NoiseSpec(sigma, seed), (lo, hi))
+    return Scene(RegionLayout(width, height, tuple(regions)),
+                 np.array(stamps), noise, clamp)

@@ -11,12 +11,13 @@ calculus on the fit.
 """
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import _kernels
+from . import _kernels, keyfile
 from .errors import ValidationError
 
 PACK_TRUNCATED = "concat-truncated"
@@ -142,25 +143,22 @@ def read_feature_image(path):
         magic = fh.readline().strip()
         if magic != f"# {_MAGIC}":
             raise ValidationError(f"{path}: not a feature image file")
-        header = {}
-        for _ in range(6):
-            line = fh.readline()
-            if "=" not in line:
-                raise ValidationError(f"{path}: truncated header")
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-        try:
-            width = int(header["width"])
-            height = int(header["height"])
-            degree = int(header["degree"])
-            packing = header["packing"]
-            fixed = (float(header["log_base"]), int(header["scaling_pending"]))
-        except (KeyError, ValueError) as exc:
-            raise ValidationError(f"{path}: bad header: {exc}") from exc
-        if fixed != (_LOG_BASE, 1):
-            raise ValidationError(f"{path}: need log_base = {_LOG_BASE!r} "
-                                  f"and scaling_pending = 1")
+        keys = keyfile.KeyFile([fh.readline() for _ in range(6)], path,
+                               ValidationError, 2)
+        head = keys.section("")
+        width, height = head.integer("width", 1), head.integer("height", 1)
+        degree = head.integer("degree", 2)
+        packing = head.text("packing", choices=_PACKINGS)
+        head.text("log_base", choices=(repr(_LOG_BASE),))
+        head.text("scaling_pending", choices=("1",))
+        keys.finish()
         length = feature_length(degree, packing)
+        # each field of a row takes a character and a comma or newline
+        size = os.fstat(fh.fileno()).st_size
+        if height * width * 2 * (length + 1) > size:
+            raise ValidationError(
+                f"{path}: {width}x{height} rows of {length} features do not "
+                f"fit in the file's {size} bytes")
         values = np.empty((height * width, length))
         flags = np.empty(height * width, dtype=bool)
         for i in range(height * width):

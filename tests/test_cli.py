@@ -1,12 +1,14 @@
 """End-to-end command-line runs against a tiny rendered scene."""
 
 import json
+import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thermoseg import cli, nn, features
+from thermoseg import cli, nn, features, synthgen
 from thermoseg.ingest import (FrameSequence, load_mask, save_mask,
                               write_sequence)
 from thermoseg.pgmio import read_pgm
@@ -231,18 +233,34 @@ SEGMENT = ["segment", "--model", "{model}", "--features", "{path}",
            "--out", "{dir}/seg.pgm"]
 EVAL = ["eval", "--model", "{model}", "--features", "{path}", "--mask",
         "{mask}"]
+MODEL = ["segment", "--model", "{path}", "--features", "{features}",
+         "--out", "{dir}/seg.pgm"]
 
 
-def _features_with(log_base="10.0", row="1,1.5"):
+def _features_with(log_base="10.0", row="1,1.5", width="1", height="1"):
     """A one-pixel degree-3 feature file for the pipeline's model."""
-    return ("# thermoseg-features v1\nwidth = 1\nheight = 1\ndegree = 3\n"
-            f"packing = concat-padded\nlog_base = {log_base}\n"
+    return (f"# thermoseg-features v1\nwidth = {width}\nheight = {height}\n"
+            f"degree = 3\npacking = concat-padded\nlog_base = {log_base}\n"
             f"scaling_pending = 1\n{row}" + ",0.5" * 11 + "\n")
+
+
+def _model_with(layers):
+    """A model file header; the reader stops at its layer sizes."""
+    return (f"thermoseg-model v1\nlayers = {layers}\n"
+            "activations = tanh softmax\nscaling = 0\nlayer 0\n")
+
+
+def _manifest_with(width):
+    return (f"width = {width}\nheight = 1\nfps = 2\nframe = f0.csv\n"
+            "frame = f1.csv\nframe = f2.csv\n")
+
+
+HUGE = "99999999999999999999"           # above int64
 
 
 # (case, input file name, its text or None to leave it absent, argv, error)
 MALFORMED_INPUTS = [
-    ("missing scene", "absent.ini", None, SYNTH, "cannot read scene file"),
+    ("missing scene", "absent.ini", None, SYNTH, "absent.ini"),
     ("misspelled region key", "s.ini",
      _scene_with("amplitude = 300.0\nexponent", "amplitud = 400\nexponent"),
      SYNTH, "'amplitud'"),
@@ -254,13 +272,28 @@ MALFORMED_INPUTS = [
     ("unknown section", "s.ini", _scene_with("[noise]", "[nosie]"),
      SYNTH, "[nosie]"),
     ("repeated scene section", "s.ini", SCENE + "\n[noise]\nsigma = 1.0\n",
-     SYNTH, "section 'noise' already exists"),
+     SYNTH, ":32: [noise] repeated, first on line 9"),
     ("non-numeric sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = abc"),
      SYNTH, "abc"),
     ("nan sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = nan"),
      SYNTH, "sigma"),
     ("negative seed", "s.ini", _scene_with("seed = 7", "seed = -1"),
      SYNTH, "seed"),
+    ("percent sign in a scene value", "s.ini",
+     _scene_with("amplitude = 300.0\nexponent", "amplitude = 300%\nexponent"),
+     SYNTH, "[region.sound] 'amplitude': could not convert string to float: "
+            "'300%'"),
+    ("canvas width above int64", "s.ini",
+     _scene_with("width = 16", f"width = {HUGE}"),
+     SYNTH, f"[canvas] 'width': {HUGE} does not fit in int64"),
+    ("frame count above int64", "s.ini",
+     _scene_with("frames = 100", f"frames = {HUGE}"),
+     SYNTH, f"[timing] 'frames': {HUGE} does not fit in int64"),
+    # refused by arithmetic on the sizes, before any array is allocated
+    ("canvas beyond any array", "s.ini",
+     _scene_with("width = 16\nheight = 12",
+                 "width = 2147483648\nheight = 2147483648"),
+     SYNTH, "canvas of 100 frames is more than an array can hold"),
     ("non-numeric clamp", "s.ini", _scene_with("hi = 1000.0", "hi = abc"),
      SYNTH, "abc"),
     ("nan scene timestamp", "s.ini",
@@ -285,12 +318,38 @@ MALFORMED_INPUTS = [
     ("repeated manifest key", "m.txt", "width = 2\nheight = 1\nwidth = 3\n"
      "fps = 2\nframe = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
      FIT, "'width'"),
+    ("negative manifest width", "m.txt", _manifest_with(-1), FIT,
+     "'width': must be >= 1, got -1"),
+    ("manifest width above int64", "m.txt", _manifest_with(HUGE), FIT,
+     f"'width': {HUGE} does not fit in int64"),
+    # refused against the first frame, before the cube is allocated
+    ("manifest width beyond its frames", "m.txt", _manifest_with(10 ** 12),
+     FIT, "manifest says 1000000000000x1"),
     ("nan in a valid feature row (segment)", "f.csv",
      _features_with(row="1,nan"), SEGMENT, "row 0"),
     ("nan in a valid feature row (eval)", "f.csv",
      _features_with(row="1,nan"), EVAL, "row 0"),
     ("feature file in another log base", "f.csv",
      _features_with(log_base="2.0"), SEGMENT, "log_base"),
+    ("negative feature width", "f.csv", _features_with(width="-1"), SEGMENT,
+     "'width': must be >= 1, got -1"),
+    ("feature height above int64", "f.csv", _features_with(height=HUGE),
+     SEGMENT, f"'height': {HUGE} does not fit in int64"),
+    # refused against the file's byte size, before any array is allocated
+    ("feature rows beyond the file", "f.csv",
+     _features_with(width="100000", height="100000"), SEGMENT,
+     "100000x100000 rows of 12 features do not fit in the file's"),
+    ("negative model layer", "m.txt", _model_with("-1 8 2"), MODEL,
+     "'layers': must be >= 1, got -1"),
+    ("model layer above int64", "m.txt", _model_with(f"12 {HUGE} 2"), MODEL,
+     f"'layers': {HUGE} does not fit in int64"),
+    # refused against the file's byte size, before any array is allocated
+    ("model layers beyond the file", "m.txt",
+     _model_with("12 1000000000 2"), MODEL,
+     "layers (12, 1000000000, 2) do not fit in the file's"),
+    ("matrix cell above int64", "mx.csv",
+     f"actual,a,b\na,{HUGE},0\nb,0,1\n", ["eval", "--matrix", "{path}"],
+     "mx.csv: row 0: "),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),
@@ -313,9 +372,27 @@ MALFORMED_INPUTS = [
     ("unshapeable augment copies", "c.ini",
      "[features]\naugment_amplitude = 0.05\n"
      "augment_copies = 99999999999999999999\n",
-     TRAIN_PIPELINE, "copies 99999999999999999999"),
+     TRAIN_PIPELINE, f"'augment_copies': {HUGE} does not fit in int64"),
+    # 2**62 fits int64, so the count reaches augment's own shape guard
+    ("unshapeable augment copies in int64", "c.ini",
+     "[features]\naugment_amplitude = 0.05\n"
+     "augment_copies = 4611686018427387904\n",
+     TRAIN_PIPELINE, "copies 4611686018427387904"),
+    # an array shape numpy accepts but no 64-bit address space holds
+    # (about 1.2 EiB), so the allocation fails at once, touching no page,
+    # whatever the kernel's overcommit policy
+    ("augment copies beyond memory", "c.ini",
+     "[features]\naugment_amplitude = 0.05\n"
+     "augment_copies = 100000000000000\n",
+     TRAIN_PIPELINE, "Unable to allocate"),
     ("repeated config option", "c.ini", "[tsr]\ndegree = 3\ndegree = 3\n",
-     TRAIN, "[line 3]: option 'degree'"),
+     TRAIN, ":3: [tsr] 'degree': repeated, first set on line 2"),
+    ("DEFAULT section in config", "c.ini", "[DEFAULT]\ndegree = 3\n", TRAIN,
+     "[DEFAULT] is not a known section"),
+    ("negative hidden size", "c.ini", "[nn]\nhidden = 8 -1\n", TRAIN,
+     "[nn] 'hidden': must be >= 1, got -1"),
+    ("hidden size above int64", "c.ini", f"[nn]\nhidden = {HUGE}\n", TRAIN,
+     f"[nn] 'hidden': {HUGE} does not fit in int64"),
     # --seed s re-keys split, augment and training seeds to s+1, s+2, s+3
     ("base seed -2", "c.ini", "[nn]\nepochs = 1\n",
      TRAIN + ["--seed", "-2"], "split seed"),
@@ -432,3 +509,29 @@ def test_unknown_experiment_rejected(tmp_path):
     with pytest.raises(SystemExit):
         cli.main(["repro", "--experiment", "warp-drive",
                   "--out", str(tmp_path)])
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_ini_blocks_parse(tmp_path):
+    blocks = re.findall(r"```ini\n(.*?)```",
+                        README.read_text(encoding="utf-8"), re.S)
+    assert [b.splitlines()[0] for b in blocks] == ["; scene.ini",
+                                                  "; config.ini"]
+    scene, config = tmp_path / "scene.ini", tmp_path / "config.ini"
+    scene.write_text(blocks[0])
+    config.write_text(blocks[1])
+    assert len(synthgen.load_scene(str(scene)).layout.regions) == 2
+    parsed = cli.load_config(str(config))
+    assert parsed["augment_amplitude"] == 0.05
+    assert parsed["train"].early_stopping == (2000, 3)
+
+
+def test_undecodable_file_exits_2(tmp_path, capsys):
+    scene = tmp_path / "s.ini"
+    scene.write_bytes(b"\xff[canvas]\n")
+    assert cli.main(["synth", "--scene", str(scene),
+                     "--out", str(tmp_path / "v")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -290,6 +290,13 @@ def test_matrix_csv_errors(tmp_path):
     short.write_text("actual,a,b\na,1,2\n")
     with pytest.raises(evaluate.EvalError):
         evaluate.read_matrix_csv(str(short))
+    cells = tmp_path / "cells.csv"
+    cells.write_text(f"actual,a,b\na,{2 ** 63 - 1},0\nb,0,1\n")
+    assert evaluate.read_matrix_csv(str(cells)).counts[0, 0] == 2 ** 63 - 1
+    for cell, message in ((2 ** 63, "row 0: "), (-1, "counts must be >= 0")):
+        cells.write_text(f"actual,a,b\na,{cell},0\nb,0,1\n")
+        with pytest.raises(evaluate.EvalError, match=message):
+            evaluate.read_matrix_csv(str(cells))
 
 
 def test_reference_report_documents_bookkeeping():

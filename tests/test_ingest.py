@@ -123,6 +123,19 @@ def test_trim_mask_matches_brute_force():
         npt.assert_array_equal(got.labels, labels)
 
 
+def test_trim_mask_huge_margin_returns_at_once():
+    # a margin of max(height, width) already invalidates every pixel
+    rng = np.random.default_rng(6)
+    labels = rng.integers(0, 3, (6, 9)).astype(np.int64)
+    mask = LabelMask(9, 6, labels, np.ones((6, 9), bool))
+    for margin in range(2, 10):
+        npt.assert_array_equal(trim_mask(mask, margin).valid,
+                               brute_force_trim(mask, margin))
+    got = trim_mask(mask, 10 ** 12)
+    npt.assert_array_equal(got.valid, brute_force_trim(mask, 9))
+    npt.assert_array_equal(got.labels, labels)
+
+
 def test_trim_mask_idempotent_and_never_revalidates():
     rng = np.random.default_rng(9)
     labels = rng.integers(0, 4, (20, 20)).astype(np.int64)

@@ -230,7 +230,7 @@ def test_scene_file_errors(tmp_path):
     path.write_text("[canvas]\nwidth = 4\nheight = 4\n")
     with pytest.raises(SceneError):    # no timing/regions
         load_scene(str(path))
-    with pytest.raises(SceneError):
+    with pytest.raises(FileNotFoundError, match="absent.ini"):
         load_scene(str(tmp_path / "absent.ini"))
     path.write_text("""\
 [canvas]
