@@ -169,10 +169,10 @@ def apply_scaler(ds, stats):
 
 
 def _check_amplitude(relative_amplitude):
-    # Generator.uniform raises OverflowError on a non-finite range
-    if not (np.isfinite(relative_amplitude) and relative_amplitude >= 0):
-        raise DatasetError(f"relative amplitude must be finite and >= 0, "
-                           f"got {relative_amplitude}")
+    # Generator.uniform raises OverflowError when its range 2a is not finite
+    if not (np.isfinite(2.0 * relative_amplitude) and relative_amplitude >= 0):
+        raise DatasetError(f"relative amplitude must be >= 0 with a finite "
+                           f"range 2a, got {relative_amplitude}")
 
 
 def augment(train, relative_amplitude, copies, seed):

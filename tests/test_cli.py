@@ -368,6 +368,9 @@ MALFORMED_INPUTS = [
     ("nan augment amplitude", "c.ini",
      "[features]\naugment_amplitude = nan\naugment_copies = 2\n",
      TRAIN_PIPELINE, "amplitude"),
+    ("augment amplitude with an infinite range", "c.ini",
+     "[features]\naugment_amplitude = 1e308\naugment_copies = 2\n",
+     TRAIN_PIPELINE, "finite range 2a, got 1e+308"),
     # refused by arithmetic on the count, before any array is allocated
     ("unshapeable augment copies", "c.ini",
      "[features]\naugment_amplitude = 0.05\n"

@@ -186,7 +186,7 @@ def test_augment_validation():
     with pytest.raises(features.DatasetError, match="perturb seed"):
         features.perturb(ds, 0.1, -1)
     # Generator.uniform would raise OverflowError on these
-    for amplitude in (math.nan, math.inf):
+    for amplitude in (math.nan, math.inf, 1e308):
         with pytest.raises(features.DatasetError, match="amplitude"):
             features.augment(ds, amplitude, 2, 0)
         with pytest.raises(features.DatasetError, match="amplitude"):

@@ -1,0 +1,108 @@
+"""A seeded mutation sweep over every file a command reads: each file of
+the test pipeline, broken line by line, gives exit 0, 2 or 3, one stderr
+line on 2 and 3, and never an escaped exception."""
+
+import re
+import signal
+import warnings
+
+from thermoseg import cli
+
+from test_cli import pipeline  # noqa: F401  (the shared fixture)
+
+# Each value is either refused by the reader that parses it or harmless
+# where it is accepted: none is a size that a reader accepts and then
+# allocates from. A size such as 100000 in a width can pass the parser and
+# ask for gigabytes, so no such value is swept.
+VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "x", "", "2.5",
+          "99999999999999999999")
+LINES = 12                 # mutate the first lines of each file
+TOKENS = 4                 # replace at most this many tokens of a line
+BUDGET_S = 15              # seconds per command
+
+# (pipeline key, command that reads the file at {path})
+COMMANDS = {
+    "scene": ["synth", "--scene", "{path}", "--out", "{dir}/v"],
+    "config": ["train", "--features", "{features}", "--mask", "{mask}",
+               "--config", "{path}", "--out", "{dir}/m.txt"],
+    "manifest": ["fit", "--manifest", "{path}", "--out", "{dir}/f.csv"],
+    "features": ["segment", "--model", "{model}", "--features", "{path}",
+                 "--out", "{dir}/s.pgm"],
+    "model": ["segment", "--model", "{path}", "--features", "{features}",
+              "--out", "{dir}/s.pgm"],
+    "matrix": ["eval", "--matrix", "{path}", "--positive", "1"],
+}
+
+_TOKEN = re.compile(r"[^\s,=]+")
+
+
+def _value_spans(line):
+    """(start, end) of each token after a line's first `=`, or of the
+    whole line when it has none."""
+    offset = line.find("=") + 1
+    return [(offset + m.start(), offset + m.end())
+            for m in _TOKEN.finditer(line[offset:])]
+
+
+def mutants(text):
+    """(description, mutated text) for each mutation of a file."""
+    lines = text.splitlines(keepends=True)
+    for i, line in enumerate(lines[:LINES]):
+        yield f"line {i + 1} dropped", "".join(lines[:i] + lines[i + 1:])
+        yield f"line {i + 1} repeated", "".join(lines[:i + 1] + lines[i:])
+        for lo, hi in _value_spans(line)[:TOKENS]:
+            for value in VALUES:
+                changed = line[:lo] + value + line[hi:]
+                yield (f"line {i + 1} {line[lo:hi]!r} -> {value!r}",
+                       "".join(lines[:i] + [changed] + lines[i + 1:]))
+    yield "cut in half", text[:len(text) // 2]
+
+
+class Overrun(Exception):
+    """A command ran past its time budget."""
+
+
+def _overrun(signum, frame):
+    raise Overrun(f"ran longer than {BUDGET_S} s")
+
+
+def _run(argv, capsys):
+    """(exit code or escaped exception, stderr lines with warnings)."""
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.alarm(BUDGET_S)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = cli.main(argv)
+    except Exception as exc:           # anything that escapes cli.main
+        outcome = exc
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # a warning prints to stderr outside the test runner
+    err = capsys.readouterr().err.splitlines()
+    return outcome, err + [str(w.message) for w in caught]
+
+
+def test_mutated_files_exit_cleanly(pipeline, tmp_path, capsys):
+    files = {key: pipeline[key] for key in ("features", "mask", "model")}
+    assert cli.main(["eval", "--model", str(pipeline["model"]),
+                     "--features", str(pipeline["features"]),
+                     "--mask", str(pipeline["mask"]),
+                     "--out", str(tmp_path / "report")]) == 0
+    sources = dict(pipeline, matrix=tmp_path / "report" / "matrix.csv")
+    # the manifest names its frames relative to itself
+    (tmp_path / "frames").symlink_to(pipeline["manifest"].parent / "frames")
+    calls, failures = 0, []
+    for kind, template in COMMANDS.items():
+        path = tmp_path / sources[kind].name
+        for what, text in mutants(sources[kind].read_text(encoding="utf-8")):
+            path.write_text(text, encoding="utf-8")
+            argv = [a.format(dir=tmp_path, path=path, **files)
+                    for a in template]
+            outcome, err = _run(argv, capsys)
+            calls += 1
+            if outcome not in (0, 2, 3) or (outcome != 0 and len(err) != 1):
+                failures.append((kind, what, outcome, err))
+    assert calls > 1000
+    assert failures == []
