@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import keyfile
 from .errors import ValidationError
 from .ingest import INVALID_LABEL
 from .pgmio import write_pgm
@@ -33,6 +34,9 @@ class ConfusionMatrix:
             raise EvalError("counts must be K x K with one name per class")
         if np.any(self.counts < 0):
             raise EvalError("counts must be >= 0")
+        total = sum(self.counts.ravel().tolist())
+        if total > keyfile.INT64_MAX:
+            raise EvalError(f"counts total {total}, more than int64 holds")
 
     @property
     def class_count(self):
@@ -220,24 +224,18 @@ def write_matrix_csv(cm, path):
 
 
 def read_matrix_csv(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 2 or not lines[0].startswith("actual,"):
+    text = keyfile.lines(path, EvalError)
+    if not (text and text[0].startswith("actual,")):
         raise EvalError(f"{path}: not a confusion matrix file")
-    names = tuple(lines[0].split(",")[1:])
-    k = len(names)
-    if len(lines) != k + 1:
-        raise EvalError(f"{path}: expected {k} matrix rows")
-    counts = np.zeros((k, k), dtype=np.int64)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split(",")
-        if len(parts) != k + 1:
-            raise EvalError(f"{path}: row {i} has {len(parts)} fields")
-        try:
-            counts[i] = [int(v) for v in parts[1:]]
-        except (ValueError, OverflowError) as exc:   # not an int64
-            raise EvalError(f"{path}: row {i}: {exc}") from exc
-    return ConfusionMatrix(counts, names)
+    names = tuple(text[0].split(",")[1:])
+    # each row starts with its class name, which the header already gives
+    cells = [line.partition(",")[2] for line in text[1:]]
+    counts = keyfile.rows(cells, len(names), len(names), path, EvalError, 2,
+                          np.int64)
+    try:
+        return ConfusionMatrix(counts, names)
+    except EvalError as exc:
+        raise EvalError(f"{path}: {exc}") from exc
 
 
 def reference_report():

@@ -79,17 +79,6 @@ class LabelMask:
             raise IngestError("valid shape does not match mask dimensions")
 
 
-def _load_frame_csv(path, width, height):
-    try:
-        frame = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except ValueError as exc:
-        raise IngestError(f"{path}: non-numeric cell: {exc}") from exc
-    if frame.shape != (height, width):
-        raise IngestError(f"{path}: frame is {frame.shape[1]}x"
-                          f"{frame.shape[0]}, manifest says {width}x{height}")
-    return frame
-
-
 def load_sequence(path):
     """Load and validate the frame sequence a manifest describes. A
     manifest is a keyfile without sections. Frame 0 is read, and its size
@@ -115,10 +104,12 @@ def load_sequence(path):
                           f"{len(stamps)} timestamps")
     base = os.path.dirname(os.path.abspath(path))
     frames = [os.path.normpath(os.path.join(base, f)) for f in frames]
-    first = _load_frame_csv(frames[0], width, height)
-    data = np.empty((len(frames), height, width))
     for i, fpath in enumerate(frames):
-        data[i] = first if i == 0 else _load_frame_csv(fpath, width, height)
+        frame = keyfile.rows(keyfile.lines(fpath, IngestError), height, width,
+                             fpath, IngestError, 1)
+        if i == 0:
+            data = np.empty((len(frames), height, width))
+        data[i] = frame
     return FrameSequence(width, height, len(frames), np.array(stamps), data,
                          saturation)
 

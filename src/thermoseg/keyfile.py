@@ -1,5 +1,9 @@
-"""The one reader of scenes, configs, manifests and feature and model
-file headers. A line is blank, a full-line `#` or `;` comment, a
+"""The one reader of the project's text files. `lines` decodes a file as
+UTF-8, `KeyFile` parses key = value lines (scenes, configs, manifests and
+the headers of feature and model files) and `rows` parses numeric bodies
+(frames, feature rows, model weights and matrix cells).
+
+A key = value line is blank, a full-line `#` or `;` comment, a
 `[section]` header, or `key = value` split at the first `=`. Keys are
 case-sensitive and values verbatim: no inline comments, interpolation,
 `DEFAULT` section, `:` delimiter or continuation lines. Keys above the
@@ -9,11 +13,17 @@ A repeated section or key is an error, except a key read as a list.
 Typed getters read a section's values: integers must fit int64 and reach
 the caller's minimum, floats must not be nan. Each getter marks its key
 read, and `KeyFile.finish` rejects every section and key left unread.
-Every error is the caller's exception class, with one line naming the
-file, the line, the section and the key.
+
+A body is comma-separated rows, parsed by `np.loadtxt`: ASCII decimal
+literals, `nan` and `inf`, no comments and no `_` digit separators. Every
+error is the caller's exception class, with one line naming the file and
+the line, and for a key its section and name.
 """
 
 import math
+import warnings
+
+import numpy as np
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -143,7 +153,44 @@ class KeyFile:
                     section.fail(key, "unknown key")
 
 
+def lines(path, error):
+    """The lines of a UTF-8 text file, split as `str.splitlines` splits."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} "
+                    f"at byte {exc.start}") from exc
+
+
 def read(path, error):
-    with open(path, "r", encoding="utf-8") as fh:
-        return KeyFile(fh, path, error, 1)
+    return KeyFile(lines(path, error), path, error, 1)
+
+
+def rows(lines, count, width, path, error, first_line, dtype=np.float64):
+    """The (count, width) array that `lines`, numbered from `first_line`,
+    hold; it is sized by the rows parsed, never by `count`. A blank line
+    is skipped, so it shows as a missing row."""
+    if len(lines) > count:
+        raise error(f"{path}:{first_line + count}: more than {count} rows")
+    try:
+        with warnings.catch_warnings():
+            # loadtxt warns on a body without rows; the count reports it
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(lines, dtype, delimiter=",", comments=None,
+                               ndmin=2)
+    except ValueError as exc:
+        raise error(f"{path}:{first_line}: {exc}") from exc
+    if table.shape != (count, width):
+        got = f"{len(table)} rows of {table.shape[1]}" if len(table) else "none"
+        raise error(f"{path}:{first_line}: expected {count} rows of {width} "
+                    f"values, got {got}")
+    return table
+
+
+def write_rows(fh, values):
+    """Comma-separated rows at `%.17g`, which round-trips every float64."""
+    np.savetxt(fh, values, fmt="%.17g", delimiter=",")
 

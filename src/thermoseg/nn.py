@@ -8,7 +8,6 @@ deterministic sequence of mini-batch updates for a given seed.
 """
 
 import math
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -46,7 +45,6 @@ class MlpModel:
     weights: tuple                # W_l is (n_in, n_out)
     biases: tuple
     stats: Optional[ScalingStats] = None
-    version: int = MODEL_VERSION
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -495,7 +493,7 @@ def predict_map(model, image):
 
 def save_model(model, path):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{_MODEL_MAGIC}{model.version}\n")
+        fh.write(f"{_MODEL_MAGIC}{MODEL_VERSION}\n")
         fh.write("layers = " + " ".join(str(s) for s in model.layer_sizes) + "\n")
         fh.write("activations = " + " ".join(model.activations) + "\n")
         fh.write(f"scaling = {int(model.stats is not None)}\n")
@@ -504,76 +502,55 @@ def save_model(model, path):
             fh.write("std = " + " ".join("%.17g" % v for v in model.stats.std) + "\n")
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             fh.write(f"layer {i}\n")
-            for row in w:
-                fh.write(",".join("%.17g" % v for v in row) + "\n")
+            keyfile.write_rows(fh, w)
             fh.write("bias\n")
-            fh.write(",".join("%.17g" % v for v in b) + "\n")
+            keyfile.write_rows(fh, b[np.newaxis])
         fh.write("end\n")
 
 
-def _expect(fh, path, want):
-    line = fh.readline()
-    if line.rstrip("\n") != want:
-        raise ModelFormatError(f"{path}: expected {want!r}, got {line!r}")
-
-
-def _floats(line, path, count):
-    parts = line.rstrip("\n").split(",")
-    if len(parts) != count:
-        raise ModelFormatError(f"{path}: expected {count} values per row")
-    try:
-        return [float(v) for v in parts]
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-
-
 def load_model(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().rstrip("\n")
-        if not magic.startswith(_MODEL_MAGIC):
-            raise ModelFormatError(f"{path}: not a model file")
-        try:
-            version = int(magic[len(_MODEL_MAGIC):])
-        except ValueError as exc:
-            raise ModelFormatError(f"{path}: bad version line") from exc
-        if version != MODEL_VERSION:
-            raise ModelVersionError(
-                f"{path}: model version {version} is not supported "
-                f"(expected {MODEL_VERSION})")
+    text = keyfile.lines(path, ModelFormatError)
+    magic = text[0] if text else ""
+    if not magic.startswith(_MODEL_MAGIC):
+        raise ModelFormatError(f"{path}: not a model file")
+    try:
+        version = int(magic[len(_MODEL_MAGIC):])
+    except ValueError as exc:
+        raise ModelFormatError(f"{path}: bad version line") from exc
+    if version != MODEL_VERSION:
+        raise ModelVersionError(
+            f"{path}: model version {version} is not supported "
+            f"(expected {MODEL_VERSION})")
 
-        keys = keyfile.KeyFile([fh.readline() for _ in range(3)], path,
-                               ModelFormatError, 2)
+    keys = keyfile.KeyFile(text[1:4], path, ModelFormatError, 2)
+    head = keys.section("")
+    sizes = head.integers("layers", 1)
+    activations = tuple(head.text("activations").split())
+    scaled = head.text("scaling", choices=("0", "1")) == "1"
+    keys.finish()
+    stats, at = None, 4                     # at: index of the next line
+    if scaled:             # the two scaling rows are header lines too
+        keys = keyfile.KeyFile(text[4:6], path, ModelFormatError, 5)
         head = keys.section("")
-        sizes = head.integers("layers", 1)
-        activations = tuple(head.text("activations").split())
-        scaled = head.text("scaling", choices=("0", "1")) == "1"
+        stats = ScalingStats(np.array(head.numbers("mean")),
+                             np.array(head.numbers("std")))
         keys.finish()
-        stats = None
-        if scaled:             # the two scaling rows are header lines too
-            keys = keyfile.KeyFile([fh.readline() for _ in range(2)], path,
-                                   ModelFormatError, 5)
-            head = keys.section("")
-            stats = ScalingStats(np.array(head.numbers("mean")),
-                                 np.array(head.numbers("std")))
-            keys.finish()
-        # each field of a row takes a character and a comma or newline
-        size = os.fstat(fh.fileno()).st_size
-        if sum((n_in + 1) * 2 * n_out
-               for n_in, n_out in zip(sizes, sizes[1:])) > size:
-            raise ModelFormatError(f"{path}: layers {sizes} do not fit in "
-                                   f"the file's {size} bytes")
-        weights = []
-        biases = []
-        for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:])):
-            _expect(fh, path, f"layer {i}")
-            w = np.empty((n_in, n_out))
-            for r in range(n_in):
-                w[r] = _floats(fh.readline(), path, n_out)
-            _expect(fh, path, "bias")
-            b = np.array(_floats(fh.readline(), path, n_out))
-            weights.append(w)
-            biases.append(b)
-        _expect(fh, path, "end")
+        at = 6
+    # each layer is a marker line, its weight rows, "bias" and one row
+    blocks = [(marker, count, n_out)
+              for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+              for marker, count in ((f"layer {i}", n_in), ("bias", 1))]
+    params = []
+    for marker, count, width in blocks + [("end", 0, 0)]:
+        if text[at:at + 1] != [marker]:
+            raise ModelFormatError(f"{path}:{at + 1}: expected {marker!r}")
+        if count:
+            params.append(keyfile.rows(text[at + 1:at + 1 + count], count,
+                                       width, path, ModelFormatError, at + 2))
+        at += 1 + count
+    if at < len(text):
+        raise ModelFormatError(f"{path}:{at + 1}: a line after 'end'")
+    weights, biases = params[::2], [b[0] for b in params[1::2]]
     try:
         return MlpModel(sizes, activations, tuple(weights), tuple(biases), stats)
     except ValidationError as exc:

@@ -11,7 +11,6 @@ calculus on the fit.
 """
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Optional
 
@@ -131,52 +130,37 @@ def write_feature_image(image, path):
         # both lines are fixed; the file layout keeps them
         fh.write(f"log_base = {_LOG_BASE!r}\n")
         fh.write("scaling_pending = 1\n")
-        flat = image.values.reshape(-1, image.feature_count)
-        flags = image.valid.reshape(-1)
-        for i in range(flat.shape[0]):
-            row = ",".join("%.17g" % v for v in flat[i])
-            fh.write(f"{int(flags[i])},{row}\n")
+        # the flag prints as 1 or 0 at %.17g
+        keyfile.write_rows(fh, np.column_stack((
+            image.valid.reshape(-1),
+            image.values.reshape(-1, image.feature_count))))
 
 
 def read_feature_image(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        magic = fh.readline().strip()
-        if magic != f"# {_MAGIC}":
-            raise ValidationError(f"{path}: not a feature image file")
-        keys = keyfile.KeyFile([fh.readline() for _ in range(6)], path,
-                               ValidationError, 2)
-        head = keys.section("")
-        width, height = head.integer("width", 1), head.integer("height", 1)
-        degree = head.integer("degree", 2)
-        packing = head.text("packing", choices=_PACKINGS)
-        head.text("log_base", choices=(repr(_LOG_BASE),))
-        head.text("scaling_pending", choices=("1",))
-        keys.finish()
-        length = feature_length(degree, packing)
-        # each field of a row takes a character and a comma or newline
-        size = os.fstat(fh.fileno()).st_size
-        if height * width * 2 * (length + 1) > size:
-            raise ValidationError(
-                f"{path}: {width}x{height} rows of {length} features do not "
-                f"fit in the file's {size} bytes")
-        values = np.empty((height * width, length))
-        flags = np.empty(height * width, dtype=bool)
-        for i in range(height * width):
-            line = fh.readline()
-            if not line:
-                raise ValidationError(f"{path}: truncated at row {i}")
-            parts = line.rstrip("\n").split(",")
-            if len(parts) != length + 1:
-                raise ValidationError(f"{path}: row {i} has {len(parts)} fields")
-            try:
-                flags[i] = bool(int(parts[0]))
-                values[i] = [float(v) for v in parts[1:]]
-            except ValueError as exc:
-                raise ValidationError(f"{path}: row {i}: {exc}") from exc
-    bad = np.nonzero(flags & ~np.isfinite(values).all(axis=1))[0]
+    text = keyfile.lines(path, ValidationError)
+    if text[:1] != [f"# {_MAGIC}"]:
+        raise ValidationError(f"{path}: not a feature image file")
+    keys = keyfile.KeyFile(text[1:7], path, ValidationError, 2)
+    head = keys.section("")
+    width, height = head.integer("width", 1), head.integer("height", 1)
+    degree = head.integer("degree", 2)
+    packing = head.text("packing", choices=_PACKINGS)
+    head.text("log_base", choices=(repr(_LOG_BASE),))
+    head.text("scaling_pending", choices=("1",))
+    keys.finish()
+    length = feature_length(degree, packing)
+    table = keyfile.rows(text[7:], height * width, length + 1, path,
+                         ValidationError, 8)
+    flags, values = table[:, 0], table[:, 1:]
+    bad = np.nonzero((flags != 0) & (flags != 1))[0]
+    if bad.size:
+        raise ValidationError(f"{path}: row {bad[0]} has valid flag "
+                              f"{flags[bad[0]]:g}, not 0 or 1")
+    valid = flags == 1
+    bad = np.nonzero(valid & ~np.isfinite(values).all(axis=1))[0]
     if bad.size:
         raise ValidationError(f"{path}: row {bad[0]} is flagged valid but "
                               f"holds a non-finite value")
     return FeatureImage(width, height, degree, packing,
                         values.reshape(height, width, length),
-                        flags.reshape(height, width))
+                        valid.reshape(height, width))

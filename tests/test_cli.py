@@ -324,7 +324,8 @@ MALFORMED_INPUTS = [
      f"'width': {HUGE} does not fit in int64"),
     # refused against the first frame, before the cube is allocated
     ("manifest width beyond its frames", "m.txt", _manifest_with(10 ** 12),
-     FIT, "manifest says 1000000000000x1"),
+     FIT, "f0.csv:1: expected 1 rows of 1000000000000 values, got 1 rows "
+          "of 2"),
     ("nan in a valid feature row (segment)", "f.csv",
      _features_with(row="1,nan"), SEGMENT, "row 0"),
     ("nan in a valid feature row (eval)", "f.csv",
@@ -335,21 +336,26 @@ MALFORMED_INPUTS = [
      "'width': must be >= 1, got -1"),
     ("feature height above int64", "f.csv", _features_with(height=HUGE),
      SEGMENT, f"'height': {HUGE} does not fit in int64"),
-    # refused against the file's byte size, before any array is allocated
+    # refused against the rows the file holds; no array is sized by a header
     ("feature rows beyond the file", "f.csv",
      _features_with(width="100000", height="100000"), SEGMENT,
-     "100000x100000 rows of 12 features do not fit in the file's"),
+     "f.csv:8: expected 10000000000 rows of 13 values, got 1 rows of 13"),
     ("negative model layer", "m.txt", _model_with("-1 8 2"), MODEL,
      "'layers': must be >= 1, got -1"),
     ("model layer above int64", "m.txt", _model_with(f"12 {HUGE} 2"), MODEL,
      f"'layers': {HUGE} does not fit in int64"),
-    # refused against the file's byte size, before any array is allocated
+    # refused against the rows the file holds; no array is sized by a header
     ("model layers beyond the file", "m.txt",
      _model_with("12 1000000000 2"), MODEL,
-     "layers (12, 1000000000, 2) do not fit in the file's"),
+     "m.txt:6: expected 12 rows of 1000000000 values, got none"),
     ("matrix cell above int64", "mx.csv",
      f"actual,a,b\na,{HUGE},0\nb,0,1\n", ["eval", "--matrix", "{path}"],
-     "mx.csv: row 0: "),
+     f"mx.csv:2: could not convert string '{HUGE}' to int64"),
+    # each cell fits int64, but accuracy divides by a total that does not
+    ("matrix total above int64", "mx.csv",
+     "actual,a,b\na,4611686018427387904,4611686018427387904\nb,0,0\n",
+     ["eval", "--matrix", "{path}", "--positive", "1"],
+     "mx.csv: counts total 9223372036854775808, more than int64 holds"),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),
@@ -531,10 +537,28 @@ def test_readme_ini_blocks_parse(tmp_path):
     assert parsed["train"].early_stopping == (2000, 3)
 
 
-def test_undecodable_file_exits_2(tmp_path, capsys):
-    scene = tmp_path / "s.ini"
-    scene.write_bytes(b"\xff[canvas]\n")
-    assert cli.main(["synth", "--scene", str(scene),
-                     "--out", str(tmp_path / "v")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+# (file name, a command that reads it) for each kind of text file
+UNDECODABLE = [
+    ("s.ini", SYNTH),
+    ("c.ini", TRAIN),
+    ("m.txt", FIT),
+    ("f0.csv", ["fit", "--manifest", "{dir}/frames.txt", "--out",
+                "{dir}/f.csv"]),
+    ("f.csv", SEGMENT),
+    ("m.txt", MODEL),
+    ("mx.csv", ["eval", "--matrix", "{path}"]),
+]
+
+
+def test_undecodable_file_exits_2(pipeline, tmp_path, capsys):
+    files = {key: pipeline[key] for key in ("features", "mask", "model")}
+    (tmp_path / "frames.txt").write_text("width = 1\nheight = 1\nfps = 2\n"
+                                         "frame = f0.csv\n")
+    for name, argv in UNDECODABLE:
+        path = tmp_path / name
+        path.write_bytes(b"width = 1\n\xff\n")
+        argv = [a.format(dir=tmp_path, path=path, **files) for a in argv]
+        assert cli.main(argv) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert f"{path}:2: not UTF-8 text" in err, err

@@ -291,12 +291,21 @@ def test_matrix_csv_errors(tmp_path):
     with pytest.raises(evaluate.EvalError):
         evaluate.read_matrix_csv(str(short))
     cells = tmp_path / "cells.csv"
-    cells.write_text(f"actual,a,b\na,{2 ** 63 - 1},0\nb,0,1\n")
+    cells.write_text(f"actual,a,b\na,{2 ** 63 - 1},0\nb,0,0\n")
     assert evaluate.read_matrix_csv(str(cells)).counts[0, 0] == 2 ** 63 - 1
-    for cell, message in ((2 ** 63, "row 0: "), (-1, "counts must be >= 0")):
+    for cell, message in (
+            (2 ** 63, "cells.csv:2: could not convert string "
+                      "'9223372036854775808' to int64"),
+            (-1, "cells.csv: counts must be >= 0"),
+            # each cell fits int64 but the total, and accuracy with it, wraps
+            (2 ** 63 - 1, "cells.csv: counts total 9223372036854775808, "
+                          "more than int64 holds")):
         cells.write_text(f"actual,a,b\na,{cell},0\nb,0,1\n")
         with pytest.raises(evaluate.EvalError, match=message):
             evaluate.read_matrix_csv(str(cells))
+    cells.write_text(f"actual,a,b\na,{2 ** 62},{2 ** 62}\nb,0,0\n")
+    with pytest.raises(evaluate.EvalError, match="total 9223372036854775808"):
+        evaluate.read_matrix_csv(str(cells))
 
 
 def test_reference_report_documents_bookkeeping():

@@ -141,8 +141,9 @@ def _calls_and_values(tree):
 
 def _defaulted_parameters(tree):
     """(callee name, parameter, positional index or None) for each
-    parameter with a default; a method's index leaves out `self`, and
-    `__init__` is called by its class name."""
+    parameter with a default, and each defaulted field of a frozen
+    dataclass; a method's index leaves out `self`, and `__init__` is
+    called by its class name."""
     classes = {id(node): owner.name for owner in ast.walk(tree)
                if isinstance(owner, ast.ClassDef) for node in owner.body}
     found = []
@@ -161,6 +162,16 @@ def _defaulted_parameters(tree):
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
                 found.append((name, arg.arg, None))
+    # a frozen dataclass's fields are its __init__ parameters, in order
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                isinstance(d, ast.Call) and getattr(d.func, "id", None)
+                == "dataclass" and any(k.arg == "frozen" and getattr(
+                    k.value, "value", None) is True for k in d.keywords)
+                for d in node.decorator_list):
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
+            found += [(node.name, f.target.id, i)
+                      for i, f in enumerate(fields) if f.value is not None]
     return found
 
 
@@ -188,3 +199,36 @@ def test_defaulted_parameters_are_passed():
                        for callee, count, keywords in calls):
                 unpassed.append(f"{path.stem}.{name}({param}=)")
     assert unpassed == []
+
+
+def _text_readers(tree):
+    """Line numbers of the calls that parse numeric text or open a file
+    for reading in text mode: np.loadtxt, np.savetxt, read_text, and
+    open() whose mode has no "b" and reads ("r", the default, or "+")."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", getattr(node.func, "attr", None))
+        if name in ("loadtxt", "savetxt", "read_text"):
+            found.append(node.lineno)
+        elif name == "open":
+            modes = node.args[1:2] + [k.value for k in node.keywords
+                                      if k.arg == "mode"]
+            mode = getattr(modes[0], "value", None) if modes else "r"
+            if not isinstance(mode, str) or (
+                    "b" not in mode and ("r" in mode or "+" in mode)):
+                found.append(node.lineno)
+    return found
+
+
+def test_text_is_read_only_through_keyfile():
+    # keyfile decodes every text file and parses every numeric body, so a
+    # decode error or a malformed row reads the same in every file kind
+    readers = {p.name: _text_readers(ast.parse(p.read_text(encoding="utf-8")))
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "keyfile.py"}
+    assert {k: v for k, v in readers.items() if v} == {}
+    assert _text_readers(ast.parse(
+        "open(p)\nopen(p, 'r+b')\nopen(p, mode='w+')\nopen(p, m)\n"
+        "np.loadtxt(p)\nnp.savetxt(p, a)\nopen(p, 'wb')\nopen(p, 'w')\n"
+        "open(p, 'rb')\n")) == [1, 3, 4, 5, 6]

@@ -1,7 +1,11 @@
-"""The one key = value syntax: what it accepts and what it refuses."""
+"""The one text reader: UTF-8 decoding, the key = value syntax and the
+numeric rows, with what each accepts and what it refuses."""
 
 import math
+import re
+import warnings
 
+import numpy as np
 import pytest
 
 from thermoseg import keyfile
@@ -65,3 +69,52 @@ def test_getter_errors(value, get, message):
     text = "[s]\n" if value is None else f"[s]\nv = {value}\n"
     with pytest.raises(ValidationError, match=message):
         get(_parse(text).section("s"))
+
+
+def test_lines_decode_utf8_only(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a = 1\r\nb = \xc3\xa9\n")
+    assert keyfile.lines(str(path), ValidationError) == ["a = 1", "b = é"]
+    path.write_bytes(b"a = 1\nb = \xff\n")
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"{path}:2: not UTF-8 text: "
+                                       "invalid start byte")):
+        keyfile.lines(str(path), ValidationError)
+
+
+def test_rows_round_trip(tmp_path):
+    values = np.array([[0.1, -0.0, 1e-300], [np.pi, 1.0, 2.0 ** 60]])
+    path = tmp_path / "rows.csv"
+    with open(path, "w", encoding="utf-8") as fh:
+        keyfile.write_rows(fh, values)
+    text = path.read_text(encoding="utf-8").splitlines()
+    # the same bytes as formatting each value with %.17g
+    assert text == [",".join("%.17g" % v for v in row) for row in values]
+    back = keyfile.rows(text, 2, 3, "rows.csv", ValidationError, 1)
+    assert back.tobytes() == values.tobytes()
+    cells = keyfile.rows(["9223372036854775807,-1"], 1, 2, "m.csv",
+                         ValidationError, 2, np.int64)
+    assert cells.dtype == np.int64 and cells.tolist() == [[2 ** 63 - 1, -1]]
+
+
+@pytest.mark.parametrize("lines, count, dtype, message", [
+    (["1,2", "3"], 2, np.float64, "f.csv:7: the number of columns changed"),
+    (["1,2", "", "3,4"], 3, np.float64,
+     "f.csv:7: expected 3 rows of 2 values, got 2 rows of 2"),
+    (["1,2", "3,4"], 1, np.float64, "f.csv:8: more than 1 rows"),
+    ([], 1, np.float64, "f.csv:7: expected 1 rows of 2 values, got none"),
+    ([""], 1, np.float64, "f.csv:7: expected 1 rows of 2 values, got none"),
+    (["1,2,3"], 1, np.float64, "got 1 rows of 3"),
+    (["1_0,2"], 1, np.float64, "could not convert string '1_0'"),
+    (["١,2"], 1, np.float64, "could not convert string '١'"),
+    (["1,#2"], 1, np.float64, "could not convert string '#2'"),
+    (["1,"], 1, np.float64, "could not convert string ''"),
+    (["9223372036854775808,0"], 1, np.int64,
+     "could not convert string '9223372036854775808' to int64"),
+    (["1.5,0"], 1, np.int64, "could not convert string '1.5' to int64"),
+])
+def test_rows_errors(lines, count, dtype, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")      # a warning would print to stderr
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            keyfile.rows(lines, count, 2, "f.csv", ValidationError, 7, dtype)

@@ -636,6 +636,24 @@ def test_load_model_corrupt_files(tmp_path):
     with pytest.raises(nn.ModelFormatError):
         nn.load_model(str(truncated))
 
+    # each marker line is checked where the layer sizes put it
+    assert lines[8] == "bias\n" and lines[-1] == "end\n"
+    for index, marker in ((8, "bias"), (len(lines) - 1, "end")):
+        moved = tmp_path / "moved.txt"
+        moved.write_text("".join(lines[:index] + ["x\n"] + lines[index + 1:]))
+        with pytest.raises(nn.ModelFormatError,
+                           match=f"moved.txt:{index + 1}: expected '{marker}'"):
+            nn.load_model(str(moved))
+    trailing = tmp_path / "trailing.txt"
+    trailing.write_text("".join(lines) + "1,2\n")
+    with pytest.raises(nn.ModelFormatError,
+                       match=f"trailing.txt:{len(lines) + 1}: a line after"):
+        nn.load_model(str(trailing))
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("".join(lines[:5] + ["1,2\n"] + lines[6:]))
+    with pytest.raises(nn.ModelFormatError, match="ragged.txt:6: "):
+        nn.load_model(str(ragged))
+
     not_model = tmp_path / "не.txt"
     not_model.write_text("something\n")
     with pytest.raises(nn.ModelFormatError):

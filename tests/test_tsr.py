@@ -370,8 +370,14 @@ def test_feature_image_round_trip(tmp_path):
     assert back.height == image.height
     assert back.degree == image.degree
     assert back.packing == image.packing
-    assert path.read_text().splitlines()[5:7] == ["log_base = 10.0",
-                                                   "scaling_pending = 1"]
+    lines = path.read_text().splitlines()
+    assert lines[5:7] == ["log_base = 10.0", "scaling_pending = 1"]
+    # one row per pixel: the flag as 1 or 0, then each value at %.17g
+    assert lines[7:] == [
+        f"{int(flag)}," + ",".join("%.17g" % v for v in row)
+        for flag, row in zip(image.valid.reshape(-1),
+                             image.values.reshape(-1, image.feature_count))]
+    assert not image.valid.all()
     npt.assert_array_equal(back.valid, image.valid)
     npt.assert_array_equal(back.values, image.values)
 
@@ -417,3 +423,13 @@ def test_read_feature_image_errors(tmp_path):
                                  + text[row + 1:]))
     with pytest.raises(ValidationError, match=f"row {row - 7}"):
         tsr.read_feature_image(str(nonfinite))
+
+    # the valid flag is 0 or 1; a 7 once read as valid
+    for bad_flag in ("7", "0.5", "-1", "nan"):
+        flagged = tmp_path / "flag.csv"
+        flagged.write_text("".join(
+            text[:row] + [bad_flag + "," + text[row].partition(",")[2]]
+            + text[row + 1:]))
+        with pytest.raises(ValidationError,
+                           match=f"row {row - 7} has valid flag {bad_flag}"):
+            tsr.read_feature_image(str(flagged))
