@@ -50,7 +50,6 @@ class ConfusionMatrix:
 @dataclass(frozen=True)
 class BinaryCollapseSpec:
     positive_set: frozenset
-    name: str = "defect"
 
     def validate(self, class_count):
         pos = set(self.positive_set)
@@ -91,7 +90,7 @@ def collapse(cm, spec):
     counts[0, 1] = cm.counts[~pos][:, pos].sum()
     counts[1, 0] = cm.counts[pos][:, ~pos].sum()
     counts[1, 1] = cm.counts[pos][:, pos].sum()
-    return ConfusionMatrix(counts, ("negative", spec.name))
+    return ConfusionMatrix(counts, ("negative", "defect"))
 
 
 def metrics(cm):
@@ -180,9 +179,9 @@ REFERENCE_FOUR_STATE = ConfusionMatrix(
     ("0mm", "0.1mm", "0.2mm", "0.3mm"))
 
 # Any delamination counts as a defect.
-COLLAPSE_ANY_DEFECT = BinaryCollapseSpec(frozenset({1, 2, 3}), "defect")
+COLLAPSE_ANY_DEFECT = BinaryCollapseSpec(frozenset({1, 2, 3}))
 # Gaps under half a print-layer height pass as acceptable.
-COLLAPSE_OVER_HALF_LAYER = BinaryCollapseSpec(frozenset({2, 3}), "defect")
+COLLAPSE_OVER_HALF_LAYER = BinaryCollapseSpec(frozenset({2, 3}))
 
 REFERENCE_NOTE = """\
 Source-study bookkeeping notes:

@@ -117,7 +117,8 @@ def load_sequence(path):
 def write_sequence(seq, out_dir):
     """Write frame CSVs plus manifest under out_dir; returns manifest path.
 
-    Cells are written with repr so a load round-trips bit exactly.
+    Frame cells are written at `%.17g` and manifest values with repr, so
+    a load round-trips bit exactly.
     """
     frame_dir = os.path.join(out_dir, "frames")
     os.makedirs(frame_dir, exist_ok=True)
@@ -125,11 +126,8 @@ def write_sequence(seq, out_dir):
     for i in range(seq.frame_count):
         name = f"frame_{i:05d}.csv"
         names.append(name)
-        rows = seq.data[i]
         with open(os.path.join(frame_dir, name), "w", encoding="utf-8") as fh:
-            for r in range(seq.height):
-                fh.write(",".join(repr(float(v)) for v in rows[r]))
-                fh.write("\n")
+            keyfile.write_rows(fh, seq.data[i])
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(f"width = {seq.width}\n")

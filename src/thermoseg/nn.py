@@ -402,53 +402,45 @@ def train(model, train_ds, val_ds, config):
     eval_y = train_ds.labels[:_EVAL_CAP]
     rng = np.random.default_rng(config.seed)
     trace = TrainTrace()
+    # the first positive budget to run out stops training; a tie is the
+    # epoch budget's
+    budget, trace.stop_reason = min(
+        (limit, reason) for limit, reason in (
+            (config.epochs * steps_per_epoch, "epoch-budget"),
+            (config.max_steps, "step-budget")) if limit > 0)
 
-    def run_check(step, epoch):
+    def measure(step, epoch):
         t_loss, t_acc = evaluate(current, eval_x, eval_y)
         v_loss, v_acc = evaluate(current, val_ds.vectors, val_ds.labels)
-        if not (math.isfinite(t_loss) and math.isfinite(v_loss)):
-            raise ComputeError(f"non-finite loss at step {step}")
         trace.record(step, epoch, t_loss, v_loss, t_acc, v_acc)
-        return (stopper is not None
-                and stopper.update(step, v_loss, runner.params.copy()))
+        return t_loss, v_loss
 
     step = 0
-    epoch = 0
-    halted = False
     started = time.perf_counter()
-    while not halted:
-        if config.epochs > 0 and epoch >= config.epochs:
-            trace.stop_reason = "epoch-budget"
+    while step < budget:
+        lo = step % steps_per_epoch * config.batch_size
+        if lo == 0:
+            order = rng.permutation(n)
+        runner.gradients(order[lo:lo + config.batch_size])
+        if config.optimizer == "adam":
+            runner.adam(config.learning_rate, step + 1)
+        else:
+            runner.sgd(lr_at(config, step))
+        step += 1
+        if step % check_every:
+            continue
+        t_loss, v_loss = measure(step, (step - 1) // steps_per_epoch)
+        if not (math.isfinite(t_loss) and math.isfinite(v_loss)):
+            raise ComputeError(f"non-finite loss at step {step}")
+        if stopper is not None and stopper.update(step, v_loss,
+                                                  runner.params.copy()):
+            trace.stop_reason = "early-stopping"
+            runner.params[...] = stopper.snapshot
+            trace.restored_step = stopper.snapshot_step
             break
-        if config.max_steps > 0 and step >= config.max_steps:
-            trace.stop_reason = "step-budget"
-            break
-        order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            runner.gradients(order[lo:lo + config.batch_size])
-            if config.optimizer == "adam":
-                runner.adam(config.learning_rate, step + 1)
-            else:
-                runner.sgd(lr_at(config, step))
-            step += 1
-            if step % check_every == 0 and run_check(step, epoch):
-                trace.stop_reason = "early-stopping"
-                halted = True
-                break
-            if config.max_steps > 0 and step >= config.max_steps:
-                break
-        epoch += 1
     trace.seconds = time.perf_counter() - started
-
-    if not trace.stop_reason:
-        trace.stop_reason = "step-budget"
-    if halted and stopper is not None and stopper.snapshot is not None:
-        runner.params[...] = stopper.snapshot
-        trace.restored_step = stopper.snapshot_step
-    if not (trace.steps and trace.steps[-1] == step):
-        t_loss, t_acc = evaluate(current, eval_x, eval_y)
-        v_loss, v_acc = evaluate(current, val_ds.vectors, val_ds.labels)
-        trace.record(step, epoch, t_loss, v_loss, t_acc, v_acc)
+    if trace.steps[-1:] != [step]:
+        measure(step, (step + steps_per_epoch - 1) // steps_per_epoch)
 
     final = replace(model, weights=tuple(w.copy() for w in runner.weights),
                     biases=tuple(b.copy() for b in runner.biases))

@@ -49,8 +49,11 @@ def read_pgm(path):
         width, height, maxval = (int(t) for t in tokens[1:])
     except ValueError as exc:
         raise PgmError(f"{path}: bad PGM header") from exc
-    if maxval > 255:
-        raise PgmError(f"{path}: 16-bit PGM not supported (maxval {maxval})")
+    if width < 1 or height < 1:
+        raise PgmError(f"{path}: PGM size {width}x{height}, need at least 1x1")
+    if not 1 <= maxval <= 255:
+        raise PgmError(f"{path}: maxval {maxval} outside 1..255 "
+                       f"(16-bit PGM is not supported)")
     pos += 1  # single whitespace byte after maxval
     raster = blob[pos:pos + width * height]
     if len(raster) != width * height:

@@ -13,6 +13,12 @@ package can regenerate:
   augmentation, 10/20/4 tanh net with Adam. Targets: validation accuracy
   >= 0.90 and a +-3% feature perturbation costing <= 5 accuracy points.
 
+Each experiment function holds only its science and returns its result
+keys, among them `targets`: a `<key>_min` or `<key>_max` entry bounds
+result[<key>]. `run_experiment` owns the lifecycle: it adds the training,
+timing and fit reports, derives `passed` from `targets`, hashes the
+outputs and writes results.json.
+
 All frame data stays in memory; what lands on disk (features, models,
 matrices, segmentations) is byte-stable for a fixed seed. A scale factor
 below 1 shrinks the canvases and budgets proportionally for smoke tests.
@@ -30,7 +36,7 @@ import numpy as np
 
 from . import evaluate, features, nn, synthgen, tsr
 from .errors import ValidationError
-from .ingest import LabelMask, save_mask, trim_mask
+from .ingest import save_mask, trim_mask
 
 # thermal diffusivity of printed polymer, m^2/s
 POLYMER_DIFFUSIVITY = 5.8e-8
@@ -45,13 +51,6 @@ def _file_sha256(path):
 
 def _scaled(value, scale, minimum):
     return max(minimum, int(round(value * scale)))
-
-
-def _train_timing(trace):
-    """Step-loop time and throughput, for results.json only: timings never
-    reach a file whose sha256 is recorded."""
-    return {"train_seconds": round(trace.seconds, 3),
-            "train_steps_per_s": round(trace.steps[-1] / trace.seconds, 1)}
 
 
 class StageTimer:
@@ -128,63 +127,66 @@ def train_classifier(ds, split, hidden, activation, config, init_seed,
     return model, trace, train_ds, val_ds, test_ds
 
 
-def _uniform_mask(width, height, class_id):
-    labels = np.full((height, width), class_id, dtype=np.int64)
-    return LabelMask(width, height, labels, np.ones((height, width), bool))
+def _timestamps(frames):
+    """`frames` timestamps spread over the 240 s recording, the first one
+    frame interval after the flash."""
+    return (np.arange(frames) + 1.0) / (frames / 240.0)
 
 
-def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
+def _render_fit(stage, degree, *scene):
+    """Render one recording from render_video's arguments and fit it at
+    `degree`; the frame cube never leaves this function."""
+    with stage("render"):
+        seq = synthgen.render_video(*scene)
+    with stage("fit"):
+        return tsr.fit_sequence(seq, degree)
+
+
+def _save_training(out_dir, model, trace):
+    """Write model.txt and trace.csv; returns the model path."""
+    path = os.path.join(out_dir, "model.txt")
+    nn.save_model(model, path)
+    nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
+    return path
+
+
+def run_synthetic_2class(out_dir, stage, scale, seed=3101):
     """Two pure-class videos train the net; a composite video tests it."""
-    t0 = time.monotonic()
-    stage = StageTimer()
-    os.makedirs(out_dir, exist_ok=True)
     width = _scaled(160, scale, 16)
     height = _scaled(120, scale, 12)
     frames = _scaled(600, scale, 80)
-    fps = frames / 240.0
-    timestamps = (np.arange(frames) + 1.0) / fps
+    timestamps = _timestamps(frames)
 
     amplitude = 400.0
     sound = synthgen.power_law(amplitude, -0.5)
     # shallow (2.5mm) delamination so the two decays diverge well inside
     # the 240s recording
     flawed = synthgen.adiabatic_plate(amplitude, 2.5e-3, POLYMER_DIFFUSIVITY)
-    clamp = (0.0, 254.0)
     degree = 8
 
-    sigma = 2.0
-
-    def fit_video(layout, noise_seed):
-        with stage("render"):
-            seq = synthgen.render_video(
-                layout, timestamps, synthgen.NoiseSpec(sigma, noise_seed),
-                clamp)
-        with stage("fit"):
-            return tsr.fit_sequence(seq, degree)
-
     full = (0, 0, width, height)
-    img_sound = fit_video(
-        synthgen.RegionLayout(width, height,
-                              (synthgen.Region(full, 0, sound),)), seed)
-    img_flawed = fit_video(
-        synthgen.RegionLayout(width, height,
-                              (synthgen.Region(full, 1, flawed),)), seed + 1)
     inner = (width // 4, height // 4, width // 2, height // 2)
-    composite_layout = synthgen.composite_layout(width, height, inner,
-                                                 flawed, sound)
-    img_composite = fit_video(composite_layout, seed + 2)
-    composite_mask = composite_layout.label_mask()
+    layouts = {
+        "sound": synthgen.RegionLayout(
+            width, height, (synthgen.Region(full, 0, sound),)),
+        "flawed": synthgen.RegionLayout(
+            width, height, (synthgen.Region(full, 1, flawed),)),
+        "composite": synthgen.composite_layout(width, height, inner,
+                                               flawed, sound)}
+    # one (name, FeatureImage, LabelMask) per recording, noise seeds
+    # seed, seed + 1 and seed + 2
+    fitted = [(name, _render_fit(stage, degree, layout, timestamps,
+                                 synthgen.NoiseSpec(2.0, seed + i),
+                                 (0.0, 254.0)), layout.label_mask())
+              for i, (name, layout) in enumerate(layouts.items())]
+    img_composite, composite_mask = fitted[2][1:]
 
     features_path = os.path.join(out_dir, "features_composite.csv")
     tsr.write_feature_image(img_composite, features_path)
 
-    mask_sound = _uniform_mask(width, height, 0)
-    mask_flawed = _uniform_mask(width, height, 1)
-    ds_sound = features.assemble(img_sound, mask_sound)
-    ds_flawed = features.assemble(img_flawed, mask_flawed)
-    pure = features.Dataset(
-        np.concatenate([ds_sound.vectors, ds_flawed.vectors]),
-        np.concatenate([ds_sound.labels, ds_flawed.labels]), 2)
+    pure = [features.assemble(image, mask) for _, image, mask in fitted[:2]]
+    pure = features.Dataset(np.concatenate([d.vectors for d in pure]),
+                            np.concatenate([d.labels for d in pure]), 2)
 
     # staircase-decay SGD with early stopping; the rate suits standardized
     # features
@@ -196,10 +198,7 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
         model, trace, _, _, test_ds = train_classifier(
             pure, features.SplitSpec(0.8, 0.1, seed + 3), (16, 32, 16),
             "relu", config, seed + 4, (0.0, 0, 0))
-
-    model_path = os.path.join(out_dir, "model.txt")
-    nn.save_model(model, model_path)
-    nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
+    model_path = _save_training(out_dir, model, trace)
 
     with stage("predict"):
         in_sample = _dataset_accuracy(model, test_ds)
@@ -219,58 +218,35 @@ def run_synthetic_2class(out_dir, seed=3101, scale=1.0):
         mask_path = os.path.join(out_dir, "composite_mask.pgm")
         save_mask(composite_mask, mask_path)
 
-    outputs = {"features": features_path, "model": model_path,
-               "matrix": matrix_path, "segmentation": seg_path,
-               "mask": mask_path}
-    result = {
-        "experiment": "synthetic-2class",
+    return {
         "seed": seed,
-        "scale": scale,
         "canvas": [width, height],
         "frames": frames,
         "degree": degree,
         "in_sample_accuracy": in_sample,
         "out_of_sample_accuracy": out_sample,
-        "validation_accuracy": trace.val_acc[-1] if trace.val_acc else None,
-        "train_steps": trace.steps[-1] if trace.steps else 0,
-        **_train_timing(trace),
-        "stop_reason": trace.stop_reason,
-        **stage.report(),
-        **_fit_report((("sound", img_sound, mask_sound),
-                       ("flawed", img_flawed, mask_flawed),
-                       ("composite", img_composite, composite_mask))),
+        "validation_accuracy": trace.val_acc[-1],
         "targets": {"in_sample_accuracy_min": 0.93,
                     "out_of_sample_accuracy_min": 0.88},
-        "passed": bool(in_sample >= 0.93 and out_sample >= 0.88),
-        "elapsed_seconds": round(time.monotonic() - t0, 3),
-        "outputs": outputs,
-        "sha256": {k: _file_sha256(p) for k, p in sorted(outputs.items())},
-    }
-    return result
+        "outputs": {"features": features_path, "model": model_path,
+                    "matrix": matrix_path, "segmentation": seg_path,
+                    "mask": mask_path},
+    }, trace, fitted
 
 
-def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
+def run_surrogate_4class(out_dir, stage, scale, seed=4202):
     """Quadrant gap-grading scene: train, evaluate, perturbed replay."""
-    t0 = time.monotonic()
-    stage = StageTimer()
-    os.makedirs(out_dir, exist_ok=True)
     width = _scaled(236, scale, 24)
     height = _scaled(182, scale, 20)
     frames = _scaled(3600, scale, 60)
-    fps = frames / 240.0
-    timestamps = (np.arange(frames) + 1.0) / fps
     trim = 5 if scale >= 1.0 else 1
 
     layout, mask = synthgen.four_class_scene(
         width, height, (0.0, 0.1, 0.2, 0.3), depth_mm=5.0,
         diffusivity=POLYMER_DIFFUSIVITY, base_depth_mm=20.0, amplitude=100.0)
     # sigma 0.5 keeps the two deepest grades separable (max d' ~ 3.3)
-    with stage("render"):
-        seq = synthgen.render_video(layout, timestamps,
-                                    synthgen.NoiseSpec(0.5, seed))
-    with stage("fit"):
-        image = tsr.fit_sequence(seq, degree=4, packing=tsr.PACK_PADDED)
-    del seq
+    image = _render_fit(stage, 4, layout, _timestamps(frames),
+                        synthgen.NoiseSpec(0.5, seed))
 
     features_path = os.path.join(out_dir, "features.csv")
     tsr.write_feature_image(image, features_path)
@@ -287,10 +263,7 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         model, trace, train_aug, val_ds, test_ds = train_classifier(
             ds, features.SplitSpec(0.8, 0.1, seed + 1), (10, 20), "tanh",
             config, seed + 3, (0.05, 50, seed + 2))
-
-    model_path = os.path.join(out_dir, "model.txt")
-    nn.save_model(model, model_path)
-    nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
+    model_path = _save_training(out_dir, model, trace)
 
     with stage("predict"):
         val_acc = _dataset_accuracy(model, val_ds)
@@ -301,7 +274,6 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
 
     with stage("evaluate"):
         test_acc = float(np.mean(test_pred == test_ds.labels))
-        degradation = (test_acc - pert_acc) * 100.0
         cm = evaluate.confusion(test_ds.labels, test_pred, 4,
                                 ("0mm", "0.1mm", "0.2mm", "0.3mm"))
         matrix_path = os.path.join(out_dir, "test_matrix.csv")
@@ -310,13 +282,8 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         evaluate.write_segmentation(label_map, 4, seg_path)
         regions = evaluate.region_report(label_map, trimmed)
 
-    outputs = {"features": features_path, "mask": mask_path,
-               "model": model_path, "matrix": matrix_path,
-               "segmentation": seg_path}
-    result = {
-        "experiment": "surrogate-4class",
+    return {
         "seed": seed,
-        "scale": scale,
         "canvas": [width, height],
         "frames": frames,
         "trim_margin": trim,
@@ -325,34 +292,61 @@ def run_surrogate_4class(out_dir, seed=4202, scale=1.0):
         "validation_accuracy": val_acc,
         "test_accuracy": test_acc,
         "perturbed_test_accuracy": pert_acc,
-        "degradation_pp": degradation,
+        "degradation_pp": (test_acc - pert_acc) * 100.0,
         "region_majorities": {str(r): s.majority_class
                               for r, s in sorted(regions.items())},
-        "train_steps": trace.steps[-1] if trace.steps else 0,
-        **_train_timing(trace),
-        "stop_reason": trace.stop_reason,
-        **stage.report(),
-        **_fit_report((("scene", image, mask),)),
         "targets": {"validation_accuracy_min": 0.90,
                     "degradation_pp_max": 5.0},
-        "passed": bool(val_acc >= 0.90 and degradation <= 5.0),
-        "elapsed_seconds": round(time.monotonic() - t0, 3),
-        "outputs": outputs,
-        "sha256": {k: _file_sha256(p) for k, p in sorted(outputs.items())},
-    }
-    return result
+        "outputs": {"features": features_path, "mask": mask_path,
+                    "model": model_path, "matrix": matrix_path,
+                    "segmentation": seg_path},
+    }, trace, (("scene", image, mask),)
 
 
 EXPERIMENTS = {"synthetic-2class": run_synthetic_2class,
                "surrogate-4class": run_surrogate_4class}
 
 
+def _passed(result):
+    """The verdict: each target `<key>_min` or `<key>_max` bounds
+    result[<key>] from below or above."""
+    def meets(target, bound):
+        key, side = target.rsplit("_", 1)
+        return {"min": result[key] >= bound, "max": result[key] <= bound}[side]
+    return all(meets(t, b) for t, b in result["targets"].items())
+
+
 def run_experiment(name, out_dir, seed=None, scale=1.0):
+    """Run one experiment and write its results.json; returns the result.
+
+    The experiment returns its own result keys (`targets` and `outputs`
+    among them), its training trace and its fitted (recording,
+    FeatureImage, LabelMask) triples; the rest of the report is built
+    here. Timings never reach a file whose sha256 is recorded.
+    """
     if name not in EXPERIMENTS:
         raise ValidationError(
             f"unknown experiment {name!r}; pick from {', '.join(EXPERIMENTS)}")
+    t0 = time.monotonic()
+    stage = StageTimer()
+    os.makedirs(out_dir, exist_ok=True)
     kwargs = {} if seed is None else {"seed": seed}
-    result = EXPERIMENTS[name](out_dir, scale=scale, **kwargs)
+    result, trace, fitted = EXPERIMENTS[name](out_dir, stage, scale, **kwargs)
+    steps = trace.steps[-1]
+    result.update({
+        "experiment": name,
+        "scale": scale,
+        "train_steps": steps,
+        "train_seconds": round(trace.seconds, 3),
+        "train_steps_per_s": round(steps / trace.seconds, 1),
+        "stop_reason": trace.stop_reason,
+        **stage.report(),
+        **_fit_report(fitted),
+        "passed": _passed(result),
+        "elapsed_seconds": round(time.monotonic() - t0, 3),
+        "sha256": {k: _file_sha256(p)
+                   for k, p in sorted(result["outputs"].items())},
+    })
     path = os.path.join(out_dir, "results.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=2, sort_keys=True)

@@ -228,6 +228,8 @@ TRAIN = ["train", "--features", "{dir}/absent.csv", "--mask",
 # augmentation comes after assembly, so its seed needs real inputs
 TRAIN_PIPELINE = ["train", "--features", "{features}", "--mask", "{mask}",
                   "--config", "{path}", "--out", "{dir}/m.txt"]
+MASK = ["train", "--features", "{features}", "--mask", "{path}",
+        "--out", "{dir}/m.txt"]
 
 SEGMENT = ["segment", "--model", "{model}", "--features", "{path}",
            "--out", "{dir}/seg.pgm"]
@@ -412,9 +414,13 @@ MALFORMED_INPUTS = [
       "{mask}", "--config", "{path}", "--perturb", "0.1",
       "--perturb-seed", "-1"], "perturb seed"),
     ("eval without inputs", "absent", None, ["eval"], "eval needs"),
-    ("missing training mask", "nope.pgm", None,
-     ["train", "--features", "{features}", "--mask", "{path}",
-      "--out", "{dir}/m.txt"], "nope.pgm"),
+    ("missing training mask", "nope.pgm", None, MASK, "nope.pgm"),
+    ("negative PGM size", "n.pgm", "P5\n-1 -1\n255\n\x00", MASK,
+     "n.pgm: PGM size -1x-1, need at least 1x1"),
+    ("empty PGM width", "n.pgm", "P5\n0 5\n255\n", MASK,
+     "n.pgm: PGM size 0x5, need at least 1x1"),
+    ("negative PGM maxval", "n.pgm", "P5\n2 1\n-3\n\x00\x01", MASK,
+     "n.pgm: maxval -3 outside 1..255"),
     ("segment into a missing directory", "absent", None,
      ["segment", "--model", "{model}", "--features", "{features}",
       "--out", "{dir}/nodir/s.pgm"], "nodir/s.pgm"),
@@ -508,6 +514,16 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
     assert r1["validation_accuracy"] == r2["validation_accuracy"]
     assert r1["scale"] == 0.1
     for r in (r1, r2):
+        # `passed` is the targets' verdict: `<key>_min` and `<key>_max`
+        # bound the result key they name
+        verdicts = []
+        for target, bound in r["targets"].items():
+            key, side = target.rsplit("_", 1)
+            assert key in r and side in ("min", "max"), target
+            verdicts.append(r[key] >= bound if side == "min"
+                            else r[key] <= bound)
+        assert verdicts and r["passed"] == all(verdicts)
+        assert code1 == (0 if r["passed"] else 3)
         assert set(r["timings"]) == {"render", "fit", "train", "predict",
                                      "evaluate"}
         assert all(v >= 0.0 for v in r["timings"].values())

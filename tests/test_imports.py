@@ -120,8 +120,9 @@ def test_public_names_have_callers():
 
 def _calls_and_values(tree):
     """(calls, attribute values, bare-name values) of a module: each call
-    as (callee name, positional count or None after a *args, keyword names
-    or None after a **kwargs), and the names used other than as a callee."""
+    as (callee name, positional argument nodes or None after a *args,
+    keyword argument nodes by name or None after a **kwargs), and the
+    names used other than as a callee."""
     callees = set()
     calls = []
     for node in ast.walk(tree):
@@ -129,8 +130,8 @@ def _calls_and_values(tree):
             callees.add(id(node.func))
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            keywords = {k.arg for k in node.keywords}
-            calls.append((name, None if starred else len(node.args),
+            keywords = {k.arg: k.value for k in node.keywords}
+            calls.append((name, None if starred else node.args,
                           None if None in keywords else keywords))
     attributes = {n.attr for n in ast.walk(tree)
                   if isinstance(n, ast.Attribute) and id(n) not in callees}
@@ -140,10 +141,10 @@ def _calls_and_values(tree):
 
 
 def _defaulted_parameters(tree):
-    """(callee name, parameter, positional index or None) for each
-    parameter with a default, and each defaulted field of a frozen
-    dataclass; a method's index leaves out `self`, and `__init__` is
-    called by its class name."""
+    """(callee name, parameter, positional index or None, default node)
+    for each parameter with a default, and each defaulted field of a
+    frozen dataclass; a method's index leaves out `self`, and `__init__`
+    is called by its class name."""
     classes = {id(node): owner.name for owner in ast.walk(tree)
                if isinstance(owner, ast.ClassDef) for node in owner.body}
     found = []
@@ -156,12 +157,13 @@ def _defaulted_parameters(tree):
         if id(node) in classes:
             shift = 1
             name = classes[id(node)] if name == "__init__" else name
-        for i, arg in enumerate(positional):
-            if i >= len(positional) - len(args.defaults):
-                found.append((name, arg.arg, i - shift))
+        first = len(positional) - len(args.defaults)
+        for i, (arg, default) in enumerate(zip(positional[first:],
+                                               args.defaults), first):
+            found.append((name, arg.arg, i - shift, default))
         for arg, default in zip(args.kwonlyargs, args.kw_defaults):
             if default is not None:
-                found.append((name, arg.arg, None))
+                found.append((name, arg.arg, None, default))
     # a frozen dataclass's fields are its __init__ parameters, in order
     for node in ast.walk(tree):
         if isinstance(node, ast.ClassDef) and any(
@@ -170,13 +172,30 @@ def _defaulted_parameters(tree):
                     k.value, "value", None) is True for k in d.keywords)
                 for d in node.decorator_list):
             fields = [f for f in node.body if isinstance(f, ast.AnnAssign)]
-            found += [(node.name, f.target.id, i)
+            found += [(node.name, f.target.id, i, f.value)
                       for i, f in enumerate(fields) if f.value is not None]
     return found
 
 
+def _overrides(call, param, index, default):
+    """Whether a (callee, args, keywords) call may pass `param` a value
+    other than its default: it passes an argument that is not the
+    default's own expression, or hides its arguments behind * or **."""
+    _, args, keywords = call
+    if args is None or keywords is None:
+        return True
+    if param in keywords:
+        passed = keywords[param]
+    elif index is not None and len(args) > index:
+        passed = args[index]
+    else:
+        return False
+    return ast.dump(passed) != ast.dump(default)
+
+
 def test_defaulted_parameters_are_passed():
-    # a default that no caller overrides is a constant dressed as a knob
+    # a default that no caller overrides is a constant dressed as a knob;
+    # a caller that passes the default's own literal does not override it
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
              for p in sorted(PACKAGE.glob("*.py"))}
     callers = list(trees.values()) + [
@@ -190,13 +209,12 @@ def test_defaulted_parameters_are_passed():
     for path, tree in trees.items():
         # a bare name is the function only in the module that defines it
         local_values = _calls_and_values(tree)[2]
-        for name, param, index in _defaulted_parameters(tree):
+        for name, param, index, default in _defaulted_parameters(tree):
             if name in as_values or name in local_values:
                 continue
-            if not any(callee == name and (
-                    count is None or keywords is None or param in keywords
-                    or (index is not None and count > index))
-                       for callee, count, keywords in calls):
+            if not any(call[0] == name
+                       and _overrides(call, param, index, default)
+                       for call in calls):
                 unpassed.append(f"{path.stem}.{name}({param}=)")
     assert unpassed == []
 

@@ -36,10 +36,13 @@ def test_sequence_validation():
 
 def test_write_then_load_round_trip(tmp_path):
     seq = make_sequence(frames=4, height=2, width=3, saturation=100.0)
+    # values whose shortest exact form needs 17 significant digits, and
+    # the smallest subnormal
+    seq.data[0, 0] = [0.1 + 0.2, np.nextafter(1.0, 2.0), 5e-324]
     manifest = write_sequence(seq, str(tmp_path))
     back = load_sequence(manifest)
     assert (back.width, back.height, back.frame_count) == (3, 2, 4)
-    npt.assert_array_equal(back.data, seq.data)
+    assert back.data.tobytes() == seq.data.tobytes()
     npt.assert_array_equal(back.timestamps, seq.timestamps)
     assert back.saturation_value == 100.0
 

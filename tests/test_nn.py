@@ -471,14 +471,17 @@ def test_train_budget_validation():
         nn.train(narrow, ds, ds, nn.TrainConfig(epochs=1))
 
 
-def test_max_steps_cuts_epoch_short():
+# 128 rows at batch 16 are 8 steps per epoch; the step budget runs out
+# first, also inside the last epoch the epoch budget allows
+@pytest.mark.parametrize("epochs, max_steps", [(100, 5), (1, 3), (2, 13)])
+def test_max_steps_cuts_epoch_short(epochs, max_steps):
     ds = _blob_dataset(64, [(-1.0, 0.0), (1.0, 0.0)], 0.5, seed=90)
     model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 91)
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
-                            batch_size=16, epochs=100, max_steps=5)
+                            batch_size=16, epochs=epochs, max_steps=max_steps)
     _, trace = nn.train(model, ds, ds, config)
     assert trace.stop_reason == "step-budget"
-    assert trace.steps[-1] == 5
+    assert trace.steps[-1] == max_steps
 
 
 def test_param_count():
