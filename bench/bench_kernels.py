@@ -6,8 +6,9 @@ scene, the x50 augment, fit_scaler and apply_scaler of a training split
 the size of the four-class benchmark's (25,195 rows of 15 features), and
 one Adam step of the 15/10/20/4 tanh net at batch 2048 (the four-class
 experiment's), prints the best of several runs of each, and writes them
-with the render's span count and the fit's and preparation's tracemalloc
-peaks to BENCH_kernels.json beside this script.
+with the render's span count, the fit's worker count and the fit's and
+preparation's tracemalloc peaks to BENCH_kernels.json beside this script.
+The fit runs one worker per core only with one BLAS thread.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -88,7 +89,8 @@ def main():
     fit_args = (data, np.log10(timestamps), math.inf, args.degree,
                 1.0 / math.log(10.0))
     t_fit = time_calls(_kernels.fit_image, args.repeats, *fit_args)
-    print(f"fit:    {t_fit:10.1f} ms")
+    workers = _kernels._fit_workers(region_map.size)
+    print(f"fit:    {t_fit:10.1f} ms ({workers} workers)")
 
     tracemalloc.start()
     _kernels.fit_image(*fit_args)
@@ -119,6 +121,7 @@ def main():
         "render_ms": round(t_render, 1),
         "render_spans": spans,
         "fit_ms": round(t_fit, 1),
+        "fit_workers": workers,
         "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),
         "cube_mb": round(data.nbytes / 1e6, 2),
         "prep": {"rows": PREP_ROWS, "features": 15, "copies": PREP_COPIES,
@@ -130,9 +133,8 @@ def main():
                        "optimizer": "adam", "steps": TRAIN_STEPS},
         "train_step_ms": round(t_step, 3),
         "numpy": np.__version__,
-        "blas_threads": {k: os.environ.get(k, "unset") for k in
-                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                          "MKL_NUM_THREADS")},
+        "blas_threads": {k: os.environ.get(k, "unset")
+                         for k in _kernels.BLAS_THREAD_VARS},
         "cpu_count": os.cpu_count(),
     }
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),

@@ -17,17 +17,24 @@ numpy:
   blocks of about CHUNK adjacent pixels, so each block's frames x pixels
   slab stays in cache. A block finds its own start frames (the frame
   after each pixel's last saturated one). When all its pixels share one
-  start, it checks positivity on the view and takes the log straight
-  from the view into one reused buffer. Pixels of other blocks are
-  queued by start frame and gathered from the cube CHUNK at a time, so
-  scattered start frames still make full-width solves. Each window gets
-  one thin QR of its Vandermonde matrix on a log-time axis mapped to
-  [-1, 1], cached across blocks; its pixels are solved with one Q^T
-  product and a triangular solve, and their residuals are formed
-  explicitly. The fit adds a few block-sized buffers to the cube, never
-  a copy of it, and returns a reason code per pixel.
+  start, it takes the log straight from the view into one reused buffer.
+  Pixels of other blocks are queued by start frame and gathered from the
+  cube CHUNK at a time, so scattered start frames still make full-width
+  solves. Each window gets one thin QR of its Vandermonde matrix on a
+  log-time axis mapped to [-1, 1], cached across blocks; its pixels are
+  solved with one Q^T product and a triangular solve, and their residuals
+  are formed explicitly. A sample <= 0 or NaN shows as a non-finite
+  column of the Q^T product, and only then are the positive columns
+  refitted, so the data is read once. The fit adds a few block-sized
+  buffers to the cube, never a copy of it, and returns a reason code per
+  pixel. When BLAS runs on one thread, the fit takes a render's workers:
+  each takes a contiguous run of blocks, the queue is built in block
+  order as one pass would build it, and the queued solves are shared out
+  again. Every BLAS product keeps its operands and shape, so like the
+  render, the output is bitwise the same for any core count.
 """
 
+import contextlib
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -46,8 +53,13 @@ _TWO_PI = 2.0 * math.pi
 # pixels per block in fit_image: a (frames, CHUNK) slab stays in cache
 CHUNK = 256
 
-# fewest pixels per render span: below it a thread costs more than it saves
+# fewest pixels per render span or fit worker: below it a thread costs more
+# than it saves
 MIN_SPAN = 4096
+
+# BLAS thread-count variables: OpenBLAS reads the first two, in this order
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                    "MKL_NUM_THREADS")
 
 # fit_image reason codes (indexes into REASONS): why a pixel was dropped
 FITTED = 0
@@ -135,11 +147,27 @@ def _render_span(flat_cols, base_t, idx, state, sigma, lo, hi):
 
 
 def _span_count(pixels):
-    """Worker spans for a render: one per available core, but none
-    narrower than MIN_SPAN pixels."""
+    """Workers for a render or a fit: one per available core, but none
+    with fewer than MIN_SPAN pixels."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     return max(1, min(cores, pixels // MIN_SPAN))
+
+
+def _pool(count):
+    """Threads for `count` workers besides the calling one; no pool for a
+    single worker."""
+    return (ThreadPoolExecutor(count - 1) if count > 1
+            else contextlib.nullcontext())
+
+
+def _spread(pool, calls):
+    """Results of (function, args) calls, in order: the calling thread runs
+    the first and pool's threads the rest. numpy and BLAS release the GIL
+    inside each call, so the workers run on separate cores."""
+    rest = [pool.submit(func, *args) for func, args in calls[1:]]
+    func, args = calls[0]
+    return [func(*args)] + [done.result() for done in rest]
 
 
 def render_frames(base, region_map, sigma, seed, lo, hi):
@@ -158,15 +186,10 @@ def render_frames(base, region_map, sigma, seed, lo, hi):
     args = (float(sigma), float(lo), float(hi))
     count = _span_count(idx.shape[0])
     edges = [idx.shape[0] * i // count for i in range(count + 1)]
-    jobs = [(flat[:, a:b], base_t, idx[a:b], states[a:b], *args)
-            for a, b in zip(edges[:-1], edges[1:])]
-    if count == 1:
-        _render_span(*jobs[0])
-    else:
-        # numpy releases the GIL inside each ufunc call
-        with ThreadPoolExecutor(count) as pool:
-            for done in [pool.submit(_render_span, *job) for job in jobs]:
-                done.result()
+    with _pool(count) as pool:
+        _spread(pool, [(_render_span, (flat[:, a:b], base_t, idx[a:b],
+                                       states[a:b], *args))
+                       for a, b in zip(edges[:-1], edges[1:])])
     return out
 
 
@@ -201,6 +224,113 @@ def _window(log_t, s, degree):
     return q, r, _affine_basis_matrix(degree, scale, shift)
 
 
+class _FitWorker:
+    """One fit worker: its own window cache and log and residual buffers.
+
+    It writes only the pixels it is handed into the shared coef, rms,
+    start and reason arrays, so workers never touch the same pixel.
+    """
+
+    def __init__(self, flat, log_t, saturation, degree, inv_ln_base, out,
+                 widest):
+        self.flat, self.log_t, self.saturation = flat, log_t, saturation
+        self.degree, self.inv_ln_base = degree, inv_ln_base
+        self.coef, self.rms, self.start, self.reason = out
+        self.log_buf = np.empty(flat.shape[0] * widest)
+        self.resid_buf = np.empty(flat.shape[0] * widest)
+        self.windows = {}
+
+    def blocks(self, edges):
+        """Find the start frames and reasons of the blocks between
+        consecutive edges and fit each block that has one window and drops
+        nothing straight from the cube view; returns the fitted columns of
+        every other block, in block order."""
+        frame_count, m = self.flat.shape[0], self.degree + 1
+        mixed = []
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            block = self.flat[:, lo:hi]
+            b_start = self.start[lo:hi]
+            b_reason = self.reason[lo:hi]
+            sat = block >= self.saturation
+            hit = sat.any(axis=0)
+            if hit.any():
+                b_start[hit] = frame_count - np.argmax(sat[::-1, hit], axis=0)
+            b_reason[b_start > frame_count - m] = TOO_FEW_FRAMES
+            b_reason[b_start == frame_count] = SATURATED
+            cols = lo + np.nonzero(b_reason == FITTED)[0]
+            if cols.shape[0] == hi - lo and (b_start == b_start[0]).all():
+                # one window and nothing dropped: read the cube view, no copy
+                self.solve(b_start[0], cols, block[b_start[0]:])
+            else:
+                mixed.append(cols)
+        return mixed
+
+    def gathered(self, solves):
+        """Fit each (start frame, cols) pair from columns gathered out of
+        the cube."""
+        for s, cols in solves:
+            self.solve(s, cols, self.flat[s:, cols])
+
+    def solve(self, s, cols, src):
+        """Fit pixels cols, whose frames from s on are the columns of src."""
+        windows = self.windows
+        if s not in windows:
+            # keep at most CHUNK windows: a noisy ceiling can give every
+            # pixel its own start frame
+            if len(windows) == CHUNK:
+                del windows[next(iter(windows))]
+            windows[s] = _window(self.log_t, s, self.degree)
+        if windows[s] is None:
+            self.reason[cols] = DEGENERATE_WINDOW
+            return
+        q, r, basis = windows[s]
+        y, qty = self._project(q, src)
+        # q[:, 0] is a nonzero constant, so a column of qty is finite exactly
+        # when its samples are all positive and finite
+        if not np.isfinite(qty).all():
+            positive = (src > 0.0).all(axis=0)
+            if not positive.all():
+                self.reason[cols[~positive]] = NON_POSITIVE
+                cols, src = cols[positive], src[:, positive]
+                if cols.shape[0] == 0:
+                    return
+                y, qty = self._project(q, src)
+        # R is upper triangular, so LU pivots nowhere: back substitution
+        sol = np.linalg.solve(r, qty)
+        resid = np.matmul(q, qty,
+                          out=self.resid_buf[:y.size].reshape(y.shape))
+        resid -= y
+        np.square(resid, out=resid)
+        self.coef[cols] = (basis @ sol).T
+        self.rms[cols] = np.sqrt(np.mean(resid, axis=0))
+
+    def _project(self, q, src):
+        """(log of src in the working base, its Q^T product)."""
+        y = self.log_buf[:src.size].reshape(src.shape)
+        # a sample <= 0 or NaN makes its column non-finite, which solve
+        # checks; errstate is per thread, so it is set here
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.log(src, out=y)
+            y *= self.inv_ln_base
+            return y, q.T @ y
+
+
+def _blas_pinned():
+    """True when the BLAS thread variables pin BLAS to one thread: the
+    first of OpenBLAS's variables that is set reads 1."""
+    for var in BLAS_THREAD_VARS[:2]:
+        if var in os.environ:
+            return os.environ[var] == "1"
+    return False
+
+
+def _fit_workers(pixels):
+    """Workers for a fit: a render's span count when BLAS runs on one
+    thread, else one, since fit workers on a multi-threaded BLAS contend
+    for the same cores."""
+    return _span_count(pixels) if _blas_pinned() else 1
+
+
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
     """Least-squares log-log polynomial fit of every pixel history.
 
@@ -209,7 +339,8 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     Returns (coef (H,W,degree+1) in the raw log-time basis, rms (H,W),
     start (H,W) first fitted frame, reason (H,W) uint8), where reason is
     FITTED for every fitted pixel and names why any other pixel was
-    dropped; a dropped pixel keeps zero coef and rms.
+    dropped; a dropped pixel keeps zero coef and rms. The output is
+    bitwise the same for any worker count.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     log_t = np.ascontiguousarray(log_t, dtype=np.float64)
@@ -218,77 +349,37 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     pixels = height * width
     flat = data.reshape(frame_count, pixels)
 
-    coef = np.zeros((pixels, m))
-    rms = np.zeros(pixels)
-    start = np.zeros(pixels, dtype=np.int64)
-    reason = np.zeros(pixels, dtype=np.uint8)
+    out = coef, rms, start, reason = (
+        np.zeros((pixels, m)), np.zeros(pixels),
+        np.zeros(pixels, dtype=np.int64), np.zeros(pixels, dtype=np.uint8))
     # blocks of CHUNK to 2*CHUNK - 1 pixels: no narrow tail block, whose
     # smaller BLAS products could round differently from the rest
-    count = max(1, pixels // CHUNK)
-    edges = [pixels * i // count for i in range(count + 1)]
-    widest = -(-pixels // count)
-    log_buf = np.empty(frame_count * widest)
-    resid_buf = np.empty(frame_count * widest)
-    windows = {}
-
-    def solve(s, cols, src):
-        """Fit pixels cols, whose frames from s on are the columns of src."""
-        if s not in windows:
-            # keep at most CHUNK windows: a noisy ceiling can give every
-            # pixel its own start frame
-            if len(windows) == CHUNK:
-                del windows[next(iter(windows))]
-            windows[s] = _window(log_t, s, degree)
-        if windows[s] is None:
-            reason[cols] = DEGENERATE_WINDOW
-            return
-        positive = (src > 0.0).all(axis=0)
-        if not positive.all():
-            reason[cols[~positive]] = NON_POSITIVE
-            cols, src = cols[positive], src[:, positive]
-            if cols.shape[0] == 0:
-                return
-        q, r, basis = windows[s]
-        y = log_buf[:src.size].reshape(src.shape)
-        np.log(src, out=y)
-        y *= inv_ln_base
-        qty = q.T @ y
-        # R is upper triangular, so LU pivots nowhere: back substitution
-        sol = np.linalg.solve(r, qty)
-        resid = np.matmul(q, qty, out=resid_buf[:y.size].reshape(y.shape))
-        resid -= y
-        np.square(resid, out=resid)
-        coef[cols] = (basis @ sol).T
-        rms[cols] = np.sqrt(np.mean(resid, axis=0))
-
-    # pixels of blocks that mix windows or drop pixels wait here, by start
-    # frame, and are gathered from the cube CHUNK at a time
-    pending = {}
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        block = flat[:, lo:hi]
-        b_start = start[lo:hi]
-        b_reason = reason[lo:hi]
-        sat = block >= saturation
-        hit = sat.any(axis=0)
-        if hit.any():
-            b_start[hit] = frame_count - np.argmax(sat[::-1, hit], axis=0)
-        b_reason[b_start > frame_count - m] = TOO_FEW_FRAMES
-        b_reason[b_start == frame_count] = SATURATED
-        cols = lo + np.nonzero(b_reason == FITTED)[0]
-        if cols.shape[0] == hi - lo and (b_start == b_start[0]).all():
-            # one window and nothing dropped: read the cube view, no copy
-            solve(b_start[0], cols, block[b_start[0]:])
-            continue
-        for s in np.unique(start[cols]):
-            queue = np.concatenate([pending.get(s, cols[:0]),
-                                    cols[start[cols] == s]])
-            while queue.shape[0] >= CHUNK:
-                solve(s, queue[:CHUNK], flat[s:, queue[:CHUNK]])
-                queue = queue[CHUNK:]
-            pending[s] = queue
-    for s, queue in pending.items():
-        if queue.shape[0]:
-            solve(s, queue, flat[s:, queue])
-
+    blocks = max(1, pixels // CHUNK)
+    edges = [pixels * i // blocks for i in range(blocks + 1)]
+    count = _fit_workers(pixels)
+    workers = [_FitWorker(flat, log_t, saturation, degree, inv_ln_base, out,
+                          -(-pixels // blocks)) for _ in range(count)]
+    runs = [edges[blocks * i // count:blocks * (i + 1) // count + 1]
+            for i in range(count)]
+    with _pool(count) as pool:
+        mixed = _spread(pool, [(w.blocks, (run,))
+                               for w, run in zip(workers, runs)])
+        # pixels of blocks that mix windows or drop pixels are queued by
+        # start frame in block order, as one serial pass would, and
+        # gathered from the cube CHUNK at a time
+        pending, solves = {}, []
+        for cols in (cols for run in mixed for cols in run):
+            for s in np.unique(start[cols]):
+                queue = np.concatenate([pending.get(s, cols[:0]),
+                                        cols[start[cols] == s]])
+                while queue.shape[0] >= CHUNK:
+                    solves.append((s, queue[:CHUNK]))
+                    queue = queue[CHUNK:]
+                pending[s] = queue
+        solves += [(s, queue) for s, queue in pending.items()
+                   if queue.shape[0]]
+        _spread(pool, [(w.gathered, (solves[len(solves) * i // count:
+                                            len(solves) * (i + 1) // count],))
+                       for i, w in enumerate(workers)])
     return (coef.reshape(height, width, m), rms.reshape(height, width),
             start.reshape(height, width), reason.reshape(height, width))

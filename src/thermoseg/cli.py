@@ -131,7 +131,7 @@ def cmd_train(args):
     steps = trace.steps[-1]
     print(f"trained {model.layer_sizes} in {steps} steps "
           f"({trace.stop_reason}, {steps / trace.seconds:.0f} steps/s); "
-          f"final val acc {trace.val_acc[-1]:.4f} -> {args.out}")
+          f"final val acc {trace.saved_val_acc:.4f} -> {args.out}")
     return 0
 
 

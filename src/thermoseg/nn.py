@@ -360,6 +360,14 @@ class TrainTrace:
         self.val_acc.append(v_acc)
         return True
 
+    @property
+    def saved_val_acc(self):
+        """Validation accuracy of the returned weights: at the restored
+        snapshot after an early stop, else at the last check."""
+        at = (-1 if self.restored_step is None
+              else self.steps.index(self.restored_step))
+        return self.val_acc[at]
+
 
 _EVAL_CAP = 4096
 
@@ -556,4 +564,6 @@ def write_trace(trace, path):
             fh.write(f"{trace.steps[i]},{trace.epochs[i]},"
                      f"{trace.train_loss[i]:.9g},{trace.val_loss[i]:.9g},"
                      f"{trace.train_acc[i]:.9g},{trace.val_acc[i]:.9g}\n")
-        fh.write(f"# stop: {trace.stop_reason}\n")
+        restored = ("" if trace.restored_step is None
+                    else f", restored step {trace.restored_step}")
+        fh.write(f"# stop: {trace.stop_reason}{restored}\n")

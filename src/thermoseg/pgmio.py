@@ -58,4 +58,11 @@ def read_pgm(path):
     raster = blob[pos:pos + width * height]
     if len(raster) != width * height:
         raise PgmError(f"{path}: truncated PGM raster")
-    return np.frombuffer(raster, dtype=np.uint8).reshape(height, width).copy()
+    if len(blob) > pos + len(raster):
+        raise PgmError(f"{path}: {len(blob) - pos - len(raster)} bytes after "
+                       f"the {width}x{height} PGM raster")
+    image = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if image.max() > maxval:
+        raise PgmError(f"{path}: PGM sample {image.max()} above maxval "
+                       f"{maxval}")
+    return image.copy()

@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from . import evaluate, features, nn, synthgen, tsr
+from . import _kernels, evaluate, features, nn, synthgen, tsr
 from .errors import ValidationError
 from .ingest import save_mask, trim_mask
 
@@ -53,11 +53,22 @@ def _scaled(value, scale, minimum):
     return max(minimum, int(round(value * scale)))
 
 
+def _peak_rss_mb():
+    """The process's peak RSS so far, in MB."""
+    # ru_maxrss is in KiB on Linux and in bytes on macOS
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    unit = 1 if sys.platform == "darwin" else 1024
+    return round(rss * unit / 2 ** 20, 1)
+
+
 class StageTimer:
-    """Wall seconds per named stage, summed over every entry to it."""
+    """Wall seconds per named stage, summed over every entry to it, and the
+    peak RSS as each stage ends. The peak is a high-water mark, so the
+    stage whose mark rises is the one that raised it."""
 
     def __init__(self):
         self.seconds = {}
+        self.marks = []
 
     @contextlib.contextmanager
     def __call__(self, stage):
@@ -67,15 +78,15 @@ class StageTimer:
         finally:
             self.seconds[stage] = (self.seconds.get(stage, 0.0)
                                    + time.perf_counter() - t0)
+            self.marks.append([stage, _peak_rss_mb()])
 
     def report(self):
-        """`timings` and `peak_rss_mb` for results.json; like every timing
-        they never reach a file whose sha256 is recorded."""
-        # ru_maxrss is in KiB on Linux and in bytes on macOS
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        unit = 1 if sys.platform == "darwin" else 1024
+        """`timings`, `stage_peak_rss_mb` ([stage, MB] per stage end, in
+        order) and `peak_rss_mb` for results.json; like every timing they
+        never reach a file whose sha256 is recorded."""
         return {"timings": {k: round(v, 3) for k, v in self.seconds.items()},
-                "peak_rss_mb": round(rss * unit / 2 ** 20, 1)}
+                "stage_peak_rss_mb": self.marks,
+                "peak_rss_mb": _peak_rss_mb()}
 
 
 def _fit_report(fitted):
@@ -94,8 +105,8 @@ def _fit_report(fitted):
             "rms_quantiles": {c: dict(zip(("p50", "p95", "max"), np.quantile(
                 v, (0.5, 0.95, 1.0)).tolist())) if v.size else None
                 for c, v in sorted(rms.items())},
-            "blas_threads": {v: os.environ.get(v) for v in (
-                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}}
+            "blas_threads": {v: os.environ.get(v)
+                             for v in _kernels.BLAS_THREAD_VARS}}
 
 
 def _dataset_accuracy(model, ds):
@@ -225,7 +236,7 @@ def run_synthetic_2class(out_dir, stage, scale, seed=3101):
         "degree": degree,
         "in_sample_accuracy": in_sample,
         "out_of_sample_accuracy": out_sample,
-        "validation_accuracy": trace.val_acc[-1],
+        "validation_accuracy": trace.saved_val_acc,
         "targets": {"in_sample_accuracy_min": 0.93,
                     "out_of_sample_accuracy_min": 0.88},
         "outputs": {"features": features_path, "model": model_path,
@@ -340,6 +351,7 @@ def run_experiment(name, out_dir, seed=None, scale=1.0):
         "train_seconds": round(trace.seconds, 3),
         "train_steps_per_s": round(steps / trace.seconds, 1),
         "stop_reason": trace.stop_reason,
+        "restored_step": trace.restored_step,
         **stage.report(),
         **_fit_report(fitted),
         "passed": _passed(result),

@@ -7,6 +7,7 @@ pinned experiments at full scale, so this module takes a few minutes.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -83,6 +84,20 @@ def test_criterion_2_two_class_experiment(two_class_runs):
     assert result["out_of_sample_accuracy"] >= 0.88
     assert result["elapsed_seconds"] <= 15 * 60
     _check_fit_report(result, ("sound", "flawed", "composite"), ("0", "1"))
+    # the run early-stops; it reports the restored model, whose accuracy
+    # trace.csv logged at the restored step
+    assert result["stop_reason"] == "early-stopping"
+    trace = os.path.join(os.path.dirname(result["outputs"]["model"]),
+                         "trace.csv")
+    with open(trace, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    assert lines[-1] == ("# stop: early-stopping, restored step "
+                         f"{result['restored_step']}")
+    rows = {int(row.split(",")[0]): float(row.split(",")[5])
+            for row in lines[1:-1]}
+    assert result["restored_step"] < result["train_steps"]
+    assert abs(result["validation_accuracy"]
+               - rows[result["restored_step"]]) <= 1e-9
     print(f"criterion 2 PASS: in-sample "
           f"{result['in_sample_accuracy']:.4f} >= 0.93, out-of-sample "
           f"{result['out_of_sample_accuracy']:.4f} >= 0.88 "

@@ -421,6 +421,11 @@ MALFORMED_INPUTS = [
      "n.pgm: PGM size 0x5, need at least 1x1"),
     ("negative PGM maxval", "n.pgm", "P5\n2 1\n-3\n\x00\x01", MASK,
      "n.pgm: maxval -3 outside 1..255"),
+    # a repeated header line shifts the raster into the header's bytes
+    ("repeated PGM size line", "n.pgm", "P5\n2 1\n2 1\n255\n\x00\x01",
+     MASK, "n.pgm: 6 bytes after the 2x1 PGM raster"),
+    ("PGM sample above maxval", "n.pgm", "P5\n2 1\n1\n\x00\x02", MASK,
+     "n.pgm: PGM sample 2 above maxval 1"),
     ("segment into a missing directory", "absent", None,
      ["segment", "--model", "{model}", "--features", "{features}",
       "--out", "{dir}/nodir/s.pgm"], "nodir/s.pgm"),
@@ -528,6 +533,13 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
                                      "evaluate"}
         assert all(v >= 0.0 for v in r["timings"].values())
         assert r["peak_rss_mb"] > 0.0
+        # one high-water mark per stage end, in run order
+        stages = [stage for stage, _ in r["stage_peak_rss_mb"]]
+        assert stages == ["render", "fit"] * 3 + ["train", "predict",
+                                                  "evaluate"]
+        marks = [mb for _, mb in r["stage_peak_rss_mb"]]
+        assert 0.0 < marks[0] and marks == sorted(marks)
+        assert marks[-1] <= r["peak_rss_mb"]
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import tracemalloc
 import warnings
 
@@ -290,6 +291,182 @@ def test_fit_memory_stays_below_half_the_cube():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * data.nbytes
+
+
+# the serial fit that fit_image's workers replace, kept verbatim to check
+# that they give the same bits
+CHUNK = _kernels.CHUNK
+FITTED, SATURATED, TOO_FEW_FRAMES, NON_POSITIVE, DEGENERATE_WINDOW = range(5)
+_window = _kernels._window
+
+
+def _serial_fit(data, log_t, saturation, degree, inv_ln_base):
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    log_t = np.ascontiguousarray(log_t, dtype=np.float64)
+    frame_count, height, width = data.shape
+    m = degree + 1
+    pixels = height * width
+    flat = data.reshape(frame_count, pixels)
+
+    coef = np.zeros((pixels, m))
+    rms = np.zeros(pixels)
+    start = np.zeros(pixels, dtype=np.int64)
+    reason = np.zeros(pixels, dtype=np.uint8)
+    # blocks of CHUNK to 2*CHUNK - 1 pixels: no narrow tail block, whose
+    # smaller BLAS products could round differently from the rest
+    count = max(1, pixels // CHUNK)
+    edges = [pixels * i // count for i in range(count + 1)]
+    widest = -(-pixels // count)
+    log_buf = np.empty(frame_count * widest)
+    resid_buf = np.empty(frame_count * widest)
+    windows = {}
+
+    def solve(s, cols, src):
+        """Fit pixels cols, whose frames from s on are the columns of src."""
+        if s not in windows:
+            # keep at most CHUNK windows: a noisy ceiling can give every
+            # pixel its own start frame
+            if len(windows) == CHUNK:
+                del windows[next(iter(windows))]
+            windows[s] = _window(log_t, s, degree)
+        if windows[s] is None:
+            reason[cols] = DEGENERATE_WINDOW
+            return
+        positive = (src > 0.0).all(axis=0)
+        if not positive.all():
+            reason[cols[~positive]] = NON_POSITIVE
+            cols, src = cols[positive], src[:, positive]
+            if cols.shape[0] == 0:
+                return
+        q, r, basis = windows[s]
+        y = log_buf[:src.size].reshape(src.shape)
+        np.log(src, out=y)
+        y *= inv_ln_base
+        qty = q.T @ y
+        # R is upper triangular, so LU pivots nowhere: back substitution
+        sol = np.linalg.solve(r, qty)
+        resid = np.matmul(q, qty, out=resid_buf[:y.size].reshape(y.shape))
+        resid -= y
+        np.square(resid, out=resid)
+        coef[cols] = (basis @ sol).T
+        rms[cols] = np.sqrt(np.mean(resid, axis=0))
+
+    # pixels of blocks that mix windows or drop pixels wait here, by start
+    # frame, and are gathered from the cube CHUNK at a time
+    pending = {}
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        block = flat[:, lo:hi]
+        b_start = start[lo:hi]
+        b_reason = reason[lo:hi]
+        sat = block >= saturation
+        hit = sat.any(axis=0)
+        if hit.any():
+            b_start[hit] = frame_count - np.argmax(sat[::-1, hit], axis=0)
+        b_reason[b_start > frame_count - m] = TOO_FEW_FRAMES
+        b_reason[b_start == frame_count] = SATURATED
+        cols = lo + np.nonzero(b_reason == FITTED)[0]
+        if cols.shape[0] == hi - lo and (b_start == b_start[0]).all():
+            # one window and nothing dropped: read the cube view, no copy
+            solve(b_start[0], cols, block[b_start[0]:])
+            continue
+        for s in np.unique(start[cols]):
+            queue = np.concatenate([pending.get(s, cols[:0]),
+                                    cols[start[cols] == s]])
+            while queue.shape[0] >= CHUNK:
+                solve(s, queue[:CHUNK], flat[s:, queue[:CHUNK]])
+                queue = queue[CHUNK:]
+            pending[s] = queue
+    for s, queue in pending.items():
+        if queue.shape[0]:
+            solve(s, queue, flat[s:, queue])
+
+    return (coef.reshape(height, width, m), rms.reshape(height, width),
+            start.reshape(height, width), reason.reshape(height, width))
+
+
+def _uniform_cube():
+    """Positive noisy decays sharing one window, over several blocks."""
+    rng = np.random.default_rng(41)
+    t = np.arange(80) + 1.0
+    data = 200.0 * t[:, None] ** -0.5 + rng.normal(0.0, 0.5, (80, 1500))
+    return data.reshape(80, 30, 50), np.log10(t), np.inf
+
+
+def _mixed_cube():
+    """Every pixel kind of _mixed_window_cube, each on more than CHUNK
+    pixels, so the queue fills whole gathers and leaves tails."""
+    data, t, kind = _mixed_window_cube(40, 90, 60, 5)
+    assert (np.bincount(kind.ravel()) > CHUNK).all()
+    return data, np.log10(t), 1000.0
+
+
+def _bad_sample_cube():
+    """A block holding 0, -1, NaN and +-inf samples, and a last block in
+    which every pixel has a non-positive sample."""
+    rng = np.random.default_rng(43)
+    t = np.arange(50) + 1.0
+    data = rng.uniform(1.0, 2.0, (50, 20, 40))
+    for row, value in enumerate((0.0, -1.0, np.nan, np.inf, -np.inf)):
+        data[10 + row, row, 3 * row + 1] = value
+    # the blocks are pixels 0-265, 266-532 and 533-799
+    data[25, 10:, :] = -1.0
+    return data, np.log10(t), 5.0
+
+
+FIT_CUBES = {"uniform": _uniform_cube, "mixed": _mixed_cube,
+             "bad-samples": _bad_sample_cube}
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 7])
+@pytest.mark.parametrize("cube", sorted(FIT_CUBES))
+def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
+    data, log_t, saturation = FIT_CUBES[cube]()
+    args = (data, log_t, saturation, 4, 1.0 / math.log(10.0))
+    want = _serial_fit(*args)
+    monkeypatch.setattr(_kernels, "_fit_workers", lambda pixels: workers)
+    # switch threads often, so that workers sharing a buffer or a pixel
+    # would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _kernels.fit_image(*args)
+    finally:
+        sys.setswitchinterval(interval)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+    reasons = np.bincount(want[3].ravel(), minlength=5)
+    if cube == "bad-samples":
+        # inf saturates; the other four bad samples and the -1 rows drop
+        assert reasons[NON_POSITIVE] == 4 + 10 * 40
+        assert (want[3].ravel()[533:] == NON_POSITIVE).all()
+        assert reasons[FITTED] > 0
+    else:
+        assert reasons[FITTED] > 2 * CHUNK
+
+
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "8"}, False),
+    ({"MKL_NUM_THREADS": "1"}, False),
+])
+def test_fit_workers_need_single_threaded_blas(monkeypatch, env, pinned):
+    for var in _kernels.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert _kernels._blas_pinned() is pinned
+    many = 10 ** 9
+    assert _kernels._fit_workers(many) == (_kernels._span_count(many)
+                                           if pinned else 1)
+    assert _kernels._fit_workers(2 * _kernels.MIN_SPAN - 1) == 1
 
 
 def test_affine_basis_matrix_identity():

@@ -1,6 +1,7 @@
 """A seeded mutation sweep over every file a command reads: each file of
-the test pipeline, broken line by line, gives exit 0, 2 or 3, one stderr
-line on 2 and 3, and never an escaped exception."""
+the test pipeline, broken line by line (a PGM mask in its header only),
+gives exit 0, 2 or 3, one stderr line on 2 and 3, and never an escaped
+exception."""
 
 import re
 import signal
@@ -31,6 +32,8 @@ COMMANDS = {
     "model": ["segment", "--model", "{path}", "--features", "{features}",
               "--out", "{dir}/s.pgm"],
     "matrix": ["eval", "--matrix", "{path}", "--positive", "1"],
+    "mask": ["train", "--features", "{features}", "--mask", "{path}",
+             "--config", "{config}", "--out", "{dir}/m.txt"],
 }
 
 _TOKEN = re.compile(r"[^\s,=]+")
@@ -56,6 +59,22 @@ def mutants(text):
                 yield (f"line {i + 1} {line[lo:hi]!r} -> {value!r}",
                        "".join(lines[:i] + [changed] + lines[i + 1:]))
     yield "cut in half", text[:len(text) // 2]
+
+
+def file_mutants(path):
+    """(description, mutated bytes) for each mutation of a file: of every
+    line of a text file, and of the three header lines of a binary PGM,
+    whose raster is kept."""
+    blob = path.read_bytes()
+    if path.suffix != ".pgm":
+        for what, text in mutants(blob.decode("utf-8")):
+            yield what, text.encode("utf-8")
+        return
+    cut = 0
+    for _ in range(3):
+        cut = blob.index(b"\n", cut) + 1
+    for what, text in mutants(blob[:cut].decode("ascii")):
+        yield what, text.encode("ascii") + blob[cut:]
 
 
 class Overrun(Exception):
@@ -85,7 +104,8 @@ def _run(argv, capsys):
 
 
 def test_mutated_files_exit_cleanly(pipeline, tmp_path, capsys):
-    files = {key: pipeline[key] for key in ("features", "mask", "model")}
+    files = {key: pipeline[key]
+             for key in ("features", "mask", "model", "config")}
     assert cli.main(["eval", "--model", str(pipeline["model"]),
                      "--features", str(pipeline["features"]),
                      "--mask", str(pipeline["mask"]),
@@ -96,8 +116,8 @@ def test_mutated_files_exit_cleanly(pipeline, tmp_path, capsys):
     calls, failures = 0, []
     for kind, template in COMMANDS.items():
         path = tmp_path / sources[kind].name
-        for what, text in mutants(sources[kind].read_text(encoding="utf-8")):
-            path.write_text(text, encoding="utf-8")
+        for what, blob in file_mutants(sources[kind]):
+            path.write_bytes(blob)
             argv = [a.format(dir=tmp_path, path=path, **files)
                     for a in template]
             outcome, err = _run(argv, capsys)

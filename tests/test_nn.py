@@ -353,10 +353,27 @@ def test_early_stopping_restores_snapshot():
     assert trace.restored_step is not None
     assert trace.restored_step < trace.steps[-1]
 
-    final_loss, _ = nn.evaluate(trained, val_ds.vectors, val_ds.labels)
-    at_restore = trace.val_loss[trace.steps.index(trace.restored_step)]
-    npt.assert_allclose(final_loss, at_restore, rtol=1e-12)
+    final_loss, final_acc = nn.evaluate(trained, val_ds.vectors,
+                                        val_ds.labels)
+    at = trace.steps.index(trace.restored_step)
+    npt.assert_allclose(final_loss, trace.val_loss[at], rtol=1e-12)
     assert final_loss <= trace.val_loss[-1]
+    # the reported accuracy is the saved weights', not the last check's
+    assert trace.saved_val_acc == trace.val_acc[at] == final_acc
+
+
+def test_trace_stop_line_names_the_restored_step(tmp_path):
+    trace = nn.TrainTrace()
+    for step, v_acc in ((10, 0.5), (20, 0.75), (30, 0.7)):
+        trace.record(step, 0, 1.0, 1.0, 0.5, v_acc)
+    trace.stop_reason = "early-stopping"
+    assert trace.saved_val_acc == 0.7
+    trace.restored_step = 20
+    assert trace.saved_val_acc == 0.75
+    path = tmp_path / "trace.csv"
+    nn.write_trace(trace, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[-1] == "# stop: early-stopping, restored step 20"
 
 
 def _reference_backward(model, x, labels):
