@@ -1,14 +1,17 @@
 """Micro-benchmark for the hot kernels: frame rendering, pixel fits,
-training-set preparation and the training step.
+frame-file I/O, training-set preparation and the training step.
 
-Times the public render_frames and fit_image on a noisy four-quadrant
-scene, the x50 augment, fit_scaler and apply_scaler of a training split
-the size of the four-class benchmark's (25,195 rows of 15 features), and
-one Adam step of the 15/10/20/4 tanh net at batch 2048 (the four-class
-experiment's), prints the best of several runs of each, and writes them
-with the render's span count, the fit's worker count and the fit's and
-preparation's tracemalloc peaks to BENCH_kernels.json beside this script.
-The fit runs one worker per core only with one BLAS thread.
+Times the round trip of a noisy 96x72x400 recording (the CLI benchmark's)
+through write_sequence and load_sequence, on one worker process per core
+and on one process; the public render_frames and fit_image on a noisy
+four-quadrant scene; the x50 augment, fit_scaler and apply_scaler of a
+training split the size of the four-class benchmark's (25,195 rows of 15
+features); and one Adam step of the 15/10/20/4 tanh net at batch 2048
+(the four-class experiment's). It prints the best of several runs of
+each, and writes them with the frame I/O worker count, the render's span
+count, the fit's worker count and the fit's and preparation's
+tracemalloc peaks to BENCH_kernels.json beside this script. The fit runs
+one worker per core only with one BLAS thread.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -16,12 +19,13 @@ import argparse
 import json
 import math
 import os
+import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
-from thermoseg import _kernels, features, nn, synthgen
+from thermoseg import _kernels, features, ingest, nn, synthgen
 
 
 def time_calls(func, repeats, *args):
@@ -53,6 +57,43 @@ def train_step_ms(steps, repeats):
 
 PREP_ROWS, PREP_COPIES = 25195, 50
 
+FRAME_IO_SHAPE = (96, 72, 400)       # width, height, frames
+
+
+def frame_io_ms(seq, repeats, min_worker_values):
+    """Best write_sequence and load_sequence times of seq, in ms, with
+    ingest.MIN_WORKER_VALUES set to min_worker_values."""
+    default = ingest.MIN_WORKER_VALUES
+    ingest.MIN_WORKER_VALUES = min_worker_values
+    try:
+        with tempfile.TemporaryDirectory() as out:
+            write = time_calls(ingest.write_sequence, repeats, seq, out)
+            manifest = os.path.join(out, "manifest.txt")
+            return write, time_calls(ingest.load_sequence, repeats, manifest)
+    finally:
+        ingest.MIN_WORKER_VALUES = default
+
+
+def frame_io(repeats):
+    """Frame-file round trip of a noisy recording: times on the per-core
+    workers and on one process, and the worker count."""
+    width, height, frames = FRAME_IO_SHAPE
+    rng = np.random.default_rng(11)
+    seq = ingest.FrameSequence(
+        width, height, frames, (np.arange(frames) + 1.0) / (frames / 240.0),
+        rng.uniform(1.0, 254.0, (frames, height, width)), 254.0)
+    workers = ingest._frame_workers(seq.data.size, frames)
+    write, load = frame_io_ms(seq, repeats, ingest.MIN_WORKER_VALUES)
+    one_write, one_load = frame_io_ms(seq, repeats, seq.data.size + 1)
+    print(f"frame write: {write:8.1f} ms ({workers} workers), "
+          f"{one_write:.1f} ms on one")
+    print(f"frame load:  {load:8.1f} ms ({workers} workers), "
+          f"{one_load:.1f} ms on one")
+    return {"shape": dict(zip(("width", "height", "frames"), FRAME_IO_SHAPE)),
+            "workers": workers, "write_ms": round(write, 1),
+            "load_ms": round(load, 1), "one_worker_write_ms":
+            round(one_write, 1), "one_worker_load_ms": round(one_load, 1)}
+
 
 def prepare(train):
     """x50 augment, then fit the scaler on and scale the augmented rows."""
@@ -80,6 +121,7 @@ def main():
 
     print(f"canvas {args.width}x{args.height}, {args.frames} frames, "
           f"degree {args.degree}, best of {args.repeats}")
+    frame_io_record = frame_io(args.repeats)
     t_render = time_calls(_kernels.render_frames, args.repeats,
                           base, region_map, 1.0, 42, 0.0, math.inf)
     spans = _kernels._span_count(region_map.size)
@@ -118,6 +160,7 @@ def main():
         "shape": {"width": args.width, "height": args.height,
                   "frames": args.frames, "degree": args.degree},
         "repeats": args.repeats,
+        "frame_io": frame_io_record,
         "render_ms": round(t_render, 1),
         "render_spans": spans,
         "fit_ms": round(t_fit, 1),

@@ -146,12 +146,16 @@ def _render_span(flat_cols, base_t, idx, state, sigma, lo, hi):
             np.clip(row, lo, hi, out=row)
 
 
+def core_count():
+    """The cores this process may run on."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+
+
 def _span_count(pixels):
     """Workers for a render or a fit: one per available core, but none
     with fewer than MIN_SPAN pixels."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    return max(1, min(cores, pixels // MIN_SPAN))
+    return max(1, min(core_count(), pixels // MIN_SPAN))
 
 
 def _pool(count):

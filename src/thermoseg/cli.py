@@ -9,6 +9,9 @@ Subcommands compose the library stages over files on disk:
   segment  model + feature image -> greyscale PGM
   repro    pinned end-to-end experiment runs with target checks
 
+synth, fit, train, eval (of a model) and segment end their output with
+one `stage seconds:` line, the wall seconds of each of their stages.
+
 Exit codes: 0 success, 2 validation/input error (a file that cannot be
 read, decoded or written, and an allocation that memory cannot hold,
 included), 3 compute error.
@@ -81,30 +84,45 @@ def _apply_seed(config, seed):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _print_stages(stage):
+    """The summary line of a command's stage seconds, in run order."""
+    print("stage seconds: " + ", ".join(
+        f"{name} {seconds:.3f}" for name, seconds in stage.seconds.items()))
+
+
 def cmd_synth(args):
-    scene = synthgen.load_scene(args.scene)
-    seq = synthgen.render_video(scene.layout, scene.timestamps, scene.noise,
-                                scene.clamp)
-    os.makedirs(args.out, exist_ok=True)
-    manifest = write_sequence(seq, args.out)
-    mask_path = os.path.join(args.out, "mask.pgm")
-    save_mask(scene.layout.label_mask(), mask_path)
+    stage = repro.StageTimer()
+    with stage("render"):
+        scene = synthgen.load_scene(args.scene)
+        seq = synthgen.render_video(scene.layout, scene.timestamps,
+                                    scene.noise, scene.clamp)
+    with stage("write"):
+        os.makedirs(args.out, exist_ok=True)
+        manifest = write_sequence(seq, args.out)
+        mask_path = os.path.join(args.out, "mask.pgm")
+        save_mask(scene.layout.label_mask(), mask_path)
     print(f"wrote {seq.frame_count} frames, {manifest}")
     print(f"wrote {mask_path}")
+    _print_stages(stage)
     return 0
 
 
 def cmd_fit(args):
-    config = load_config(args.config)
-    seq = load_sequence(args.manifest)
-    image = tsr.fit_sequence(seq, config["degree"], config["packing"])
-    tsr.write_feature_image(image, args.out)
+    stage = repro.StageTimer()
+    with stage("load"):
+        config = load_config(args.config)
+        seq = load_sequence(args.manifest)
+    with stage("fit"):
+        image = tsr.fit_sequence(seq, config["degree"], config["packing"])
+    with stage("write"):
+        tsr.write_feature_image(image, args.out)
     counts = tsr.reason_counts(image)
     fitted = counts.pop("fitted")
     dropped = ", ".join(f"{n} {name}" for name, n in counts.items())
     print(f"fitted {fitted}/{image.width * image.height} pixels; "
           f"dropped {dropped} (degree {image.degree}, "
           f"{image.feature_count} features) -> {args.out}")
+    _print_stages(stage)
     return 0
 
 
@@ -115,23 +133,28 @@ def _assemble(args, config):
 
 
 def cmd_train(args):
-    config = _apply_seed(load_config(args.config), args.seed)
-    spec = features.SplitSpec(config["train_fraction"],
-                              config["validation_fraction"],
-                              config["split_seed"])
-    augment = (config["augment_amplitude"], config["augment_copies"],
-               config["augment_seed"])
-    model, trace, *_ = repro.train_classifier(
-        _assemble(args, config), spec, config["hidden"],
-        config["hidden_activation"], config["train"], config["train"].seed,
-        augment)
-    nn.save_model(model, args.out)
-    if args.trace:
-        nn.write_trace(trace, args.trace)
+    stage = repro.StageTimer()
+    with stage("load"):
+        config = _apply_seed(load_config(args.config), args.seed)
+        spec = features.SplitSpec(config["train_fraction"],
+                                  config["validation_fraction"],
+                                  config["split_seed"])
+        augment = (config["augment_amplitude"], config["augment_copies"],
+                   config["augment_seed"])
+        ds = _assemble(args, config)
+    with stage("train"):
+        model, trace, *_ = repro.train_classifier(
+            ds, spec, config["hidden"], config["hidden_activation"],
+            config["train"], config["train"].seed, augment)
+    with stage("write"):
+        nn.save_model(model, args.out)
+        if args.trace:
+            nn.write_trace(trace, args.trace)
     steps = trace.steps[-1]
     print(f"trained {model.layer_sizes} in {steps} steps "
           f"({trace.stop_reason}, {steps / trace.seconds:.0f} steps/s); "
           f"final val acc {trace.saved_val_acc:.4f} -> {args.out}")
+    _print_stages(stage)
     return 0
 
 
@@ -168,29 +191,40 @@ def cmd_eval(args):
     if not (args.model and args.features and args.mask):
         raise ValidationError("eval needs --model, --features and --mask "
                               "(or --reference / --matrix)")
-    model = nn.load_model(args.model)
-    ds = _assemble(args, load_config(args.config))
-    if args.perturb > 0:
-        ds = features.perturb(ds, args.perturb, args.perturb_seed)
-    cm = evaluate.confusion(ds.labels, nn.predict(model, ds.vectors),
-                            model.output_size)
-    report = _score(cm, spec)
-    print(report)
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        evaluate.write_matrix_csv(cm, os.path.join(args.out, "matrix.csv"))
-        with open(os.path.join(args.out, "report.txt"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(report + "\n")
+    stage = repro.StageTimer()
+    with stage("load"):
+        model = nn.load_model(args.model)
+        ds = _assemble(args, load_config(args.config))
+        if args.perturb > 0:
+            ds = features.perturb(ds, args.perturb, args.perturb_seed)
+    with stage("predict"):
+        cm = evaluate.confusion(ds.labels, nn.predict(model, ds.vectors),
+                                model.output_size)
+    with stage("report"):
+        report = _score(cm, spec)
+        print(report)
+        if args.out:
+            os.makedirs(args.out, exist_ok=True)
+            evaluate.write_matrix_csv(cm,
+                                      os.path.join(args.out, "matrix.csv"))
+            with open(os.path.join(args.out, "report.txt"), "w",
+                      encoding="utf-8") as fh:
+                fh.write(report + "\n")
+    _print_stages(stage)
     return 0
 
 
 def cmd_segment(args):
-    model = nn.load_model(args.model)
-    image = tsr.read_feature_image(args.features)
-    label_map = nn.predict_map(model, image)
-    evaluate.write_segmentation(label_map, model.output_size, args.out)
+    stage = repro.StageTimer()
+    with stage("load"):
+        model = nn.load_model(args.model)
+        image = tsr.read_feature_image(args.features)
+    with stage("predict"):
+        label_map = nn.predict_map(model, image)
+    with stage("write"):
+        evaluate.write_segmentation(label_map, model.output_size, args.out)
     print(f"wrote {args.out}")
+    _print_stages(stage)
     return 0
 
 

@@ -5,19 +5,39 @@ separated columns) plus a manifest sidecar - a flat key = value file
 listing the frame files in order together with the timing, dimensions and
 sensor ceiling. Label masks are binary PGMs where the pixel value is the
 class id and 255 marks invalid pixels.
+
+Frame files are written and parsed on one worker process per available
+core. Formatting or parsing a value is a few hundred nanoseconds of work
+that holds the GIL, so threads would take turns rather than share it.
+The workers are forked: they inherit the frame cube and the frame paths
+rather than receiving a pickled copy, so this needs the fork start
+method. Without fork, and for a recording of fewer than
+MIN_WORKER_VALUES values per worker, the files are written and parsed
+serially and no process starts. Every frame is formatted and parsed by
+the same code in any worker, so the files' bytes and the loaded values
+are the same for any core count.
 """
 
+import collections
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import keyfile
+from . import _kernels, keyfile
 from .errors import ValidationError
 from .pgmio import read_pgm, write_pgm
 
 INVALID_LABEL = 255
+
+# fewest frame values per worker process (about 0.4 s of parsing): below
+# it a process costs more than it saves
+MIN_WORKER_VALUES = 1 << 20
+
+# frames per parse task: the parent copies each task's frames into the
+# cube as they arrive, so few are in flight at once
+FRAMES_PER_TASK = 4
 
 
 class IngestError(ValidationError):
@@ -79,10 +99,93 @@ class LabelMask:
             raise IngestError("valid shape does not match mask dimensions")
 
 
+def _frame_workers(values, frames):
+    """Worker processes for `frames` frame files holding `values` values:
+    one per available core, but none with fewer than MIN_WORKER_VALUES
+    values or without a frame, and one, which starts no process, where
+    there is no fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    return max(1, min(_kernels.core_count(), values // MIN_WORKER_VALUES,
+                      frames))
+
+
+# a worker process's state, set as it starts; never set in the parent
+_inherited = None
+
+
+def _inherit(state):
+    global _inherited
+    _inherited = state
+
+
+def _call(func, *task):
+    return func(_inherited, *task)
+
+
+def _run(count, state, func, tasks, store):
+    """store(task, func(state, *task)) for each task, in task order.
+
+    With more than one worker, func runs on `count` forked processes that
+    inherit `state`, so it is never pickled; at most 2 * count tasks are
+    in flight. The first task to fail, in task order, raises its error
+    here and cancels the tasks not yet started. No worker outlives the
+    call.
+    """
+    if count == 1:
+        for task in tasks:
+            store(task, func(state, *task))
+        return
+    # the process machinery is imported only when a pool starts. Forking is
+    # safe here: no other thread of this program runs while the pool
+    # forks, since the render and fit thread pools join before they return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pending = collections.deque()
+    with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
+                             initializer=_inherit,
+                             initargs=(state,)) as pool:
+        try:
+            for task in tasks:
+                pending.append((task, pool.submit(_call, func, *task)))
+                if len(pending) > 2 * count:
+                    task, done = pending.popleft()
+                    store(task, done.result())
+            while pending:
+                task, done = pending.popleft()
+                store(task, done.result())
+        finally:
+            for _, done in pending:
+                done.cancel()
+
+
+def _read_frame(path, height, width):
+    return keyfile.rows(keyfile.lines(path, IngestError), height, width,
+                        path, IngestError, 1)
+
+
+def _read_frames(state, lo, hi):
+    """Frames lo to hi - 1 of state's (paths, height, width)."""
+    paths, height, width = state
+    block = np.empty((hi - lo, height, width))
+    for i in range(lo, hi):
+        block[i - lo] = _read_frame(paths[i], height, width)
+    return block
+
+
+def _write_frames(state, lo, hi):
+    """Frame files lo to hi - 1 of state's (cube, paths)."""
+    data, paths = state
+    for i in range(lo, hi):
+        with open(paths[i], "w", encoding="utf-8") as fh:
+            keyfile.write_rows(fh, data[i])
+
+
 def load_sequence(path):
     """Load and validate the frame sequence a manifest describes. A
     manifest is a keyfile without sections. Frame 0 is read, and its size
-    checked, before the cube is allocated."""
+    checked, before the cube is allocated; the other frames are parsed on
+    one worker process per core (see the module docstring)."""
     keys = keyfile.read(path, IngestError)
     head = keys.section("")
     width, height = head.integer("width", 1), head.integer("height", 1)
@@ -104,12 +207,17 @@ def load_sequence(path):
                           f"{len(stamps)} timestamps")
     base = os.path.dirname(os.path.abspath(path))
     frames = [os.path.normpath(os.path.join(base, f)) for f in frames]
-    for i, fpath in enumerate(frames):
-        frame = keyfile.rows(keyfile.lines(fpath, IngestError), height, width,
-                             fpath, IngestError, 1)
-        if i == 0:
-            data = np.empty((len(frames), height, width))
-        data[i] = frame
+    first = _read_frame(frames[0], height, width)
+    data = np.empty((len(frames), height, width))
+    data[0] = first
+
+    def store(task, block):
+        data[task[0]:task[1]] = block
+
+    count = _frame_workers(data[1:].size, len(frames) - 1)
+    _run(count, (frames, height, width), _read_frames,
+         [(lo, min(lo + FRAMES_PER_TASK, len(frames)))
+          for lo in range(1, len(frames), FRAMES_PER_TASK)], store)
     return FrameSequence(width, height, len(frames), np.array(stamps), data,
                          saturation)
 
@@ -118,16 +226,18 @@ def write_sequence(seq, out_dir):
     """Write frame CSVs plus manifest under out_dir; returns manifest path.
 
     Frame cells are written at `%.17g` and manifest values with repr, so
-    a load round-trips bit exactly.
+    a load round-trips bit exactly. Each worker process (see the module
+    docstring) writes one contiguous run of frame files.
     """
     frame_dir = os.path.join(out_dir, "frames")
     os.makedirs(frame_dir, exist_ok=True)
-    names = []
-    for i in range(seq.frame_count):
-        name = f"frame_{i:05d}.csv"
-        names.append(name)
-        with open(os.path.join(frame_dir, name), "w", encoding="utf-8") as fh:
-            keyfile.write_rows(fh, seq.data[i])
+    frames = seq.frame_count
+    names = [f"frame_{i:05d}.csv" for i in range(frames)]
+    count = _frame_workers(seq.data.size, frames)
+    edges = [frames * i // count for i in range(count + 1)]
+    _run(count, (seq.data, [os.path.join(frame_dir, n) for n in names]),
+         _write_frames, list(zip(edges[:-1], edges[1:])),
+         lambda task, _: None)
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(f"width = {seq.width}\n")

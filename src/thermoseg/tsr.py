@@ -38,7 +38,7 @@ def feature_length(degree, packing):
 class FeatureImage:
     """Per-pixel raw (unscaled) packed feature vectors plus a validity flag.
 
-    rms, start and reason (the kernel's per-pixel drop code, see
+    rms and reason (the kernel's per-pixel drop code, see
     _kernels.REASONS) are fit diagnostics that do not survive
     serialization.
     """
@@ -49,7 +49,6 @@ class FeatureImage:
     values: np.ndarray            # (H, W, L)
     valid: np.ndarray             # (H, W) bool
     rms: Optional[np.ndarray] = None
-    start: Optional[np.ndarray] = None
     reason: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -96,13 +95,13 @@ def fit_sequence(seq, degree, packing=PACK_PADDED):
         raise ValidationError(f"unknown packing {packing!r}")
     ln_base = math.log(_LOG_BASE)
     log_t = np.log(seq.timestamps) / ln_base
-    coef, rms, start, reason = _kernels.fit_image(
+    coef, rms, _, reason = _kernels.fit_image(
         seq.data, log_t, seq.saturation_value, degree, 1.0 / ln_base)
     valid = reason == _kernels.FITTED
     values = _pack_image(coef, degree, packing)
     values[~valid] = 0.0
     return FeatureImage(seq.width, seq.height, degree, packing, values,
-                        valid, rms, start, reason)
+                        valid, rms, reason)
 
 
 def reason_counts(image):

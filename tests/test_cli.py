@@ -151,6 +151,46 @@ def test_segment_command(pipeline, tmp_path):
     assert set(np.unique(image)) <= {0, 255}
 
 
+def _stage_line(text, stages):
+    """The lines before a command's closing stage seconds line, which must
+    name `stages` in run order."""
+    *lines, last = text.splitlines()
+    names = re.fullmatch(r"stage seconds: (.*)", last).group(1).split(", ")
+    assert [n.split(" ")[0] for n in names] == stages
+    assert all(re.fullmatch(r"\w+ \d+\.\d{3}", n) for n in names)
+    return lines
+
+
+def test_commands_end_with_stage_seconds(pipeline, tmp_path, capsys):
+    out, feats, model = tmp_path / "v", tmp_path / "f.csv", tmp_path / "m.txt"
+    config = tmp_path / "c.ini"
+    config.write_text("[tsr]\ndegree = 3\n[nn]\nhidden = 8\nepochs = 2\n")
+    assert cli.main(["synth", "--scene", str(pipeline["scene"]),
+                     "--out", str(out)]) == 0
+    assert _stage_line(capsys.readouterr().out, ["render", "write"]) == [
+        f"wrote 100 frames, {out / 'manifest.txt'}",
+        f"wrote {out / 'mask.pgm'}"]
+    assert cli.main(["fit", "--manifest", str(out / "manifest.txt"),
+                     "--config", str(config), "--out", str(feats)]) == 0
+    lines = _stage_line(capsys.readouterr().out, ["load", "fit", "write"])
+    assert len(lines) == 1 and lines[0].startswith("fitted 192/192 pixels")
+    assert cli.main(["train", "--features", str(feats), "--mask",
+                     str(out / "mask.pgm"), "--config", str(config),
+                     "--out", str(model)]) == 0
+    lines = _stage_line(capsys.readouterr().out, ["load", "train", "write"])
+    assert len(lines) == 1 and lines[0].startswith("trained (12, 8, 2)")
+    assert cli.main(["eval", "--model", str(model), "--features", str(feats),
+                     "--mask", str(out / "mask.pgm")]) == 0
+    lines = _stage_line(capsys.readouterr().out,
+                        ["load", "predict", "report"])
+    assert len(lines) == 4 and lines[3].startswith("accuracy ")
+    assert cli.main(["segment", "--model", str(model), "--features",
+                     str(feats), "--out", str(tmp_path / "s.pgm")]) == 0
+    assert _stage_line(capsys.readouterr().out,
+                       ["load", "predict", "write"]) == [
+        f"wrote {tmp_path / 's.pgm'}"]
+
+
 def test_segment_zero_model_is_all_class_zero(pipeline, tmp_path):
     trained = nn.load_model(str(pipeline["model"]))
     zeroed = replace(trained,
@@ -206,7 +246,8 @@ def test_eval_positive_scores_that_class(pipeline, capsys, tmp_path):
                      "--mask", str(relabeled),
                      "--config", str(pipeline["config"]),
                      "--positive", "0", "--out", str(out)]) == 0
-    last = capsys.readouterr().out.splitlines()[-1]
+    # the collapsed metrics line, which the stage seconds line follows
+    last = capsys.readouterr().out.splitlines()[-2]
     rows = (out / "matrix.csv").read_text().splitlines()[1:]
     counts = np.array([[int(v) for v in row.split(",")[1:]] for row in rows])
     assert counts[0, 1] > 0 and counts[1, 0] == 0

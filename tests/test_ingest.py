@@ -1,3 +1,7 @@
+import concurrent.futures
+import multiprocessing
+import pathlib
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -182,3 +186,67 @@ def test_write_pgm_takes_only_2d_uint8(tmp_path):
     write_pgm(path, np.arange(6, dtype=np.uint8).reshape(2, 3))
     npt.assert_array_equal(read_pgm(path),
                            np.arange(6, dtype=np.uint8).reshape(2, 3))
+
+
+# ---------------------------------------------------------------------------
+# frame files on worker processes
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Set the frame-file worker count: 1 or 2 whatever the core count,
+    with a threshold so low that the small test recordings reach it."""
+    def use(count):
+        monkeypatch.setattr(ingest._kernels, "core_count", lambda: count)
+        monkeypatch.setattr(ingest, "MIN_WORKER_VALUES", 8)
+    return use
+
+
+def _frame_files(manifest):
+    frames = pathlib.Path(manifest).parent / "frames"
+    return {p.name: p.read_bytes() for p in sorted(frames.iterdir())}
+
+
+def test_two_worker_write_and_load_are_identical(tmp_path, workers):
+    seq = make_sequence(frames=23, height=3, width=5, saturation=8.5)
+    seq.data[7, 1] = [0.1 + 0.2, np.nextafter(1.0, 2.0), 5e-324, 1e308, 2.0]
+    written, loaded = {}, {}
+    for count in (1, 2):
+        workers(count)
+        assert ingest._frame_workers(seq.data.size, seq.frame_count) == count
+        manifest = write_sequence(seq, str(tmp_path / str(count)))
+        written[count] = _frame_files(manifest)
+        loaded[count] = load_sequence(manifest)
+        assert multiprocessing.active_children() == []
+    assert len(written[2]) == 23 and written[2] == written[1]
+    for back in loaded.values():
+        assert back.data.tobytes() == seq.data.tobytes()
+        assert back.timestamps.tobytes() == seq.timestamps.tobytes()
+
+
+def test_first_bad_frame_in_file_order_is_reported(tmp_path, workers):
+    manifest = write_sequence(make_sequence(frames=100, height=3, width=4),
+                              str(tmp_path))
+    frames = tmp_path / "frames"
+    (frames / "frame_00003.csv").write_text("1.0,abc,2.0,3.0\n" * 3)
+    (frames / "frame_00090.csv").write_text("1.0,2.0\n" * 3)
+    messages = []
+    for count in (1, 2):
+        workers(count)
+        with pytest.raises(IngestError) as caught:
+            load_sequence(manifest)
+        messages.append(str(caught.value))
+        assert multiprocessing.active_children() == []
+    assert messages[0] == messages[1]
+    assert "frame_00003.csv:1:" in messages[0]
+    assert "\n" not in messages[0]
+
+
+def test_small_recording_starts_no_process(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    seq = make_sequence(frames=40, height=12, width=16)
+    assert seq.data.size < 2 * ingest.MIN_WORKER_VALUES
+    back = load_sequence(write_sequence(seq, str(tmp_path)))
+    assert back.data.tobytes() == seq.data.tobytes()

@@ -7,7 +7,7 @@ import numpy.testing as npt
 import pytest
 
 import oracle
-from thermoseg import synthgen, tsr
+from thermoseg import _kernels, synthgen, tsr
 from thermoseg.errors import ValidationError
 from thermoseg.ingest import FrameSequence
 
@@ -20,13 +20,22 @@ def _sequence_from_stack(stack, timestamps, saturation=np.inf):
                          stack, float(saturation))
 
 
+def _start_frames(seq, degree):
+    """The first fitted frame of each pixel, as fit_image gives it."""
+    return _kernels.fit_image(seq.data, np.log10(seq.timestamps),
+                              seq.saturation_value, degree,
+                              1.0 / math.log(10.0))[2]
+
+
 def _fit_series(series, t, degree, first_frame=0):
     """(raw-basis coefficients, rms) of one pixel history through
     fit_sequence; frames before first_frame are saturated."""
     stack = np.array(series, dtype=np.float64)[:, None, None]
     stack[:first_frame] = np.inf
-    image = tsr.fit_sequence(_sequence_from_stack(stack, t, np.inf), degree)
-    assert image.valid[0, 0] and image.start[0, 0] == first_frame
+    seq = _sequence_from_stack(stack, t, np.inf)
+    image = tsr.fit_sequence(seq, degree)
+    assert image.valid[0, 0]
+    assert _start_frames(seq, degree)[0, 0] == first_frame
     return image.values[0, 0, :degree + 1], float(image.rms[0, 0])
 
 
@@ -264,7 +273,7 @@ def test_fit_sequence_against_fit_one():
     stack[60, 2, 2] = -1.0
     seq = _sequence_from_stack(stack, t, saturation=1000.0)
     image = tsr.fit_sequence(seq, degree=4)
-    assert set(np.unique(image.start)) == {0, 3, 8, 17}
+    assert set(np.unique(_start_frames(seq, 4))) == {0, 3, 8, 17}
     assert not image.valid[2, 2]
     assert image.valid.sum() == 19
     for pixel in zip(*np.nonzero(image.valid)):
@@ -330,7 +339,7 @@ def test_fit_sequence_saturated_prefix_matches_windowed_fit():
     seq = _sequence_from_stack(stack, t, saturation=600.0)
     image = tsr.fit_sequence(seq, degree=3)
     assert image.valid.all()
-    assert image.start[0, 1] == 7
+    assert _start_frames(seq, 3)[0, 1] == 7
     direct = oracle.fit_pixel(stack[:, 0, 1], t, 3, first_frame=7)
     npt.assert_allclose(direct.fit_domain,
                         (math.log10(t[7]), math.log10(t[-1])), rtol=1e-15)
