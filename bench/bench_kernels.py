@@ -4,12 +4,14 @@ frame-file I/O, training-set preparation and the training step.
 Times the round trip of a noisy 96x72x400 recording (the CLI benchmark's)
 through write_sequence and load_sequence, on one worker process per core
 and on one process; the public render_frames and fit_image on a noisy
-four-quadrant scene; the x50 augment, fit_scaler and apply_scaler of a
+four-quadrant scene; the render's cos and sin kernel against numpy's
+np.cos plus np.sin on the frame pairs of one numpy call at one render
+span's width; the x50 augment, fit_scaler and apply_scaler of a
 training split the size of the four-class benchmark's (25,195 rows of 15
 features); and one Adam step of the 15/10/20/4 tanh net at batch 2048
 (the four-class experiment's). It prints the best of several runs of
 each, and writes them with the frame I/O worker count, the render's span
-count, the fit's worker count and the fit's and preparation's
+count and frame pairs per call, the fit's worker count and the fit's and preparation's
 tracemalloc peaks to BENCH_kernels.json beside this script. The fit runs
 one worker per core only with one BLAS thread.
 
@@ -95,6 +97,29 @@ def frame_io(repeats):
             round(one_write, 1), "one_worker_load_ms": round(one_load, 1)}
 
 
+def cos_sin(width, repeats):
+    """Best times of _kernels._cos_sin and of np.cos plus np.sin on the
+    random angles of PAIRS_PER_CALL frame pairs of `width` pixels, in us
+    per frame pair."""
+    pairs = _kernels.PAIRS_PER_CALL
+    k = np.random.default_rng(3).integers(0, 2 ** 53, (pairs, width))
+    out, work = np.empty((2, pairs, width)), np.empty((4, pairs, width))
+    angle = 2.0 * math.pi * (k * 2.0 ** -53)
+
+    def libm():
+        np.cos(angle, out=out[0])
+        np.sin(angle, out=out[1])
+
+    kernel_us = time_calls(_kernels._cos_sin, repeats, k, out, work) * (
+        1e3 / pairs)
+    libm_us = time_calls(libm, repeats) * (1e3 / pairs)
+    print(f"cos+sin: {kernel_us:8.1f} us per frame pair ({width} pixels, "
+          f"{pairs} pairs per call), {libm_us:.1f} us with np.cos+np.sin")
+    return {"width": width, "pairs_per_call": pairs,
+            "kernel_us_per_pair": round(kernel_us, 1),
+            "numpy_us_per_pair": round(libm_us, 1)}
+
+
 def prepare(train):
     """x50 augment, then fit the scaler on and scale the augmented rows."""
     augmented = features.augment(train, 0.05, PREP_COPIES, 3)
@@ -125,7 +150,9 @@ def main():
     t_render = time_calls(_kernels.render_frames, args.repeats,
                           base, region_map, 1.0, 42, 0.0, math.inf)
     spans = _kernels._span_count(region_map.size)
-    print(f"render: {t_render:10.1f} ms ({spans} spans)")
+    print(f"render: {t_render:10.1f} ms ({spans} spans, "
+          f"{_kernels.PAIRS_PER_CALL} frame pairs per call)")
+    cos_sin_record = cos_sin(-(-region_map.size // spans), 20 * args.repeats)
 
     data = _kernels.render_frames(base, region_map, 1.0, 42, 0.0, math.inf)
     fit_args = (data, np.log10(timestamps), math.inf, args.degree,
@@ -163,6 +190,8 @@ def main():
         "frame_io": frame_io_record,
         "render_ms": round(t_render, 1),
         "render_spans": spans,
+        "render_pairs_per_call": _kernels.PAIRS_PER_CALL,
+        "cos_sin": cos_sin_record,
         "fit_ms": round(t_fit, 1),
         "fit_workers": workers,
         "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),

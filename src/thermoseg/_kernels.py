@@ -9,10 +9,15 @@ numpy:
   be regenerated without rendering the rest of the frame. The pixels are
   cut into contiguous spans, one per available core (none narrower than
   MIN_SPAN pixels), rendered on threads straight into the output: each
-  span reuses a few span-sized buffers and fills, noises and clamps a
-  frame row while it is in cache. Because the noise is keyed per pixel,
-  the output is bitwise the same for any span count, so unlike a BLAS
-  thread count the core count never changes a result.
+  span reuses a few buffers and fills, noises and clamps a frame row
+  while it is in cache. The draw's angle goes through _cos_sin, fdlibm's
+  polynomials in numpy ufuncs, not libm's cos and sin, which took most of
+  the render. Without them a call on one frame pair of a span is so short
+  that two span threads mostly hand the GIL back and forth, so a span
+  makes PAIRS_PER_CALL pairs' draws per call. Because the noise is keyed
+  per pixel and draw, the output is bitwise the same for any span count
+  and group size, so unlike a BLAS thread count the core count never
+  changes a result.
 * fit_image makes one pass over the (frames, H*W) view of the cube in
   blocks of about CHUNK adjacent pixels, so each block's frames x pixels
   slab stays in cache. A block finds its own start frames (the frame
@@ -48,10 +53,31 @@ _SM_M2 = np.uint64(0x94D049BB133111EB)
 _ROW_K = np.uint64(0xC2B2AE3D27D4EB4F)
 _COL_K = np.uint64(0x165667B19E3779F9)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
-_TWO_PI = 2.0 * math.pi
+# the largest Box-Muller radius, drawn from the smallest uniform, 2**-53
+MAX_RADIUS = float(np.sqrt(-2.0 * np.log(_U53)))
+
+# minimax coefficients of fdlibm's __kernel_cos (C1..C6, top row) and
+# __kernel_sin (S1..S6) on [-pi/4, pi/4], highest first, for Horner's rule
+_COS_SIN_POLY = np.array([
+    [-1.13596475577881948265e-11, 1.58969099521155010221e-10],
+    [2.08757232129817482790e-09, -2.50507602534068634195e-08],
+    [-2.75573143513906633035e-07, 2.75573137070700676789e-06],
+    [2.48015872894767294178e-05, -1.98412698298579493134e-04],
+    [-1.38888888888741095749e-03, 8.33333333332248946124e-03],
+    [4.16666666666666019037e-02, -1.66666666666666324348e-01],
+])[:, :, None]
+# added to (quadrant << 62) before masking the sign bit: cos is negative
+# in quadrants 1 and 2, sin in 2 and 3
+_QUADRANT_SIGN = np.array([[2 ** 62], [0]], dtype=np.int64)
+_SIGN_BIT = np.int64(-2 ** 63)
 
 # pixels per block in fit_image: a (frames, CHUNK) slab stays in cache
 CHUNK = 256
+
+# frame pairs per numpy call in _render_span: calls on one pair of a span
+# are so short that two span threads hand the GIL back and forth; 2 and 3
+# pairs render as fast, and 8 fall out of cache
+PAIRS_PER_CALL = 2
 
 # fewest pixels per render span or fit worker: below it a thread costs more
 # than it saves
@@ -96,16 +122,73 @@ def _pixel_states(seed, height, width):
     return state
 
 
+def _cos_sin(k, out, work):
+    """cos and sin of 2*pi*k*2**-53 into out[0] and out[1], in place.
+
+    k: int64 array of integers in [0, 2**53); out: contiguous float64
+    (2,) + k.shape; work: contiguous float64 (4,) + k.shape scratch. The
+    angle is split into q = rint(4u) quarter turns and an exact remainder
+    r = 4u - q in [-1/2, 1/2], so only x = r*pi/2 is rounded before fdlibm's
+    minimax polynomials run on it; the quadrant then swaps cos and sin and
+    sets their signs by XOR on the float bits, which is cheaper than a
+    masked copy.
+    """
+    n = k.size
+    cs, rows = out.reshape(2, n), work.reshape(4, n)
+    x, z, e, q = rows
+    q = q.view(np.int64)
+    np.multiply(k.reshape(n), 2.0 ** -51, out=x)
+    np.rint(x, out=z)
+    x -= z
+    np.copyto(q, z, casting="unsafe")
+    x *= 0.5 * math.pi
+    np.multiply(x, x, out=z)
+    # both polynomials at once: cs = (C1 + z*(C2 + ...), S1 + z*(S2 + ...))
+    np.multiply(z, _COS_SIN_POLY[0], out=cs)
+    for coef in _COS_SIN_POLY[1:]:
+        cs += coef
+        cs *= z
+    c, s = cs
+    # sin x = x + x*z*(S1 + ...)
+    s *= x
+    s += x
+    # cos x = w + (((1 - w) - z/2) + z*z*(C1 + ...)) with w = 1 - z/2, as
+    # fdlibm adds back the rounding error of w
+    c *= z
+    z *= 0.5
+    np.subtract(1.0, z, out=x)
+    np.subtract(1.0, x, out=e)
+    e -= z
+    c += e
+    c += x
+    # odd quadrants swap cos and sin: XOR both with (c ^ s) where q is odd
+    bits, swap, odd = cs.view(np.int64), z.view(np.int64), x.view(np.int64)
+    np.left_shift(q, 63, out=odd)
+    np.right_shift(odd, 63, out=odd)
+    np.bitwise_xor(bits[0], bits[1], out=swap)
+    swap &= odd
+    bits ^= swap
+    # q << 62 puts bit 1 of q in the sign bit; the signs take z's and e's rows
+    signs = rows[1:3].view(np.int64)
+    q <<= 62
+    np.add(q, _QUADRANT_SIGN, out=signs)
+    signs &= _SIGN_BIT
+    bits ^= signs
+
+
 def _render_span(flat_cols, base_t, idx, state, sigma, lo, hi):
     """Render a span of pixel columns of the (frames, pixels) output in place.
 
     flat_cols: (frames, n) view of the output; base_t: (frames, regions)
     profile series; idx: (n,) region index per pixel; state: (n,) initial
-    splitmix64 states of the span's pixels (not modified). Each frame row
-    is filled, noised and clamped while it is in cache. Frames f and f+1
-    share one Box-Muller draw, in the same operation order as rendering
-    the whole frame at once, so a pixel's values do not depend on the span
-    that holds it.
+    splitmix64 states of the span's pixels (not modified). Frames f and f+1
+    (f even) share one Box-Muller draw, whose radius comes from state +
+    (f+1)*gamma and angle from state + (f+2)*gamma; each numpy call makes
+    the draws of PAIRS_PER_CALL pairs, and the last group's draws past the
+    last frame are dropped. Each frame row is then filled, noised and
+    clamped while it is in cache, in the same operation order as rendering
+    the whole frame at once, so a pixel's values depend on neither the
+    span that holds it nor the group size.
     """
     frame_count, n = flat_cols.shape
     if not sigma > 0.0:
@@ -114,35 +197,35 @@ def _render_span(flat_cols, base_t, idx, state, sigma, lo, hi):
             np.take(base_t[f], idx, out=row, mode="clip")
             np.clip(row, lo, hi, out=row)
         return
-    state = state.copy()
-    z, tmp = np.empty(n, np.uint64), np.empty(n, np.uint64)
-    rad, ang, noise = np.empty(n), np.empty(n), np.empty(n)
-    for f in range(0, frame_count, 2):
-        state += _SM_GAMMA
-        _mix_into(z, state, tmp)
+    pairs = PAIRS_PER_CALL
+    # draw numbers of a group's radii (row 0) and angles (row 1), from 1
+    draws = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(
+        pairs, 2).T[:, :, None]
+    shape = (2, pairs, n)
+    states, z = np.empty(shape, np.uint64), np.empty(shape, np.uint64)
+    rad, work = np.empty(shape[1:]), np.empty((4, pairs, n))
+    # the states are spent once mixed, so their buffer takes the noise
+    noise = states.view(np.float64)
+    for f in range(0, frame_count, 2 * pairs):
+        # uint64 arrays wrap silently
+        np.add(state, (draws + np.uint64(f)) * _SM_GAMMA, out=states)
+        # the states are read only before the scratch is first written
+        _mix_into(z, states, states)
         z >>= np.uint64(11)
-        z += np.uint64(1)
+        z[0] += np.uint64(1)
         # below 2**53, so the int64 view converts exactly (and faster)
-        np.copyto(rad, z.view(np.int64))
+        np.copyto(rad, z[0].view(np.int64))
         rad *= _U53
-        state += _SM_GAMMA
-        _mix_into(z, state, tmp)
-        z >>= np.uint64(11)
-        np.copyto(ang, z.view(np.int64))
-        ang *= _U53
         np.log(rad, out=rad)
         rad *= -2.0
         np.sqrt(rad, out=rad)
-        ang *= _TWO_PI
-        for g, trig in ((f, np.cos), (f + 1, np.sin)):
-            if g == frame_count:
-                break
-            trig(ang, out=noise)
-            noise *= rad
-            noise *= sigma
+        _cos_sin(z[1].view(np.int64), noise, work)
+        noise *= rad
+        noise *= sigma
+        for g in range(f, min(f + 2 * pairs, frame_count)):
             row = flat_cols[g]
             np.take(base_t[g], idx, out=row, mode="clip")
-            row += noise
+            row += noise[(g - f) % 2, (g - f) // 2]
             np.clip(row, lo, hi, out=row)
 
 

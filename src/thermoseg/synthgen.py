@@ -177,8 +177,11 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise SceneError("noise sigma must be >= 0")
+        # a draw is at most MAX_RADIUS sigmas, and must stay finite
+        if not 0 <= self.sigma * _kernels.MAX_RADIUS < math.inf:
+            limit = np.finfo(np.float64).max / _kernels.MAX_RADIUS
+            raise SceneError(f"noise sigma must lie in [0, {limit:.4g}], "
+                             "where its largest draw stays finite")
         if not 0 <= self.seed < 2 ** 64:
             raise SceneError("noise seed must lie in [0, 2**64)")
 

@@ -320,6 +320,10 @@ MALFORMED_INPUTS = [
      SYNTH, "abc"),
     ("nan sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = nan"),
      SYNTH, "sigma"),
+    ("inf sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = inf"),
+     SYNTH, "sigma"),
+    ("overflowing sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = 1e308"),
+     SYNTH, "sigma"),
     ("negative seed", "s.ini", _scene_with("seed = 7", "seed = -1"),
      SYNTH, "seed"),
     ("percent sign in a scene value", "s.ini",

@@ -1,5 +1,4 @@
 import math
-import os
 import sys
 import tracemalloc
 import warnings
@@ -47,15 +46,15 @@ def test_render_noise_statistics():
     assert abs(out.std() - 1.0) < 0.05
 
 
-# The whole-frame renderer that spans replaced, kept verbatim as an
-# oracle: the span kernel must reproduce it bit for bit.
+# The whole-frame renderer that spans replaced, kept as an oracle: the
+# span kernel must reproduce it bit for bit. Only the cos and sin of its
+# Box-Muller angle now come from the kernel's _cos_sin, tested below.
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _SM_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM_M2 = np.uint64(0x94D049BB133111EB)
 _ROW_K = np.uint64(0xC2B2AE3D27D4EB4F)
 _COL_K = np.uint64(0x165667B19E3779F9)
 _U53 = 1.0 / 9007199254740992.0
-_TWO_PI = 2.0 * math.pi
 
 
 def _splitmix64(z):
@@ -69,6 +68,13 @@ def _pixel_states(seed, height, width):
     cols = np.arange(width, dtype=np.uint64)[None, :]
     base = (np.uint64(seed) * _SM_GAMMA) ^ (rows * _ROW_K) ^ (cols * _COL_K)
     return _splitmix64(base)
+
+
+def _cos_sin(k):
+    """(cos, sin) of 2*pi*k*2**-53 for uint64 or int64 k below 2**53."""
+    out = np.empty((2,) + k.shape)
+    _kernels._cos_sin(k.view(np.int64), out, np.empty((4,) + k.shape))
+    return out
 
 
 def _whole_frame_render(base, region_map, sigma, seed, lo, hi):
@@ -86,12 +92,11 @@ def _whole_frame_render(base, region_map, sigma, seed, lo, hi):
                 state = state + _SM_GAMMA
                 z2 = _splitmix64(state)
                 u1 = ((z1 >> np.uint64(11)) + np.uint64(1)).astype(np.float64) * _U53
-                u2 = (z2 >> np.uint64(11)).astype(np.float64) * _U53
                 rad = np.sqrt(-2.0 * np.log(u1))
-                ang = _TWO_PI * u2
-                out[f] = base[region_map, f] + sigma * (rad * np.cos(ang))
+                cos, sin = _cos_sin(z2 >> np.uint64(11))
+                out[f] = base[region_map, f] + sigma * (rad * cos)
                 if f + 1 < frame_count:
-                    out[f + 1] = base[region_map, f + 1] + sigma * (rad * np.sin(ang))
+                    out[f + 1] = base[region_map, f + 1] + sigma * (rad * sin)
     else:
         for f in range(frame_count):
             out[f] = base[region_map, f]
@@ -168,8 +173,61 @@ def test_render_span_splits_reassemble_whole_render():
     npt.assert_array_equal(states, kept)
 
 
+@pytest.mark.parametrize("pairs", [1, 2, 3])
+def test_render_is_independent_of_group_size(monkeypatch, pairs):
+    base, region_map = _render_case(23, 19, 7, 3, 10)
+    want = _whole_frame_render(base, region_map, 1.5, 13, 98.0, 102.0)
+    monkeypatch.setattr(_kernels, "PAIRS_PER_CALL", pairs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.render_frames(base, region_map, 1.5, 13, 98.0, 102.0)
+    _assert_bitwise(got, want)
+
+
+def _random_angles(count):
+    return np.random.default_rng(17).integers(0, 2 ** 53, count,
+                                              dtype=np.int64)
+
+
+def test_cos_sin_matches_libm():
+    k = _random_angles(10 ** 5)
+    cos, sin = _cos_sin(k)
+    angle = 2.0 * math.pi * (k * 2.0 ** -53)
+    assert np.abs(cos - np.cos(angle)).max() <= 1e-15
+    assert np.abs(sin - np.sin(angle)).max() <= 1e-15
+
+
+def test_cos_sin_quarter_turns_are_exact():
+    k = np.array([0, 2 ** 51, 2 ** 52, 3 * 2 ** 51, 2 ** 53 - 1])
+    cos, sin = _cos_sin(k)
+    npt.assert_array_equal(cos[:4], [1.0, 0.0, -1.0, 0.0])
+    npt.assert_array_equal(sin[:4], [0.0, 1.0, 0.0, -1.0])
+    # one step below a full turn
+    assert cos[4] == 1.0
+    assert sin[4] == pytest.approx(-2.0 * math.pi * 2.0 ** -53, rel=1e-12)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is not x87 extended precision")
+def test_cos_sin_against_extended_precision():
+    # reduce to a quadrant and a remainder exactly, in integers, and take
+    # the long double cos and sin of remainder * pi/2
+    k = _random_angles(10 ** 5)
+    cos, sin = _cos_sin(k)
+    quadrant = (k + 2 ** 50) >> 51
+    half_pi = 2 * np.arctan(np.longdouble(1))
+    x = (k - (quadrant << 51)).astype(np.longdouble) / 2 ** 51 * half_pi
+    c, s = np.cos(x), np.sin(x)
+    want = {0: (c, s), 1: (-s, c), 2: (-c, -s), 3: (s, -c)}
+    for q, (want_cos, want_sin) in want.items():
+        hit = quadrant % 4 == q
+        assert hit.any()
+        assert np.abs(cos[hit] - want_cos[hit]).max() <= 2.5e-16
+        assert np.abs(sin[hit] - want_sin[hit]).max() <= 2.5e-16
+
+
 def test_span_count_follows_pixels_and_cores():
-    cores = len(os.sched_getaffinity(0))
+    cores = _kernels.core_count()
     assert _kernels._span_count(1) == 1
     assert _kernels._span_count(2 * _kernels.MIN_SPAN - 1) == 1
     assert _kernels._span_count(2 * _kernels.MIN_SPAN) == min(cores, 2)
