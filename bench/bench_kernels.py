@@ -11,9 +11,9 @@ training split the size of the four-class benchmark's (25,195 rows of 15
 features); and one Adam step of the 15/10/20/4 tanh net at batch 2048
 (the four-class experiment's). It prints the best of several runs of
 each, and writes them with the frame I/O worker count, the render's span
-count and frame pairs per call, the fit's worker count and the fit's and preparation's
-tracemalloc peaks to BENCH_kernels.json beside this script. The fit runs
-one worker per core only with one BLAS thread.
+count and frame pairs per call, the fit's worker count and the fit's and
+preparation's tracemalloc peaks to BENCH_kernels.json beside this script.
+The render and the fit both take one worker per core.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -158,7 +158,7 @@ def main():
     fit_args = (data, np.log10(timestamps), math.inf, args.degree,
                 1.0 / math.log(10.0))
     t_fit = time_calls(_kernels.fit_image, args.repeats, *fit_args)
-    workers = _kernels._fit_workers(region_map.size)
+    workers = _kernels._span_count(region_map.size)
     print(f"fit:    {t_fit:10.1f} ms ({workers} workers)")
 
     tracemalloc.start()
@@ -205,8 +205,8 @@ def main():
                        "optimizer": "adam", "steps": TRAIN_STEPS},
         "train_step_ms": round(t_step, 3),
         "numpy": np.__version__,
-        "blas_threads": {k: os.environ.get(k, "unset")
-                         for k in _kernels.BLAS_THREAD_VARS},
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
+                                               "unset"),
         "cpu_count": os.cpu_count(),
     }
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),

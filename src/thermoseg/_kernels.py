@@ -16,27 +16,26 @@ numpy:
   that two span threads mostly hand the GIL back and forth, so a span
   makes PAIRS_PER_CALL pairs' draws per call. Because the noise is keyed
   per pixel and draw, the output is bitwise the same for any span count
-  and group size, so unlike a BLAS thread count the core count never
-  changes a result.
-* fit_image makes one pass over the (frames, H*W) view of the cube in
-  blocks of about CHUNK adjacent pixels, so each block's frames x pixels
-  slab stays in cache. A block finds its own start frames (the frame
-  after each pixel's last saturated one). When all its pixels share one
-  start, it takes the log straight from the view into one reused buffer.
-  Pixels of other blocks are queued by start frame and gathered from the
-  cube CHUNK at a time, so scattered start frames still make full-width
-  solves. Each window gets one thin QR of its Vandermonde matrix on a
-  log-time axis mapped to [-1, 1], cached across blocks; its pixels are
-  solved with one Q^T product and a triangular solve, and their residuals
-  are formed explicitly. A sample <= 0 or NaN shows as a non-finite
-  column of the Q^T product, and only then are the positive columns
-  refitted, so the data is read once. The fit adds a few block-sized
-  buffers to the cube, never a copy of it, and returns a reason code per
-  pixel. When BLAS runs on one thread, the fit takes a render's workers:
-  each takes a contiguous run of blocks, the queue is built in block
-  order as one pass would build it, and the queued solves are shared out
-  again. Every BLAS product keeps its operands and shape, so like the
-  render, the output is bitwise the same for any core count.
+  and group size, so the core count never changes a result.
+* fit_image walks the (frames, H*W) view of the cube in blocks of CHUNK
+  adjacent pixels, so each block's frames x pixels slab stays in cache. A
+  block finds its own start frames (the frame after each pixel's last
+  saturated one). When all its pixels share one start, it takes the log
+  straight from the view into one reused buffer. Pixels of other blocks
+  are queued by start frame and gathered from the cube CHUNK at a time,
+  so scattered start frames still make full-width solves. Each window
+  gets one thin QR of its Vandermonde matrix on a log-time axis mapped to
+  [-1, 1], cached across blocks; its pixels are solved with one Q^T
+  product and a triangular solve, and their residuals are formed
+  explicitly. A sample <= 0 or NaN shows as a non-finite column of the
+  Q^T product, and only then are the positive columns refitted, so the
+  data is read once. The fit adds a few block-sized buffers to the cube,
+  never a copy of it, and returns a reason code per pixel. It takes a
+  render's workers, each one serial pass over a contiguous run of
+  blocks with its own queue. The Q^T product and the residual are einsum
+  loops, not BLAS calls, and a one-pixel solve runs on two columns, so
+  a pixel's bits depend on neither the pixels solved with it, the worker
+  count nor the BLAS thread count.
 """
 
 import contextlib
@@ -82,10 +81,6 @@ PAIRS_PER_CALL = 2
 # fewest pixels per render span or fit worker: below it a thread costs more
 # than it saves
 MIN_SPAN = 4096
-
-# BLAS thread-count variables: OpenBLAS reads the first two, in this order
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                    "MKL_NUM_THREADS")
 
 # fit_image reason codes (indexes into REASONS): why a pixel was dropped
 FITTED = 0
@@ -188,15 +183,10 @@ def _render_span(flat_cols, base_t, idx, state, sigma, lo, hi):
     last frame are dropped. Each frame row is then filled, noised and
     clamped while it is in cache, in the same operation order as rendering
     the whole frame at once, so a pixel's values depend on neither the
-    span that holds it nor the group size.
+    span that holds it nor the group size. A sigma of 0 adds +-0.0 to each
+    positive value, which leaves it as it is.
     """
     frame_count, n = flat_cols.shape
-    if not sigma > 0.0:
-        for f in range(frame_count):
-            row = flat_cols[f]
-            np.take(base_t[f], idx, out=row, mode="clip")
-            np.clip(row, lo, hi, out=row)
-        return
     pairs = PAIRS_PER_CALL
     # draw numbers of a group's radii (row 0) and angles (row 1), from 1
     draws = np.arange(1, 2 * pairs + 1, dtype=np.uint64).reshape(
@@ -314,49 +304,52 @@ def _window(log_t, s, degree):
 class _FitWorker:
     """One fit worker: its own window cache and log and residual buffers.
 
-    It writes only the pixels it is handed into the shared coef, rms,
+    It writes only the pixels of its own run into the shared coef, rms,
     start and reason arrays, so workers never touch the same pixel.
     """
 
-    def __init__(self, flat, log_t, saturation, degree, inv_ln_base, out,
-                 widest):
+    def __init__(self, flat, log_t, saturation, degree, inv_ln_base, out):
         self.flat, self.log_t, self.saturation = flat, log_t, saturation
         self.degree, self.inv_ln_base = degree, inv_ln_base
         self.coef, self.rms, self.start, self.reason = out
-        self.log_buf = np.empty(flat.shape[0] * widest)
-        self.resid_buf = np.empty(flat.shape[0] * widest)
+        # a one-pixel solve runs on two columns
+        self.log_buf = np.empty(flat.shape[0] * max(CHUNK, 2))
+        self.resid_buf = np.empty(flat.shape[0] * max(CHUNK, 2))
         self.windows = {}
 
-    def blocks(self, edges):
-        """Find the start frames and reasons of the blocks between
-        consecutive edges and fit each block that has one window and drops
-        nothing straight from the cube view; returns the fitted columns of
-        every other block, in block order."""
+    def run(self, lo, hi):
+        """Fit pixels lo to hi in blocks of CHUNK. A block finds its start
+        frames and reasons; one that has one window and drops nothing is
+        fitted straight from the cube view, and the fitted pixels of any
+        other wait in a queue per start frame, gathered CHUNK at a time."""
         frame_count, m = self.flat.shape[0], self.degree + 1
-        mixed = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            block = self.flat[:, lo:hi]
-            b_start = self.start[lo:hi]
-            b_reason = self.reason[lo:hi]
+        pending = {}
+        for a in range(lo, hi, CHUNK):
+            b = min(a + CHUNK, hi)
+            block = self.flat[:, a:b]
+            b_start = self.start[a:b]
+            b_reason = self.reason[a:b]
             sat = block >= self.saturation
             hit = sat.any(axis=0)
             if hit.any():
                 b_start[hit] = frame_count - np.argmax(sat[::-1, hit], axis=0)
             b_reason[b_start > frame_count - m] = TOO_FEW_FRAMES
             b_reason[b_start == frame_count] = SATURATED
-            cols = lo + np.nonzero(b_reason == FITTED)[0]
-            if cols.shape[0] == hi - lo and (b_start == b_start[0]).all():
+            cols = a + np.nonzero(b_reason == FITTED)[0]
+            if cols.shape[0] == b - a and (b_start == b_start[0]).all():
                 # one window and nothing dropped: read the cube view, no copy
                 self.solve(b_start[0], cols, block[b_start[0]:])
-            else:
-                mixed.append(cols)
-        return mixed
-
-    def gathered(self, solves):
-        """Fit each (start frame, cols) pair from columns gathered out of
-        the cube."""
-        for s, cols in solves:
-            self.solve(s, cols, self.flat[s:, cols])
+                continue
+            for s in np.unique(self.start[cols]):
+                queue = np.concatenate([pending.get(s, cols[:0]),
+                                        cols[self.start[cols] == s]])
+                while queue.shape[0] >= CHUNK:
+                    self.solve(s, queue[:CHUNK], self.flat[s:, queue[:CHUNK]])
+                    queue = queue[CHUNK:]
+                pending[s] = queue
+        for s, queue in pending.items():
+            if queue.shape[0]:
+                self.solve(s, queue, self.flat[s:, queue])
 
     def solve(self, s, cols, src):
         """Fit pixels cols, whose frames from s on are the columns of src."""
@@ -370,6 +363,11 @@ class _FitWorker:
         if windows[s] is None:
             self.reason[cols] = DEGENERATE_WINDOW
             return
+        if cols.shape[0] == 1:
+            # numpy drops a length-1 axis, so the products, the solve and
+            # the mean of one column would sum in another order than those
+            # of a wider solve: fit the column twice
+            cols, src = cols[[0, 0]], src[:, [0, 0]]
         q, r, basis = windows[s]
         y, qty = self._project(q, src)
         # q[:, 0] is a nonzero constant, so a column of qty is finite exactly
@@ -378,13 +376,12 @@ class _FitWorker:
             positive = (src > 0.0).all(axis=0)
             if not positive.all():
                 self.reason[cols[~positive]] = NON_POSITIVE
-                cols, src = cols[positive], src[:, positive]
-                if cols.shape[0] == 0:
-                    return
-                y, qty = self._project(q, src)
+                if positive.any():
+                    self.solve(s, cols[positive], src[:, positive])
+                return
         # R is upper triangular, so LU pivots nowhere: back substitution
         sol = np.linalg.solve(r, qty)
-        resid = np.matmul(q, qty,
+        resid = np.einsum("fm,mn->fn", q, qty,
                           out=self.resid_buf[:y.size].reshape(y.shape))
         resid -= y
         np.square(resid, out=resid)
@@ -399,23 +396,7 @@ class _FitWorker:
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(src, out=y)
             y *= self.inv_ln_base
-            return y, q.T @ y
-
-
-def _blas_pinned():
-    """True when the BLAS thread variables pin BLAS to one thread: the
-    first of OpenBLAS's variables that is set reads 1."""
-    for var in BLAS_THREAD_VARS[:2]:
-        if var in os.environ:
-            return os.environ[var] == "1"
-    return False
-
-
-def _fit_workers(pixels):
-    """Workers for a fit: a render's span count when BLAS runs on one
-    thread, else one, since fit workers on a multi-threaded BLAS contend
-    for the same cores."""
-    return _span_count(pixels) if _blas_pinned() else 1
+            return y, np.einsum("fm,fn->mn", q, y)
 
 
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
@@ -426,8 +407,9 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     Returns (coef (H,W,degree+1) in the raw log-time basis, rms (H,W),
     start (H,W) first fitted frame, reason (H,W) uint8), where reason is
     FITTED for every fitted pixel and names why any other pixel was
-    dropped; a dropped pixel keeps zero coef and rms. The output is
-    bitwise the same for any worker count.
+    dropped; a dropped pixel keeps zero coef and rms. A pixel's output is
+    bitwise the same for any worker count, BLAS thread count or pixels
+    fitted with it.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
     log_t = np.ascontiguousarray(log_t, dtype=np.float64)
@@ -439,34 +421,13 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     out = coef, rms, start, reason = (
         np.zeros((pixels, m)), np.zeros(pixels),
         np.zeros(pixels, dtype=np.int64), np.zeros(pixels, dtype=np.uint8))
-    # blocks of CHUNK to 2*CHUNK - 1 pixels: no narrow tail block, whose
-    # smaller BLAS products could round differently from the rest
-    blocks = max(1, pixels // CHUNK)
-    edges = [pixels * i // blocks for i in range(blocks + 1)]
-    count = _fit_workers(pixels)
-    workers = [_FitWorker(flat, log_t, saturation, degree, inv_ln_base, out,
-                          -(-pixels // blocks)) for _ in range(count)]
-    runs = [edges[blocks * i // count:blocks * (i + 1) // count + 1]
-            for i in range(count)]
+    # each worker takes a contiguous run of whole blocks
+    blocks, count = -(-pixels // CHUNK), _span_count(pixels)
+    edges = [min(pixels, CHUNK * (blocks * i // count))
+             for i in range(count + 1)]
     with _pool(count) as pool:
-        mixed = _spread(pool, [(w.blocks, (run,))
-                               for w, run in zip(workers, runs)])
-        # pixels of blocks that mix windows or drop pixels are queued by
-        # start frame in block order, as one serial pass would, and
-        # gathered from the cube CHUNK at a time
-        pending, solves = {}, []
-        for cols in (cols for run in mixed for cols in run):
-            for s in np.unique(start[cols]):
-                queue = np.concatenate([pending.get(s, cols[:0]),
-                                        cols[start[cols] == s]])
-                while queue.shape[0] >= CHUNK:
-                    solves.append((s, queue[:CHUNK]))
-                    queue = queue[CHUNK:]
-                pending[s] = queue
-        solves += [(s, queue) for s, queue in pending.items()
-                   if queue.shape[0]]
-        _spread(pool, [(w.gathered, (solves[len(solves) * i // count:
-                                            len(solves) * (i + 1) // count],))
-                       for i, w in enumerate(workers)])
+        _spread(pool, [(_FitWorker(flat, log_t, saturation, degree,
+                                   inv_ln_base, out).run, (lo, hi))
+                       for lo, hi in zip(edges[:-1], edges[1:])])
     return (coef.reshape(height, width, m), rms.reshape(height, width),
             start.reshape(height, width), reason.reshape(height, width))

@@ -34,7 +34,7 @@ import time
 
 import numpy as np
 
-from . import _kernels, evaluate, features, nn, synthgen, tsr
+from . import evaluate, features, nn, synthgen, tsr
 from .errors import ValidationError
 from .ingest import save_mask, trim_mask
 
@@ -90,10 +90,10 @@ class StageTimer:
 
 
 def _fit_report(fitted):
-    """`fit_reasons`, `rms_quantiles` and `blas_threads` for results.json,
-    from (recording, FeatureImage, LabelMask) triples. A class's rms
-    quantiles (p50, p95, max) span its fitted mask pixels in every
-    recording. Like every diagnostic, none of this reaches a hashed file.
+    """`fit_reasons` and `rms_quantiles` for results.json, from
+    (recording, FeatureImage, LabelMask) triples. A class's rms quantiles
+    (p50, p95, max) span its fitted mask pixels in every recording. Like
+    every diagnostic, none of this reaches a hashed file.
     """
     rms = {}
     for _, image, mask in fitted:
@@ -104,9 +104,7 @@ def _fit_report(fitted):
                             for name, image, _ in fitted},
             "rms_quantiles": {c: dict(zip(("p50", "p95", "max"), np.quantile(
                 v, (0.5, 0.95, 1.0)).tolist())) if v.size else None
-                for c, v in sorted(rms.items())},
-            "blas_threads": {v: os.environ.get(v)
-                             for v in _kernels.BLAS_THREAD_VARS}}
+                for c, v in sorted(rms.items())}}
 
 
 def _dataset_accuracy(model, ds):

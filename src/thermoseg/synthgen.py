@@ -102,22 +102,25 @@ def _plate_bracket(t, thickness, diffusivity, contrast):
 
 
 def eval_profile(profile, t):
-    """Profile temperature at time(s) t (seconds, > 0)."""
+    """Profile temperature at time(s) t (seconds, > 0). A profile that
+    leaves the float64 range at any of them is a SceneError."""
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0):
         raise SceneError("profile times must be > 0")
-    if profile.kind == "power-law":
-        out = profile.amplitude * t ** profile.exponent
-    elif profile.kind == "adiabatic-plate":
-        bracket = _plate_bracket(t, profile.thickness, profile.diffusivity,
-                                 profile.contrast)
-        out = profile.amplitude / np.sqrt(t) * bracket
-    else:
-        u = np.log(t) / math.log(profile.log_base)
-        coeffs = profile.coefficients[::-1]  # np.polyval wants leading first
-        out = profile.log_base ** np.polyval(coeffs, u)
+    # an overflow shows as a non-finite value, checked below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if profile.kind == "power-law":
+            out = profile.amplitude * t ** profile.exponent
+        elif profile.kind == "adiabatic-plate":
+            bracket = _plate_bracket(t, profile.thickness,
+                                     profile.diffusivity, profile.contrast)
+            out = profile.amplitude / np.sqrt(t) * bracket
+        else:
+            u = np.log(t) / math.log(profile.log_base)
+            coeffs = profile.coefficients[::-1]  # np.polyval: leading first
+            out = profile.log_base ** np.polyval(coeffs, u)
     if not np.all(np.isfinite(out)):
-        raise ComputeError(f"{profile.kind} profile is non-finite in range")
+        raise SceneError(f"{profile.kind} profile is non-finite in range")
     return out if out.ndim else float(out)
 
 
@@ -203,6 +206,14 @@ def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
     base = np.empty((len(layout.regions), timestamps.size))
     for i, region in enumerate(layout.regions):
         base[i] = eval_profile(region.profile, timestamps)
+    # the largest draw on the largest value must stay finite too
+    peak = np.abs(base).max(axis=1)
+    top = int(np.argmax(peak))
+    reach = float(peak[top]) + noise.sigma * _kernels.MAX_RADIUS
+    if not math.isfinite(reach):
+        raise SceneError(f"noise sigma {noise.sigma:.4g} on a "
+                         f"{layout.regions[top].profile.kind} profile "
+                         f"reaching {peak[top]:.4g} overflows float64")
     data = _kernels.render_frames(base, layout.region_map(), noise.sigma,
                                   noise.seed, lo, hi)
     saturation = hi if math.isfinite(hi) else math.inf

@@ -257,9 +257,17 @@ def test_eval_positive_scores_that_class(pipeline, capsys, tmp_path):
                          f"recall {100 * recall:.2f}%")
 
 
-def _scene_with(old, new):
-    assert old in SCENE
-    return SCENE.replace(old, new)
+def _scene_with(*edits):
+    """SCENE with each (old, new) pair of edits replaced."""
+    text = SCENE
+    for old, new in zip(edits[::2], edits[1::2]):
+        assert old in text
+        text = text.replace(old, new)
+    return text
+
+
+BIG_AMPLITUDE = ("amplitude = 300.0\nexponent",
+                 "amplitude = 1.7e308\nexponent")
 
 
 SYNTH = ["synth", "--scene", "{path}", "--out", "{dir}/v"]
@@ -326,6 +334,14 @@ MALFORMED_INPUTS = [
      SYNTH, "sigma"),
     ("negative seed", "s.ini", _scene_with("seed = 7", "seed = -1"),
      SYNTH, "seed"),
+    # 1.7e308 * t**-0.5 passes the float64 maximum at the first frame, 0.5 s
+    ("profile beyond float64", "s.ini", _scene_with(*BIG_AMPLITUDE),
+     SYNTH, "power-law profile is non-finite"),
+    # finite at 1 s, but not with the noise's largest draw added
+    ("profile plus noise beyond float64", "s.ini",
+     _scene_with(*BIG_AMPLITUDE, "fps = 2.0", "fps = 1.0", "sigma = 0.5",
+                 "sigma = 1e307"),
+     SYNTH, "noise sigma 1e+307 on a power-law profile reaching 1.7e+308"),
     ("percent sign in a scene value", "s.ini",
      _scene_with("amplitude = 300.0\nexponent", "amplitude = 300%\nexponent"),
      SYNTH, "[region.sound] 'amplitude': could not convert string to float: "

@@ -1,4 +1,6 @@
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -333,9 +335,63 @@ def test_fit_block_boundaries(monkeypatch):
         c2, r2, s2, why2 = _kernels.fit_image(data, *args)
         npt.assert_array_equal(s2, start)
         npt.assert_array_equal(why2, reason)
-        npt.assert_allclose(c2, coef, rtol=1e-12,
-                            atol=1e-12 * np.abs(coef).max())
-        npt.assert_allclose(r2, rms, rtol=1e-12)
+        assert c2.tobytes() == coef.tobytes()
+        assert r2.tobytes() == rms.tobytes()
+
+
+def _edge_cube():
+    """Noisy decays over 900 frames, enough for BLAS to pick its reduction
+    by shape. The left edge of the top half saturates in its first frames
+    and one pixel in a negative sample, so the top blocks queue their
+    pixels by start frame and the bottom ones are fitted from the view."""
+    rng = np.random.default_rng(17)
+    t = (np.arange(900) + 1.0) / 2.0
+    data = (300.0 * t[:, None, None] ** -0.5 * rng.uniform(0.7, 1.3, (24, 50))
+            + rng.normal(0.0, 0.5, (900, 24, 50)))
+    data[:9, :12, :7] = 1000.0
+    data[:30, 5, 20] = 1000.0
+    data[400, 3, 30] = -1.0
+    return data, (np.log10(t), 1000.0, 4, 1.0 / np.log(10.0))
+
+
+@pytest.mark.parametrize("width", [1, 7, 255, 256, 411])
+def test_fit_of_any_column_subset_is_bitwise_the_whole_fit(width):
+    data, args = _edge_cube()
+    coef, rms, _, reason = _kernels.fit_image(data, *args)
+    assert set(np.unique(reason)) == {_kernels.FITTED, _kernels.NON_POSITIVE}
+    flat = data.reshape(data.shape[0], 1, -1)
+    pixels = flat.shape[2]
+    for lo in sorted({0, 3, 150, 280, 500, 700, pixels - width}):
+        hi = lo + width
+        c2, r2, _, why2 = _kernels.fit_image(flat[:, :, lo:hi], *args)
+        npt.assert_array_equal(why2.ravel(), reason.ravel()[lo:hi])
+        assert c2.tobytes() == coef.reshape(pixels, -1)[lo:hi].tobytes()
+        assert r2.tobytes() == rms.ravel()[lo:hi].tobytes()
+
+
+# the fit's bytes, printed by a child process
+_FIT_BYTES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from test_kernels import _edge_cube, _kernels
+data, args = _edge_cube()
+out = _kernels.fit_image(data, *args)
+sys.stdout.buffer.write(b"".join(a.tobytes() for a in out))
+"""
+
+
+def test_fit_bytes_do_not_depend_on_blas_threads():
+    # two BLAS threads are enough to split a product differently
+    src = os.path.dirname(os.path.dirname(_kernels.__file__))
+    fits = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", _FIT_BYTES, os.path.dirname(__file__)],
+            env=env, capture_output=True, check=True)
+        fits.append(done.stdout)
+    assert len(fits[0]) == 24 * 50 * (5 * 8 + 8 + 8 + 1)
+    assert fits[0] == fits[1]
 
 
 def test_fit_memory_stays_below_half_the_cube():
@@ -396,14 +452,17 @@ def _serial_fit(data, log_t, saturation, degree, inv_ln_base):
             cols, src = cols[positive], src[:, positive]
             if cols.shape[0] == 0:
                 return
+        if cols.shape[0] == 1:
+            cols, src = cols[[0, 0]], src[:, [0, 0]]
         q, r, basis = windows[s]
         y = log_buf[:src.size].reshape(src.shape)
         np.log(src, out=y)
         y *= inv_ln_base
-        qty = q.T @ y
+        qty = np.einsum("fm,fn->mn", q, y)
         # R is upper triangular, so LU pivots nowhere: back substitution
         sol = np.linalg.solve(r, qty)
-        resid = np.matmul(q, qty, out=resid_buf[:y.size].reshape(y.shape))
+        resid = np.einsum("fm,mn->fn", q, qty,
+                          out=resid_buf[:y.size].reshape(y.shape))
         resid -= y
         np.square(resid, out=resid)
         coef[cols] = (basis @ sol).T
@@ -481,7 +540,7 @@ def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
     data, log_t, saturation = FIT_CUBES[cube]()
     args = (data, log_t, saturation, 4, 1.0 / math.log(10.0))
     want = _serial_fit(*args)
-    monkeypatch.setattr(_kernels, "_fit_workers", lambda pixels: workers)
+    monkeypatch.setattr(_kernels, "_span_count", lambda pixels: workers)
     # switch threads often, so that workers sharing a buffer or a pixel
     # would show
     interval = sys.getswitchinterval()
@@ -503,28 +562,6 @@ def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
         assert reasons[FITTED] > 0
     else:
         assert reasons[FITTED] > 2 * CHUNK
-
-
-@pytest.mark.parametrize("env, pinned", [
-    ({}, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OPENBLAS_NUM_THREADS": "2"}, False),
-    ({"OMP_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, False),
-    ({"OMP_NUM_THREADS": "2", "OPENBLAS_NUM_THREADS": "1"}, True),
-    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "8"}, False),
-    ({"MKL_NUM_THREADS": "1"}, False),
-])
-def test_fit_workers_need_single_threaded_blas(monkeypatch, env, pinned):
-    for var in _kernels.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in env.items():
-        monkeypatch.setenv(var, value)
-    assert _kernels._blas_pinned() is pinned
-    many = 10 ** 9
-    assert _kernels._fit_workers(many) == (_kernels._span_count(many)
-                                           if pinned else 1)
-    assert _kernels._fit_workers(2 * _kernels.MIN_SPAN - 1) == 1
 
 
 def test_affine_basis_matrix_identity():
