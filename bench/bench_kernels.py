@@ -11,9 +11,10 @@ training split the size of the four-class benchmark's (25,195 rows of 15
 features); and one Adam step of the 15/10/20/4 tanh net at batch 2048
 (the four-class experiment's). It prints the best of several runs of
 each, and writes them with the frame I/O worker count, the render's span
-count and frame pairs per call, the fit's worker count and the fit's and
-preparation's tracemalloc peaks to BENCH_kernels.json beside this script.
-The render and the fit both take one worker per core.
+count and frame pairs per call, the fit's worker count, the fit's
+tracemalloc peak on one worker and the preparation's to BENCH_kernels.json
+beside this script. The render (threads) and the fit (forked processes)
+both take one worker per core.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -84,7 +85,8 @@ def frame_io(repeats):
     seq = ingest.FrameSequence(
         width, height, frames, (np.arange(frames) + 1.0) / (frames / 240.0),
         rng.uniform(1.0, 254.0, (frames, height, width)), 254.0)
-    workers = ingest._frame_workers(seq.data.size, frames)
+    workers = min(frames, _kernels.worker_count(seq.data.size,
+                                                ingest.MIN_WORKER_VALUES))
     write, load = frame_io_ms(seq, repeats, ingest.MIN_WORKER_VALUES)
     one_write, one_load = frame_io_ms(seq, repeats, seq.data.size + 1)
     print(f"frame write: {write:8.1f} ms ({workers} workers), "
@@ -149,7 +151,7 @@ def main():
     frame_io_record = frame_io(args.repeats)
     t_render = time_calls(_kernels.render_frames, args.repeats,
                           base, region_map, 1.0, 42, 0.0, math.inf)
-    spans = _kernels._span_count(region_map.size)
+    spans = _kernels.worker_count(region_map.size, _kernels.MIN_SPAN)
     print(f"render: {t_render:10.1f} ms ({spans} spans, "
           f"{_kernels.PAIRS_PER_CALL} frame pairs per call)")
     cos_sin_record = cos_sin(-(-region_map.size // spans), 20 * args.repeats)
@@ -158,14 +160,21 @@ def main():
     fit_args = (data, np.log10(timestamps), math.inf, args.degree,
                 1.0 / math.log(10.0))
     t_fit = time_calls(_kernels.fit_image, args.repeats, *fit_args)
-    workers = _kernels._span_count(region_map.size)
-    print(f"fit:    {t_fit:10.1f} ms ({workers} workers)")
+    print(f"fit:    {t_fit:10.1f} ms ({spans} workers)")
 
+    # on one worker, which runs inline, every fit buffer is the parent's,
+    # where tracemalloc sees it; forked workers' buffers are not
+    default = _kernels.MIN_SPAN
+    _kernels.MIN_SPAN = region_map.size + 1
     tracemalloc.start()
-    _kernels.fit_image(*fit_args)
-    fit_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
-    tracemalloc.stop()
-    print(f"fit peak: {fit_peak_mb:8.1f} MB (cube {data.nbytes / 1e6:.1f} MB)")
+    try:
+        _kernels.fit_image(*fit_args)
+        fit_peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+        _kernels.MIN_SPAN = default
+    print(f"fit peak: {fit_peak_mb:8.1f} MB on one worker (cube "
+          f"{data.nbytes / 1e6:.1f} MB)")
 
     rng = np.random.default_rng(5)
     train = features.Dataset(rng.normal(size=(PREP_ROWS, 15)),
@@ -193,8 +202,8 @@ def main():
         "render_pairs_per_call": _kernels.PAIRS_PER_CALL,
         "cos_sin": cos_sin_record,
         "fit_ms": round(t_fit, 1),
-        "fit_workers": workers,
-        "fit_tracemalloc_peak_mb": round(fit_peak_mb, 2),
+        "fit_workers": spans,
+        "fit_one_worker_tracemalloc_peak_mb": round(fit_peak_mb, 2),
         "cube_mb": round(data.nbytes / 1e6, 2),
         "prep": {"rows": PREP_ROWS, "features": 15, "copies": PREP_COPIES,
                  "steps": ["augment", "fit_scaler", "apply_scaler"]},

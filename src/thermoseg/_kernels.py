@@ -7,16 +7,17 @@ numpy:
   two frames per Box-Muller draw. Noise streams come from a counter-style
   splitmix64 generator keyed on (seed, row, col), so any single pixel can
   be regenerated without rendering the rest of the frame. The pixels are
-  cut into contiguous spans, one per available core (none narrower than
-  MIN_SPAN pixels), rendered on threads straight into the output: each
+  cut into contiguous spans, one per worker (worker_count), rendered on
+  threads of the render's own executor straight into the output: each
   span reuses a few buffers and fills, noises and clamps a frame row
-  while it is in cache. The draw's angle goes through _cos_sin, fdlibm's
-  polynomials in numpy ufuncs, not libm's cos and sin, which took most of
-  the render. Without them a call on one frame pair of a span is so short
-  that two span threads mostly hand the GIL back and forth, so a span
-  makes PAIRS_PER_CALL pairs' draws per call. Because the noise is keyed
-  per pixel and draw, the output is bitwise the same for any span count
-  and group size, so the core count never changes a result.
+  while it is in cache. A single span starts no thread. The draw's angle
+  goes through _cos_sin, fdlibm's polynomials in numpy ufuncs, not libm's
+  cos and sin, which took most of the render. Without them a call on one
+  frame pair of a span is so short that two span threads mostly hand the
+  GIL back and forth, so a span makes PAIRS_PER_CALL pairs' draws per
+  call. Because the noise is keyed per pixel and draw, the output is
+  bitwise the same for any span count and group size, so the core count
+  never changes a result.
 * fit_image walks the (frames, H*W) view of the cube in blocks of CHUNK
   adjacent pixels, so each block's frames x pixels slab stays in cache. A
   block finds its own start frames (the frame after each pixel's last
@@ -30,15 +31,19 @@ numpy:
   explicitly. A sample <= 0 or NaN shows as a non-finite column of the
   Q^T product, and only then are the positive columns refitted, so the
   data is read once. The fit adds a few block-sized buffers to the cube,
-  never a copy of it, and returns a reason code per pixel. It takes a
-  render's workers, each one serial pass over a contiguous run of
-  blocks with its own queue. The Q^T product and the residual are einsum
-  loops, not BLAS calls, and a one-pixel solve runs on two columns, so
-  a pixel's bits depend on neither the pixels solved with it, the worker
-  count nor the BLAS thread count.
+  never a copy of it, and returns a reason code per pixel. Each worker
+  takes a contiguous run of blocks as one run_pool task and makes one
+  serial pass over it with its own queue. The Q^T product and the
+  residual are einsum loops, not BLAS calls, and a one-pixel solve runs
+  on two columns, so a pixel's bits depend on neither the pixels solved
+  with it, the worker count nor the BLAS thread count.
+
+run_pool is the one process pool, for the fit and the frame files. Its
+workers are forked and inherit the cube; a forked render would need an
+output mapping shared with the parent, which was no faster.
 """
 
-import contextlib
+import collections
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -78,8 +83,8 @@ CHUNK = 256
 # pairs render as fast, and 8 fall out of cache
 PAIRS_PER_CALL = 2
 
-# fewest pixels per render span or fit worker: below it a thread costs more
-# than it saves
+# fewest pixels per render span or fit worker: below it a thread or a
+# process costs more than it saves
 MIN_SPAN = 4096
 
 # fit_image reason codes (indexes into REASONS): why a pixel was dropped
@@ -225,26 +230,61 @@ def core_count():
             else os.cpu_count() or 1)
 
 
-def _span_count(pixels):
-    """Workers for a render or a fit: one per available core, but none
-    with fewer than MIN_SPAN pixels."""
-    return max(1, min(core_count(), pixels // MIN_SPAN))
+def worker_count(size, least):
+    """Workers for a job of `size` units: one per available core, but none
+    with fewer than `least` units."""
+    return max(1, min(core_count(), size // least))
 
 
-def _pool(count):
-    """Threads for `count` workers besides the calling one; no pool for a
-    single worker."""
-    return (ThreadPoolExecutor(count - 1) if count > 1
-            else contextlib.nullcontext())
+# a forked worker's state, set as it starts; never set in the parent
+_inherited = None
 
 
-def _spread(pool, calls):
-    """Results of (function, args) calls, in order: the calling thread runs
-    the first and pool's threads the rest. numpy and BLAS release the GIL
-    inside each call, so the workers run on separate cores."""
-    rest = [pool.submit(func, *args) for func, args in calls[1:]]
-    func, args = calls[0]
-    return [func(*args)] + [done.result() for done in rest]
+def _inherit(state):
+    global _inherited
+    _inherited = state
+
+
+def _call(func, *task):
+    return func(_inherited, *task)
+
+
+def run_pool(count, state, func, tasks, store):
+    """store(task, func(state, *task)) for each task, in task order.
+
+    func runs on min(count, len(tasks)) forked processes that inherit
+    `state`, so it is never pickled; one worker, or a platform without
+    fork, runs every task inline and starts no process. At most 2 * count
+    tasks are in flight. The first task to fail, in task order, raises its
+    error here and cancels the tasks not yet started. No worker outlives
+    the call.
+    """
+    count = min(count, len(tasks))
+    if count <= 1 or not hasattr(os, "fork"):
+        for task in tasks:
+            store(task, func(state, *task))
+        return
+    # the process machinery is imported only when a pool starts. Forking is
+    # safe here: no other thread of this program runs while the pool
+    # forks, since the render's threads join before it returns
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    pending = collections.deque()
+    with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
+                             initializer=_inherit,
+                             initargs=(state,)) as pool:
+        try:
+            for task in tasks:
+                pending.append((task, pool.submit(_call, func, *task)))
+                if len(pending) > 2 * count:
+                    task, done = pending.popleft()
+                    store(task, done.result())
+            while pending:
+                task, done = pending.popleft()
+                store(task, done.result())
+        finally:
+            for _, done in pending:
+                done.cancel()
 
 
 def render_frames(base, region_map, sigma, seed, lo, hi):
@@ -261,12 +301,16 @@ def render_frames(base, region_map, sigma, seed, lo, hi):
     flat = out.reshape(frame_count, idx.shape[0])
     states = _pixel_states(int(seed), *out.shape[1:]).ravel()
     args = (float(sigma), float(lo), float(hi))
-    count = _span_count(idx.shape[0])
+    count = worker_count(idx.shape[0], MIN_SPAN)
     edges = [idx.shape[0] * i // count for i in range(count + 1)]
-    with _pool(count) as pool:
-        _spread(pool, [(_render_span, (flat[:, a:b], base_t, idx[a:b],
-                                       states[a:b], *args))
-                       for a, b in zip(edges[:-1], edges[1:])])
+    spans = [(flat[:, a:b], base_t, idx[a:b], states[a:b], *args)
+             for a, b in zip(edges[:-1], edges[1:])]
+    if count == 1:
+        _render_span(*spans[0])
+    else:
+        # numpy releases the GIL inside each call, so spans share the cores
+        with ThreadPoolExecutor(count) as pool:
+            list(pool.map(lambda span: _render_span(*span), spans))
     return out
 
 
@@ -302,30 +346,31 @@ def _window(log_t, s, degree):
 
 
 class _FitWorker:
-    """One fit worker: its own window cache and log and residual buffers.
+    """One fit worker over the (frames, pixels) view `flat`: its own window
+    cache, log and residual buffers, and coef, rms, start and reason
+    arrays for the view's pixels."""
 
-    It writes only the pixels of its own run into the shared coef, rms,
-    start and reason arrays, so workers never touch the same pixel.
-    """
-
-    def __init__(self, flat, log_t, saturation, degree, inv_ln_base, out):
+    def __init__(self, flat, log_t, saturation, degree, inv_ln_base):
         self.flat, self.log_t, self.saturation = flat, log_t, saturation
         self.degree, self.inv_ln_base = degree, inv_ln_base
-        self.coef, self.rms, self.start, self.reason = out
+        pixels = flat.shape[1]
+        self.coef, self.rms = np.zeros((pixels, degree + 1)), np.zeros(pixels)
+        self.start = np.zeros(pixels, dtype=np.int64)
+        self.reason = np.zeros(pixels, dtype=np.uint8)
         # a one-pixel solve runs on two columns
         self.log_buf = np.empty(flat.shape[0] * max(CHUNK, 2))
         self.resid_buf = np.empty(flat.shape[0] * max(CHUNK, 2))
         self.windows = {}
 
-    def run(self, lo, hi):
-        """Fit pixels lo to hi in blocks of CHUNK. A block finds its start
+    def run(self):
+        """Fit every pixel in blocks of CHUNK. A block finds its start
         frames and reasons; one that has one window and drops nothing is
         fitted straight from the cube view, and the fitted pixels of any
         other wait in a queue per start frame, gathered CHUNK at a time."""
-        frame_count, m = self.flat.shape[0], self.degree + 1
+        (frame_count, pixels), m = self.flat.shape, self.degree + 1
         pending = {}
-        for a in range(lo, hi, CHUNK):
-            b = min(a + CHUNK, hi)
+        for a in range(0, pixels, CHUNK):
+            b = min(a + CHUNK, pixels)
             block = self.flat[:, a:b]
             b_start = self.start[a:b]
             b_reason = self.reason[a:b]
@@ -392,11 +437,20 @@ class _FitWorker:
         """(log of src in the working base, its Q^T product)."""
         y = self.log_buf[:src.size].reshape(src.shape)
         # a sample <= 0 or NaN makes its column non-finite, which solve
-        # checks; errstate is per thread, so it is set here
+        # checks
         with np.errstate(divide="ignore", invalid="ignore"):
             np.log(src, out=y)
             y *= self.inv_ln_base
             return y, np.einsum("fm,fn->mn", q, y)
+
+
+def _fit_run(state, lo, hi):
+    """coef, rms, start and reason of pixels lo to hi of state's
+    (flat, log_t, saturation, degree, inv_ln_base)."""
+    flat, *args = state
+    worker = _FitWorker(flat[:, lo:hi], *args)
+    worker.run()
+    return worker.coef, worker.rms, worker.start, worker.reason
 
 
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
@@ -418,16 +472,16 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     pixels = height * width
     flat = data.reshape(frame_count, pixels)
 
-    out = coef, rms, start, reason = (
-        np.zeros((pixels, m)), np.zeros(pixels),
-        np.zeros(pixels, dtype=np.int64), np.zeros(pixels, dtype=np.uint8))
     # each worker takes a contiguous run of whole blocks
-    blocks, count = -(-pixels // CHUNK), _span_count(pixels)
+    blocks, count = -(-pixels // CHUNK), worker_count(pixels, MIN_SPAN)
     edges = [min(pixels, CHUNK * (blocks * i // count))
              for i in range(count + 1)]
-    with _pool(count) as pool:
-        _spread(pool, [(_FitWorker(flat, log_t, saturation, degree,
-                                   inv_ln_base, out).run, (lo, hi))
-                       for lo, hi in zip(edges[:-1], edges[1:])])
+    parts = []
+    run_pool(count, (flat, log_t, saturation, degree, inv_ln_base), _fit_run,
+             list(zip(edges[:-1], edges[1:])),
+             lambda task, part: parts.append(part))
+    # a single part is the whole image, taken with no copy
+    coef, rms, start, reason = (parts[0] if len(parts) == 1
+                                else map(np.concatenate, zip(*parts)))
     return (coef.reshape(height, width, m), rms.reshape(height, width),
             start.reshape(height, width), reason.reshape(height, width))

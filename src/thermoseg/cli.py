@@ -14,7 +14,8 @@ one `stage seconds:` line, the wall seconds of each of their stages.
 
 Exit codes: 0 success, 2 validation/input error (a file that cannot be
 read, decoded or written, and an allocation that memory cannot hold,
-included), 3 compute error.
+included), 3 compute error or, from repro, a missed target (one
+`targets missed:` line on stderr).
 """
 
 import argparse
@@ -195,7 +196,7 @@ def cmd_eval(args):
     with stage("load"):
         model = nn.load_model(args.model)
         ds = _assemble(args, load_config(args.config))
-        if args.perturb > 0:
+        if args.perturb != 0:
             ds = features.perturb(ds, args.perturb, args.perturb_seed)
     with stage("predict"):
         cm = evaluate.confusion(ds.labels, nn.predict(model, ds.vectors),
@@ -238,7 +239,11 @@ def cmd_repro(args):
         if key in result:
             print(f"{key}: {result[key]}")
     print(f"results: {os.path.join(args.out, 'results.json')}")
-    return 0 if result["passed"] else 3
+    if result["passed"]:
+        return 0
+    print("targets missed: " + ", ".join(repro.missed_targets(result)),
+          file=sys.stderr)
+    return 3
 
 
 def build_parser():
@@ -295,7 +300,8 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int)
     p.add_argument("--scale", type=float, default=1.0,
-                   help="shrink canvases and budgets for smoke runs")
+                   help="shrink canvases and budgets for smoke runs, "
+                        "in (0, 1]")
     p.set_defaults(func=cmd_repro)
     return parser
 

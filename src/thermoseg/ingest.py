@@ -6,19 +6,17 @@ listing the frame files in order together with the timing, dimensions and
 sensor ceiling. Label masks are binary PGMs where the pixel value is the
 class id and 255 marks invalid pixels.
 
-Frame files are written and parsed on one worker process per available
-core. Formatting or parsing a value is a few hundred nanoseconds of work
-that holds the GIL, so threads would take turns rather than share it.
-The workers are forked: they inherit the frame cube and the frame paths
-rather than receiving a pickled copy, so this needs the fork start
-method. Without fork, and for a recording of fewer than
-MIN_WORKER_VALUES values per worker, the files are written and parsed
-serially and no process starts. Every frame is formatted and parsed by
-the same code in any worker, so the files' bytes and the loaded values
-are the same for any core count.
+Frame files are written and parsed on _kernels.run_pool, one forked
+worker process per available core. Formatting or parsing a value is a
+few hundred nanoseconds of work that holds the GIL, so threads would
+take turns rather than share it. The workers inherit the frame cube and
+the frame paths rather than receiving a pickled copy. Without fork, and
+for a recording of fewer than MIN_WORKER_VALUES values per worker, the
+files are written and parsed serially and no process starts. Every frame
+is formatted and parsed by the same code in any worker, so the files'
+bytes and the loaded values are the same for any core count.
 """
 
-import collections
 import math
 import os
 from dataclasses import dataclass
@@ -99,66 +97,6 @@ class LabelMask:
             raise IngestError("valid shape does not match mask dimensions")
 
 
-def _frame_workers(values, frames):
-    """Worker processes for `frames` frame files holding `values` values:
-    one per available core, but none with fewer than MIN_WORKER_VALUES
-    values or without a frame, and one, which starts no process, where
-    there is no fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    return max(1, min(_kernels.core_count(), values // MIN_WORKER_VALUES,
-                      frames))
-
-
-# a worker process's state, set as it starts; never set in the parent
-_inherited = None
-
-
-def _inherit(state):
-    global _inherited
-    _inherited = state
-
-
-def _call(func, *task):
-    return func(_inherited, *task)
-
-
-def _run(count, state, func, tasks, store):
-    """store(task, func(state, *task)) for each task, in task order.
-
-    With more than one worker, func runs on `count` forked processes that
-    inherit `state`, so it is never pickled; at most 2 * count tasks are
-    in flight. The first task to fail, in task order, raises its error
-    here and cancels the tasks not yet started. No worker outlives the
-    call.
-    """
-    if count == 1:
-        for task in tasks:
-            store(task, func(state, *task))
-        return
-    # the process machinery is imported only when a pool starts. Forking is
-    # safe here: no other thread of this program runs while the pool
-    # forks, since the render and fit thread pools join before they return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pending = collections.deque()
-    with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
-                             initializer=_inherit,
-                             initargs=(state,)) as pool:
-        try:
-            for task in tasks:
-                pending.append((task, pool.submit(_call, func, *task)))
-                if len(pending) > 2 * count:
-                    task, done = pending.popleft()
-                    store(task, done.result())
-            while pending:
-                task, done = pending.popleft()
-                store(task, done.result())
-        finally:
-            for _, done in pending:
-                done.cancel()
-
-
 def _read_frame(path, height, width):
     return keyfile.rows(keyfile.lines(path, IngestError), height, width,
                         path, IngestError, 1)
@@ -214,10 +152,11 @@ def load_sequence(path):
     def store(task, block):
         data[task[0]:task[1]] = block
 
-    count = _frame_workers(data[1:].size, len(frames) - 1)
-    _run(count, (frames, height, width), _read_frames,
-         [(lo, min(lo + FRAMES_PER_TASK, len(frames)))
-          for lo in range(1, len(frames), FRAMES_PER_TASK)], store)
+    _kernels.run_pool(
+        _kernels.worker_count(data[1:].size, MIN_WORKER_VALUES),
+        (frames, height, width), _read_frames,
+        [(lo, min(lo + FRAMES_PER_TASK, len(frames)))
+         for lo in range(1, len(frames), FRAMES_PER_TASK)], store)
     return FrameSequence(width, height, len(frames), np.array(stamps), data,
                          saturation)
 
@@ -233,11 +172,12 @@ def write_sequence(seq, out_dir):
     os.makedirs(frame_dir, exist_ok=True)
     frames = seq.frame_count
     names = [f"frame_{i:05d}.csv" for i in range(frames)]
-    count = _frame_workers(seq.data.size, frames)
+    count = min(frames, _kernels.worker_count(seq.data.size,
+                                               MIN_WORKER_VALUES))
     edges = [frames * i // count for i in range(count + 1)]
-    _run(count, (seq.data, [os.path.join(frame_dir, n) for n in names]),
-         _write_frames, list(zip(edges[:-1], edges[1:])),
-         lambda task, _: None)
+    _kernels.run_pool(
+        count, (seq.data, [os.path.join(frame_dir, n) for n in names]),
+        _write_frames, list(zip(edges[:-1], edges[1:])), lambda task, _: None)
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(f"width = {seq.width}\n")

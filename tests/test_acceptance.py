@@ -117,6 +117,20 @@ def test_criterion_3_four_class_experiment(four_class_run):
           f"({result['elapsed_seconds']:.0f}s)")
 
 
+def test_four_class_binary_accuracy_recounts_from_matrix(four_class_run):
+    """The acceptable/unacceptable accuracy in results.json is the
+    over-half-layer collapse of the written test matrix."""
+    result = four_class_run
+    cm = evaluate.read_matrix_csv(result["outputs"]["matrix"])
+    counts = cm.counts
+    # classes 0 and 1 are acceptable, 2 and 3 unacceptable
+    agree = counts[:2, :2].sum() + counts[2:, 2:].sum()
+    assert result["binary_test_accuracy"] == agree / counts.sum()
+    # merging classes cannot turn a correct pixel wrong
+    assert result["binary_test_accuracy"] >= result["test_accuracy"]
+    assert result["test_accuracy"] == np.trace(counts) / counts.sum()
+
+
 def _fit_features(series, t, degree):
     """Padded feature row of one pixel history, fitted by fit_sequence."""
     seq = FrameSequence(1, 1, t.shape[0], t, series[:, None, None], np.inf)

@@ -308,6 +308,11 @@ def _manifest_with(width):
 
 HUGE = "99999999999999999999"           # above int64
 
+REPRO = ["repro", "--experiment", "synthetic-2class", "--out", "{dir}/r",
+         "--scale"]
+EVAL_PERTURB = ["eval", "--model", "{model}", "--features", "{features}",
+                "--mask", "{mask}", "--perturb"]
+
 
 # (case, input file name, its text or None to leave it absent, argv, error)
 MALFORMED_INPUTS = [
@@ -497,6 +502,14 @@ MALFORMED_INPUTS = [
     ("non-numeric positive class", "absent", None,
      ["eval", "--model", "{model}", "--features", "{features}", "--mask",
       "{mask}", "--positive", "x"], "--positive"),
+    # refused before the output directory is made or anything allocated
+    ("NaN scale", "absent", None, REPRO + ["nan"], "got nan"),
+    ("zero scale", "absent", None, REPRO + ["0"], "(0, 1], got 0.0"),
+    ("scale above 1", "absent", None, REPRO + ["2.5"], "(0, 1], got 2.5"),
+    ("NaN perturbation", "absent", None, EVAL_PERTURB + ["nan"],
+     "relative amplitude must be >= 0"),
+    ("negative perturbation", "absent", None, EVAL_PERTURB + ["-1"],
+     "got -1.0"),
 ]
 
 
@@ -515,6 +528,7 @@ def test_exit_code_validation_errors(pipeline, tmp_path, capsys):
         assert captured.err.count("\n") == 1, (case, captured.err)
         assert "Traceback" not in captured.err, case
         assert needle in captured.err, (case, captured.err)
+    assert not (tmp_path / "r").exists()
 
 
 def test_exit_code_compute_error(pipeline, tmp_path, capsys):
@@ -601,6 +615,11 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
         marks = [mb for _, mb in r["stage_peak_rss_mb"]]
         assert 0.0 < marks[0] and marks == sorted(marks)
         assert marks[-1] <= r["peak_rss_mb"]
+        # the largest waited-for worker process, 0 when none started
+        assert r["peak_rss_children_mb"] >= 0.0
+        children = r["stage_peak_rss_children_mb"]
+        assert [stage for stage, _ in children] == stages
+        assert [mb for _, mb in children] == sorted(mb for _, mb in children)
 
 
 def test_unknown_experiment_rejected(tmp_path):

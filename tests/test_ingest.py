@@ -213,7 +213,8 @@ def test_two_worker_write_and_load_are_identical(tmp_path, workers):
     written, loaded = {}, {}
     for count in (1, 2):
         workers(count)
-        assert ingest._frame_workers(seq.data.size, seq.frame_count) == count
+        assert ingest._kernels.worker_count(
+            seq.data.size, ingest.MIN_WORKER_VALUES) == count
         manifest = write_sequence(seq, str(tmp_path / str(count)))
         written[count] = _frame_files(manifest)
         loaded[count] = load_sequence(manifest)

@@ -1,4 +1,6 @@
+import concurrent.futures
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -148,7 +150,7 @@ def test_render_matches_whole_frame_oracle(case):
 def test_render_is_independent_of_span_count(monkeypatch, spans):
     base, region_map = _render_case(31, 29, 5, 3, 9)
     want = _whole_frame_render(base, region_map, 1.0, 11, 99.0, 101.0)
-    monkeypatch.setattr(_kernels, "_span_count", lambda pixels: spans)
+    monkeypatch.setattr(_kernels, "worker_count", lambda size, least: spans)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _kernels.render_frames(base, region_map, 1.0, 11, 99.0, 101.0)
@@ -229,11 +231,11 @@ def test_cos_sin_against_extended_precision():
 
 
 def test_span_count_follows_pixels_and_cores():
-    cores = _kernels.core_count()
-    assert _kernels._span_count(1) == 1
-    assert _kernels._span_count(2 * _kernels.MIN_SPAN - 1) == 1
-    assert _kernels._span_count(2 * _kernels.MIN_SPAN) == min(cores, 2)
-    assert _kernels._span_count(10 ** 9) == cores
+    cores, least = _kernels.core_count(), _kernels.MIN_SPAN
+    assert _kernels.worker_count(1, least) == 1
+    assert _kernels.worker_count(2 * least - 1, least) == 1
+    assert _kernels.worker_count(2 * least, least) == min(cores, 2)
+    assert _kernels.worker_count(10 ** 9, least) == cores
 
 
 def test_pixel_states_are_silent():
@@ -540,17 +542,14 @@ def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
     data, log_t, saturation = FIT_CUBES[cube]()
     args = (data, log_t, saturation, 4, 1.0 / math.log(10.0))
     want = _serial_fit(*args)
-    monkeypatch.setattr(_kernels, "_span_count", lambda pixels: workers)
-    # switch threads often, so that workers sharing a buffer or a pixel
-    # would show
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            got = _kernels.fit_image(*args)
-    finally:
-        sys.setswitchinterval(interval)
+    monkeypatch.setattr(_kernels, "worker_count",
+                        lambda size, least: workers)
+    # the workers are forked processes, each with its own buffers and
+    # outputs, so no two of them share a buffer or a pixel
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _kernels.fit_image(*args)
+    assert multiprocessing.active_children() == []
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -562,6 +561,42 @@ def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
         assert reasons[FITTED] > 0
     else:
         assert reasons[FITTED] > 2 * CHUNK
+
+
+def test_two_worker_fit_leaves_no_process(monkeypatch):
+    data, log_t, saturation = _mixed_cube()
+    args = (data, log_t, saturation, 4, 1.0 / math.log(10.0))
+    monkeypatch.setattr(_kernels, "core_count", lambda: 2)
+    monkeypatch.setattr(_kernels, "MIN_SPAN", CHUNK)
+    assert _kernels.worker_count(data[0].size, _kernels.MIN_SPAN) == 2
+    started = []
+
+    class Counted(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, workers, *args, **kwargs):
+            started.append(workers)
+            super().__init__(workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    forked = _kernels.fit_image(*args)
+    assert started == [2]
+    assert multiprocessing.active_children() == []
+    # without os.fork the same two tasks run inline, to the same bytes
+    monkeypatch.delattr(os, "fork")
+    inline = _kernels.fit_image(*args)
+    assert started == [2]
+    for f, i in zip(forked, inline):
+        assert f.tobytes() == i.tobytes()
+
+
+def test_small_fit_starts_no_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    data, log_t, saturation = _uniform_cube()
+    assert data[0].size < 2 * _kernels.MIN_SPAN
+    coef, _, _, reason = _kernels.fit_image(data, log_t, saturation, 4,
+                                            1.0 / math.log(10.0))
+    assert (reason == FITTED).all() and np.isfinite(coef).all()
 
 
 def test_affine_basis_matrix_identity():

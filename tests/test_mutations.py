@@ -1,7 +1,8 @@
 """A seeded mutation sweep over every file a command reads: each file of
 the test pipeline, broken line by line (a PGM mask in its header only),
 gives exit 0, 2 or 3, one stderr line on 2 and 3, and never an escaped
-exception."""
+exception. A second sweep gives every numeric option of every command
+each of the same values, under the same rule."""
 
 import re
 import signal
@@ -34,6 +35,27 @@ COMMANDS = {
     "matrix": ["eval", "--matrix", "{path}", "--positive", "1"],
     "mask": ["train", "--features", "{features}", "--mask", "{path}",
              "--config", "{config}", "--out", "{dir}/m.txt"],
+}
+
+# (option, command that takes {value} there); repro --seed runs a small
+# scale, and repro --scale is refused before anything is allocated
+OPTIONS = {
+    "train --seed": ["train", "--features", "{features}", "--mask", "{mask}",
+                     "--config", "{config}", "--out", "{dir}/m.txt",
+                     "--seed", "{value}"],
+    "eval --perturb": ["eval", "--model", "{model}", "--features",
+                       "{features}", "--mask", "{mask}", "--perturb",
+                       "{value}"],
+    "eval --perturb-seed": ["eval", "--model", "{model}", "--features",
+                            "{features}", "--mask", "{mask}", "--perturb",
+                            "0.1", "--perturb-seed", "{value}"],
+    "eval --positive": ["eval", "--model", "{model}", "--features",
+                        "{features}", "--mask", "{mask}", "--positive",
+                        "{value}"],
+    "repro --seed": ["repro", "--experiment", "synthetic-2class", "--out",
+                     "{dir}/r", "--scale", "0.25", "--seed", "{value}"],
+    "repro --scale": ["repro", "--experiment", "synthetic-2class", "--out",
+                      "{dir}/r", "--scale", "{value}"],
 }
 
 _TOKEN = re.compile(r"[^\s,=]+")
@@ -86,13 +108,18 @@ def _overrun(signum, frame):
 
 
 def _run(argv, capsys):
-    """(exit code or escaped exception, stderr lines with warnings)."""
+    """(exit code or escaped exception, stderr lines with warnings).
+    argparse's own rejection of an option value exits 2 after its usage
+    lines; those are dropped, so its one `error:` line remains."""
     previous = signal.signal(signal.SIGALRM, _overrun)
     signal.alarm(BUDGET_S)
+    usage = False
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             outcome = cli.main(argv)
+    except SystemExit as exc:
+        outcome, usage = exc.code, exc.code == 2
     except Exception as exc:           # anything that escapes cli.main
         outcome = exc
     finally:
@@ -100,7 +127,15 @@ def _run(argv, capsys):
         signal.signal(signal.SIGALRM, previous)
     # a warning prints to stderr outside the test runner
     err = capsys.readouterr().err.splitlines()
+    if (usage and err and ": error: argument " in err[-1]
+            and err[0].startswith("usage: ")
+            and all(line.startswith(" ") for line in err[1:-1])):
+        err = err[-1:]
     return outcome, err + [str(w.message) for w in caught]
+
+
+def _clean(outcome, err):
+    return outcome in (0, 2, 3) and (outcome == 0 or len(err) == 1)
 
 
 def test_mutated_files_exit_cleanly(pipeline, tmp_path, capsys):
@@ -122,7 +157,21 @@ def test_mutated_files_exit_cleanly(pipeline, tmp_path, capsys):
                     for a in template]
             outcome, err = _run(argv, capsys)
             calls += 1
-            if outcome not in (0, 2, 3) or (outcome != 0 and len(err) != 1):
+            if not _clean(outcome, err):
                 failures.append((kind, what, outcome, err))
     assert calls > 1000
+    assert failures == []
+
+
+def test_numeric_options_exit_cleanly(pipeline, tmp_path, capsys):
+    files = {key: pipeline[key]
+             for key in ("features", "mask", "model", "config")}
+    failures = []
+    for option, template in OPTIONS.items():
+        for value in VALUES:
+            argv = [a.format(dir=tmp_path, value=value, **files)
+                    for a in template]
+            outcome, err = _run(argv, capsys)
+            if not _clean(outcome, err):
+                failures.append((option, value, outcome, err))
     assert failures == []
