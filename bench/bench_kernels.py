@@ -9,7 +9,10 @@ np.cos plus np.sin on the frame pairs of one numpy call at one render
 span's width; the x50 augment, fit_scaler and apply_scaler of a
 training split the size of the four-class benchmark's (25,195 rows of 15
 features); and one Adam step of the 15/10/20/4 tanh net at batch 2048
-(the four-class experiment's). It prints the best of several runs of
+(the four-class experiment's), over two epochs of a matrix as large as
+the full-scale four-class run's (1,284,945 rows), so the step pays for its
+random row gathers and epoch permutations, with the batches fed by the
+forked feeder process and inline. It prints the best of several runs of
 each, and writes them with the frame I/O worker count, the render's span
 count and frame pairs per call, the fit's worker count, the fit's
 tracemalloc peak on one worker and the preparation's to BENCH_kernels.json
@@ -40,22 +43,32 @@ def time_calls(func, repeats, *args):
     return best * 1000.0
 
 
-TRAIN_STEPS = 500
+# the augmented training rows of the full-scale four-class run
+TRAIN_ROWS = 1284945
 
 
-def train_step_ms(steps, repeats):
-    """Per-step time of `steps` Adam steps through nn.train, best of
-    `repeats`; the one loss check at the last step is included."""
+def train_step_ms(repeats):
+    """Per-step times of two epochs of Adam steps through nn.train over a
+    TRAIN_ROWS x 15 matrix, best of `repeats`, with the batches fed by the
+    forked feeder process and inline; the one loss check at the last step
+    is included."""
     rng = np.random.default_rng(7)
-    rows = 16 * 2048
-    ds = features.Dataset(rng.normal(size=(rows, 15)),
-                          rng.integers(0, 4, rows), 4)
+    ds = features.Dataset(rng.normal(size=(TRAIN_ROWS, 15)),
+                          rng.integers(0, 4, TRAIN_ROWS), 4)
     val = ds.take(np.arange(256))
     model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0)
+    steps = 2 * -(-TRAIN_ROWS // 2048)
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
                             batch_size=2048, max_steps=steps,
                             trace_every=steps, seed=1)
-    return time_calls(nn.train, repeats, model, ds, val, config) / steps
+    fed = time_calls(nn.train, repeats, model, ds, val, config) / steps
+    cores = _kernels.core_count
+    _kernels.core_count = lambda: 1
+    try:
+        inline = time_calls(nn.train, repeats, model, ds, val, config) / steps
+    finally:
+        _kernels.core_count = cores
+    return steps, fed, inline
 
 
 PREP_ROWS, PREP_COPIES = 25195, 50
@@ -188,9 +201,11 @@ def main():
     print(f"prep:   {t_prep:10.1f} ms, peak {prep_peak_mb:.1f} MB "
           f"(augmented matrix {augmented_mb:.1f} MB)")
 
-    t_step = train_step_ms(TRAIN_STEPS, args.repeats)
-    print(f"train step: {t_step:6.3f} ms (15/10/20/4 tanh, batch 2048, "
-          f"Adam, {TRAIN_STEPS} steps)")
+    feeder = "inline" if _kernels.feeds_inline() else "process"
+    steps, t_step, t_inline = train_step_ms(args.repeats)
+    print(f"train step: {t_step:6.3f} ms fed by the {feeder} feeder, "
+          f"{t_inline:.3f} ms inline (15/10/20/4 tanh, batch 2048, Adam, "
+          f"{steps} steps over {TRAIN_ROWS} rows)")
 
     record = {
         "shape": {"width": args.width, "height": args.height,
@@ -211,8 +226,10 @@ def main():
         "prep_tracemalloc_peak_mb": round(prep_peak_mb, 2),
         "augmented_mb": round(augmented_mb, 2),
         "train_step": {"layers": [15, 10, 20, 4], "batch": 2048,
-                       "optimizer": "adam", "steps": TRAIN_STEPS},
+                       "optimizer": "adam", "rows": TRAIN_ROWS,
+                       "steps": steps, "feeder": feeder},
         "train_step_ms": round(t_step, 3),
+        "train_step_inline_ms": round(t_inline, 3),
         "numpy": np.__version__,
         "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS",
                                                "unset"),

@@ -1,54 +1,39 @@
 """Hot numeric kernels: noisy frame rendering and per-pixel log-log fits.
 
-Both operations dominate runtime at video scale and are vectorised in
-numpy:
+Both dominate runtime at video scale and are vectorised in numpy:
 
-* render_frames adds per-pixel Gaussian noise to each region's series,
-  two frames per Box-Muller draw. Noise streams come from a counter-style
-  splitmix64 generator keyed on (seed, row, col), so any single pixel can
-  be regenerated without rendering the rest of the frame. The pixels are
-  cut into contiguous spans, one per worker (worker_count), rendered on
-  threads of the render's own executor straight into the output: each
-  span reuses a few buffers and fills, noises and clamps a frame row
-  while it is in cache. A single span starts no thread. The draw's angle
-  goes through _cos_sin, fdlibm's polynomials in numpy ufuncs, not libm's
-  cos and sin, which took most of the render. Without them a call on one
-  frame pair of a span is so short that two span threads mostly hand the
-  GIL back and forth, so a span makes PAIRS_PER_CALL pairs' draws per
-  call. Because the noise is keyed per pixel and draw, the output is
-  bitwise the same for any span count and group size, so the core count
-  never changes a result.
-* fit_image walks the (frames, H*W) view of the cube in blocks of CHUNK
-  adjacent pixels, so each block's frames x pixels slab stays in cache. A
-  block finds its own start frames (the frame after each pixel's last
-  saturated one). When all its pixels share one start, it takes the log
-  straight from the view into one reused buffer. Pixels of other blocks
-  are queued by start frame and gathered from the cube CHUNK at a time,
-  so scattered start frames still make full-width solves. Each window
-  gets one thin QR of its Vandermonde matrix on a log-time axis mapped to
-  [-1, 1], cached across blocks; its pixels are solved with one Q^T
-  product and a triangular solve, and their residuals are formed
-  explicitly. A sample <= 0 or NaN shows as a non-finite column of the
-  Q^T product, and only then are the positive columns refitted, so the
-  data is read once. The fit adds a few block-sized buffers to the cube,
-  never a copy of it, and returns a reason code per pixel. Each worker
-  takes a contiguous run of blocks as one run_pool task and makes one
-  serial pass over it with its own queue. The Q^T product and the
-  residual are einsum loops, not BLAS calls, and a one-pixel solve runs
-  on two columns, so a pixel's bits depend on neither the pixels solved
-  with it, the worker count nor the BLAS thread count.
+* render_frames adds per-pixel Gaussian noise, keyed on (seed, row, col),
+  to each region's series, on one thread per contiguous pixel span
+  (worker_count; one span starts no thread). _cos_sin stands in for
+  libm's cos and sin, which took most of the render. The output is
+  bitwise the same for any span count (see _render_span).
+* fit_image fits blocks of CHUNK adjacent pixels, each start frame's
+  window by one cached thin QR on a log-time axis mapped to [-1, 1] (see
+  _FitWorker), with no copy of the cube, and returns a reason code per
+  pixel. Each worker takes a contiguous run of blocks as one run_pool
+  task; a pixel's bits depend on neither the pixels solved with it, the
+  worker count nor the BLAS thread count.
 
 run_pool is the one process pool, for the fit and the frame files. Its
 workers are forked and inherit the cube; a forked render would need an
-output mapping shared with the parent, which was no faster.
+output mapping shared with the parent, which was no faster. feed, its
+one sibling, gathers training batches on one forked process ahead of the
+step, into a ring mapped before the fork, with one-byte "ready" and
+"free" tokens on two pipes: run_pool would pickle each 245 KB batch, at
+a per-task cost near a whole sub-millisecond step. Both run inline on
+one core or without os.fork; no process outlives either call.
 """
 
 import collections
+import contextlib
 import math
 import os
+import signal
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+
+from .errors import ComputeError
 
 # splitmix64 constants
 _SM_GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -285,6 +270,55 @@ def run_pool(count, state, func, tasks, store):
         finally:
             for _, done in pending:
                 done.cancel()
+
+
+def feeds_inline():
+    """Whether feed runs inline: on one core, or without os.fork."""
+    return core_count() <= 1 or not hasattr(os, "fork")
+
+
+def feed(slots, fill, steps):
+    """Yield slot k % slots of each step k < steps once fill(k, slot) has
+    written it: inline just before, or on one forked process that runs up
+    to `slots` steps ahead and refills a slot only once the caller asks
+    for the next one. A dead feeder raises a one-line ComputeError, and
+    closing the generator ends the feeder."""
+    if feeds_inline():
+        for k in range(steps):
+            fill(k, k % slots)
+            yield k % slots
+        return
+    (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # end without unwinding: no traceback, no parent buffer flushed twice
+        try:
+            os.close(free_w)
+            for k in range(steps):
+                if k >= slots and not os.read(free_r, 1):   # parent gone
+                    break
+                fill(k, k % slots)
+                os.write(ready_w, b"\0")
+        finally:
+            os._exit(0)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for k in range(steps):
+            if not os.read(ready_r, 1):
+                raise ComputeError(
+                    f"the batch feeder process died before step {k + 1}")
+            yield k % slots
+            # free a slot only for a step still to fill, after which the
+            # feeder exits; if it died, the next read says so
+            if k + slots < steps:
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free_w, b"\0")
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
 
 
 def render_frames(base, region_map, sigma, seed, lo, hi):

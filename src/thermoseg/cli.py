@@ -192,6 +192,7 @@ def cmd_eval(args):
     if not (args.model and args.features and args.mask):
         raise ValidationError("eval needs --model, --features and --mask "
                               "(or --reference / --matrix)")
+    features.check_seed(args.perturb_seed, "perturb")  # even unperturbed
     stage = repro.StageTimer()
     with stage("load"):
         model = nn.load_model(args.model)

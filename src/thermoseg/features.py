@@ -74,7 +74,7 @@ class ScalingStats:
         return self.std == 0.0
 
 
-def _check_seed(seed, what):
+def check_seed(seed, what):
     # np.random.default_rng rejects a negative seed with a bare ValueError
     if seed < 0:
         raise DatasetError(f"{what} seed must be >= 0, got {seed}")
@@ -91,7 +91,7 @@ class SplitSpec:
             raise DatasetError("train_fraction must lie in (0, 1)")
         if not 0.0 < self.validation_fraction_of_train < 1.0:
             raise DatasetError("validation fraction must lie in (0, 1)")
-        _check_seed(self.seed, "split")
+        check_seed(self.seed, "split")
 
 
 def assemble(image, mask):
@@ -187,7 +187,7 @@ def augment(train, relative_amplitude, copies, seed):
     _check_amplitude(relative_amplitude)
     if copies < 0:
         raise DatasetError("copies must be >= 0")
-    _check_seed(seed, "augment")
+    check_seed(seed, "augment")
     n, f = train.vectors.shape
     rows = (copies + 1) * n
     if rows * f * 8 > np.iinfo(np.intp).max:
@@ -208,7 +208,7 @@ def augment(train, relative_amplitude, copies, seed):
 def perturb(ds, relative_amplitude, seed):
     """Replace every element with x * (1 + u), u uniform in [-a, +a]."""
     _check_amplitude(relative_amplitude)
-    _check_seed(seed, "perturb")
+    check_seed(seed, "perturb")
     rng = np.random.default_rng(seed)
     factors = 1.0 + rng.uniform(-relative_amplitude, relative_amplitude,
                                 size=ds.vectors.shape)

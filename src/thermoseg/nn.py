@@ -5,16 +5,23 @@ a softmax head), categorical cross entropy, plain SGD with staircase
 learning-rate decay, Adam, epoch shuffling, early stopping with snapshot
 restore, and a versioned plain-text model format. Training is a single
 deterministic sequence of mini-batch updates for a given seed.
+
+A forked feeder process (`_kernels.feed`) gathers each step's rows and
+one-hot offsets ahead of it; inline, on one core or without os.fork, the
+same `_Batches.fill` runs, so every bit is the same for any core count.
 """
 
+import contextlib
 import math
+import mmap
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from . import keyfile
+from . import _kernels, keyfile
 from .errors import ComputeError, ValidationError
 from .features import ScalingStats, scale
 from .ingest import INVALID_LABEL, LabelMask
@@ -153,9 +160,7 @@ class _TrainStep:
     nothing whose size grows with the batch.
     """
 
-    def __init__(self, model, vectors, labels, batch_size):
-        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
-        self.labels = np.asarray(labels, dtype=np.intp)
+    def __init__(self, model, width):
         self.kinds = model.activations
         shapes = list(zip(model.layer_sizes, model.layer_sizes[1:]))
         size = sum((n_in + 1) * n_out for n_in, n_out in shapes)
@@ -175,15 +180,9 @@ class _TrainStep:
         self.scratch = np.empty(size)
         self.update = np.empty(size)
 
-        width = batch_size
-        self.width = width
-        self.x = np.empty((width, model.input_size))
-        self.y = np.empty(width, dtype=np.intp)
         self.acts = [np.empty((n_out, width)) for _, n_out in shapes]
         self.deltas = [np.empty((n_out, width)) for _, n_out in shapes[:-1]]
         self.column = np.empty(width)
-        self.offsets = np.arange(width)
-        self.target = np.empty(width, dtype=np.intp)
         self.picked = np.empty(width)
         self._views = {}
 
@@ -191,24 +190,20 @@ class _TrainStep:
         """The first n batch columns of every buffer."""
         views = self._views.get(n)
         if views is None:
-            views = (self.x[:n], self.y[:n], [a[:, :n] for a in self.acts],
+            views = ([a[:, :n] for a in self.acts],
                      [d[:, :n] for d in self.deltas], self.column[:n],
-                     self.offsets[:n], self.target[:n], self.picked[:n])
+                     self.picked[:n])
             self._views[n] = views
         return views
 
-    def gradients(self, idx):
-        """Fill `grads` with the mean cross-entropy gradient of rows idx."""
-        x, y, acts, deltas, column, offsets, target, picked = \
-            self._columns(idx.shape[0])
-        self.vectors.take(idx, axis=0, out=x, mode="clip")
-        self.labels.take(idx, out=y, mode="clip")
+    def gradients(self, x, target):
+        """Fill `grads` with the mean cross-entropy gradient of a batch as
+        _Batches gathers it: rows x and their labels' flat offsets."""
+        acts, deltas, column, picked = self._columns(x.shape[0])
         probs = _forward_into(self.weights, self.bias_cols, self.kinds,
                               x.T, acts, column)
         # (p - onehot) / n in place: entry (y_j, j) of the full-width buffer
         flat = self.acts[-1].reshape(-1)
-        np.multiply(y, self.width, out=target)
-        target += offsets
         flat.take(target, out=picked, mode="clip")
         picked -= 1.0
         flat.put(target, picked, mode="clip")
@@ -264,6 +259,65 @@ def _layer_views(flat, shapes):
         biases.append(flat[offset:offset + n_out])
         offset += n_out
     return weights, biases
+
+
+FEED_SLOTS = 4      # steps a feeder may gather ahead of the training step
+
+
+class _Batches:
+    """One run's batches in a ring of FEED_SLOTS slots, one anonymous shared
+    mapping. Step k takes the next batch_size rows (a short last batch, its
+    slot's leading rows) of its epoch's permutation; one generator draws
+    them in order, and with `ahead` draws each next one on a thread."""
+
+    def __init__(self, vectors, labels, batch_size, seed, ahead):
+        self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
+        self.labels = np.asarray(labels, dtype=np.intp)
+        n, features = self.vectors.shape
+        self.batch_size, self.width = batch_size, min(batch_size, n)
+        self.steps_per_epoch = -(-n // batch_size)
+        self.rng, self.drawn = np.random.default_rng(seed), None
+        # a pool starts its thread at the first draw, in the feeder
+        self.pool = ThreadPoolExecutor(1) if ahead else None
+        self.offsets = np.arange(self.width)
+        # a slot holds its rows, then its labels' offsets
+        size = self.width * features
+        ring = np.frombuffer(mmap.mmap(-1, FEED_SLOTS * (size + self.width)
+                                       * 8)).reshape(FEED_SLOTS, -1)
+        self.x = ring[:, :size].reshape(FEED_SLOTS, self.width, features)
+        self.target = ring[:, size:].view(np.intp)
+
+    def batch(self, k, slot):
+        """(rows, label offsets) views of step k's batch in `slot`."""
+        n = min(self.width, len(self.labels)
+                - k % self.steps_per_epoch * self.batch_size)
+        return self.x[slot, :n], self.target[slot, :n]
+
+    def fill(self, k, slot):
+        """Gather step k's batch into `slot`."""
+        lo = k % self.steps_per_epoch * self.batch_size
+        if lo == 0:
+            self.order = self._draw()
+        self.gather(self.order[lo:lo + self.batch_size], slot)
+
+    def gather(self, idx, slot):
+        """Rows idx into `slot`, and the flat offset y * width + j of row
+        j's label in a (classes, width) buffer; returns both views."""
+        x, target = self.x[slot, :len(idx)], self.target[slot, :len(idx)]
+        self.vectors.take(idx, axis=0, out=x, mode="clip")
+        self.labels.take(idx, out=target, mode="clip")
+        target *= self.width
+        target += self.offsets[:len(idx)]
+        return x, target
+
+    def _draw(self):
+        n = len(self.labels)
+        if self.pool is None:
+            return self.rng.permutation(n)
+        # the pool's one thread draws in submission order
+        drawn = self.drawn or self.pool.submit(self.rng.permutation, n)
+        self.drawn = self.pool.submit(self.rng.permutation, n)
+        return drawn.result()
 
 
 @dataclass(frozen=True)
@@ -348,6 +402,7 @@ class TrainTrace:
     stop_reason: str = ""
     restored_step: Optional[int] = None
     seconds: float = 0.0          # wall time of the step loop, checks included
+    feeder: str = ""              # "process" or "inline": who gathered
 
     def record(self, step, epoch, t_loss, v_loss, t_acc, v_acc):
         if self.steps and step <= self.steps[-1]:
@@ -394,11 +449,13 @@ def train(model, train_ds, val_ds, config):
 
     stopper = (EarlyStopping(*config.early_stopping)
                if config.early_stopping else None)
-    n = train_ds.size
-    runner = _TrainStep(model, train_ds.vectors, train_ds.labels,
-                        min(config.batch_size, n))
+    trace = TrainTrace()
+    trace.feeder = "inline" if _kernels.feeds_inline() else "process"
+    batches = _Batches(train_ds.vectors, train_ds.labels, config.batch_size,
+                       config.seed, trace.feeder == "process")
+    runner = _TrainStep(model, batches.width)
     current = runner.model
-    steps_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    steps_per_epoch = batches.steps_per_epoch
     if stopper is not None:
         check_every = stopper.checks_apart
     elif config.trace_every > 0:
@@ -408,8 +465,6 @@ def train(model, train_ds, val_ds, config):
 
     eval_x = train_ds.vectors[:_EVAL_CAP]
     eval_y = train_ds.labels[:_EVAL_CAP]
-    rng = np.random.default_rng(config.seed)
-    trace = TrainTrace()
     # the first positive budget to run out stops training; a tie is the
     # epoch budget's
     budget, trace.stop_reason = min(
@@ -425,27 +480,26 @@ def train(model, train_ds, val_ds, config):
 
     step = 0
     started = time.perf_counter()
-    while step < budget:
-        lo = step % steps_per_epoch * config.batch_size
-        if lo == 0:
-            order = rng.permutation(n)
-        runner.gradients(order[lo:lo + config.batch_size])
-        if config.optimizer == "adam":
-            runner.adam(config.learning_rate, step + 1)
-        else:
-            runner.sgd(lr_at(config, step))
-        step += 1
-        if step % check_every:
-            continue
-        t_loss, v_loss = measure(step, (step - 1) // steps_per_epoch)
-        if not (math.isfinite(t_loss) and math.isfinite(v_loss)):
-            raise ComputeError(f"non-finite loss at step {step}")
-        if stopper is not None and stopper.update(step, v_loss,
-                                                  runner.params.copy()):
-            trace.stop_reason = "early-stopping"
-            runner.params[...] = stopper.snapshot
-            trace.restored_step = stopper.snapshot_step
-            break
+    with contextlib.closing(_kernels.feed(FEED_SLOTS, batches.fill,
+                                          budget)) as slots:
+        for slot in slots:
+            runner.gradients(*batches.batch(step, slot))
+            if config.optimizer == "adam":
+                runner.adam(config.learning_rate, step + 1)
+            else:
+                runner.sgd(lr_at(config, step))
+            step += 1
+            if step % check_every:
+                continue
+            t_loss, v_loss = measure(step, (step - 1) // steps_per_epoch)
+            if not (math.isfinite(t_loss) and math.isfinite(v_loss)):
+                raise ComputeError(f"non-finite loss at step {step}")
+            if stopper is not None and stopper.update(step, v_loss,
+                                                      runner.params.copy()):
+                trace.stop_reason = "early-stopping"
+                runner.params[...] = stopper.snapshot
+                trace.restored_step = stopper.snapshot_step
+                break
     trace.seconds = time.perf_counter() - started
     if trace.steps[-1:] != [step]:
         measure(step, (step + steps_per_epoch - 1) // steps_per_epoch)

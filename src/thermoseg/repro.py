@@ -13,12 +13,6 @@ package can regenerate:
   augmentation, 10/20/4 tanh net with Adam. Targets: validation accuracy
   >= 0.90 and a +-3% feature perturbation costing <= 5 accuracy points.
 
-Each experiment function holds only its science and returns its result
-keys, among them `targets`: a `<key>_min` or `<key>_max` entry bounds
-result[<key>]. `run_experiment` owns the lifecycle: it adds the training,
-timing and fit reports, derives `passed` from `targets`, hashes the
-outputs and writes results.json.
-
 All frame data stays in memory; what lands on disk (features, models,
 matrices, segmentations) is byte-stable for a fixed seed. A scale factor
 in (0, 1) shrinks the canvases and budgets proportionally for smoke tests.
@@ -67,7 +61,8 @@ class StageTimer:
     peak RSS of the process and of its largest worker process as each
     stage ends. A peak is a high-water mark, so the stage whose mark rises
     is the one that raised it. A forked worker's peak counts the parent's
-    pages it maps, such as the frame cube, so the two are never added."""
+    pages it maps, such as the frame cube or the training feeder's
+    matrix, so the two are never added."""
 
     def __init__(self):
         self.seconds = {}
@@ -161,11 +156,12 @@ def _render_fit(stage, degree, *scene):
         return tsr.fit_sequence(seq, degree)
 
 
-def _save_training(out_dir, model, trace):
-    """Write model.txt and trace.csv; returns the model path."""
+def _save_training(out_dir, stage, model, trace):
+    """Write model.txt and trace.csv (stage "write"); the model path."""
     path = os.path.join(out_dir, "model.txt")
-    nn.save_model(model, path)
-    nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
+    with stage("write"):
+        nn.save_model(model, path)
+        nn.write_trace(trace, os.path.join(out_dir, "trace.csv"))
     return path
 
 
@@ -201,11 +197,8 @@ def run_synthetic_2class(out_dir, stage, scale, seed=3101):
     img_composite, composite_mask = fitted[2][1:]
 
     features_path = os.path.join(out_dir, "features_composite.csv")
-    tsr.write_feature_image(img_composite, features_path)
-
-    pure = [features.assemble(image, mask) for _, image, mask in fitted[:2]]
-    pure = features.Dataset(np.concatenate([d.vectors for d in pure]),
-                            np.concatenate([d.labels for d in pure]), 2)
+    with stage("write"):
+        tsr.write_feature_image(img_composite, features_path)
 
     # staircase-decay SGD with early stopping; the rate suits standardized
     # features
@@ -213,11 +206,14 @@ def run_synthetic_2class(out_dir, stage, scale, seed=3101):
                             decay_step=1000, decay_rate=0.9, batch_size=512,
                             max_steps=_scaled(12000, scale, 2000),
                             early_stopping=(100, 3), seed=seed + 5)
+    pure = [features.assemble(image, mask) for _, image, mask in fitted[:2]]
+    pure = features.Dataset(np.concatenate([d.vectors for d in pure]),
+                            np.concatenate([d.labels for d in pure]), 2)
     with stage("train"):
         model, trace, _, _, test_ds = train_classifier(
             pure, features.SplitSpec(0.8, 0.1, seed + 3), (16, 32, 16),
             "relu", config, seed + 4, (0.0, 0, 0))
-    model_path = _save_training(out_dir, model, trace)
+    model_path = _save_training(out_dir, stage, model, trace)
 
     with stage("predict"):
         in_sample = _dataset_accuracy(model, test_ds)
@@ -268,21 +264,22 @@ def run_surrogate_4class(out_dir, stage, scale, seed=4202):
                         synthgen.NoiseSpec(0.5, seed))
 
     features_path = os.path.join(out_dir, "features.csv")
-    tsr.write_feature_image(image, features_path)
     mask_path = os.path.join(out_dir, "mask.pgm")
-    save_mask(mask, mask_path)
+    with stage("write"):
+        tsr.write_feature_image(image, features_path)
+        save_mask(mask, mask_path)
 
     trimmed = trim_mask(mask, trim)
-    ds = features.assemble(image, trimmed)
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-5,
                             batch_size=2048,
                             epochs=_scaled(160, scale, 60),
                             early_stopping=(2000, 3), seed=seed + 4)
     with stage("train"):
+        ds = features.assemble(image, trimmed)
         model, trace, train_aug, val_ds, test_ds = train_classifier(
             ds, features.SplitSpec(0.8, 0.1, seed + 1), (10, 20), "tanh",
             config, seed + 3, (0.05, 50, seed + 2))
-    model_path = _save_training(out_dir, model, trace)
+    model_path = _save_training(out_dir, stage, model, trace)
 
     with stage("predict"):
         val_acc = _dataset_accuracy(model, val_ds)
@@ -362,6 +359,9 @@ def run_experiment(name, out_dir, seed=None, scale=1.0):
     os.makedirs(out_dir, exist_ok=True)
     kwargs = {} if seed is None else {"seed": seed}
     result, trace, fitted = EXPERIMENTS[name](out_dir, stage, scale, **kwargs)
+    with stage("hash"):
+        hashes = {k: _file_sha256(p)
+                  for k, p in sorted(result["outputs"].items())}
     steps = trace.steps[-1]
     result.update({
         "experiment": name,
@@ -369,14 +369,14 @@ def run_experiment(name, out_dir, seed=None, scale=1.0):
         "train_steps": steps,
         "train_seconds": round(trace.seconds, 3),
         "train_steps_per_s": round(steps / trace.seconds, 1),
+        "train_feeder": trace.feeder,
         "stop_reason": trace.stop_reason,
         "restored_step": trace.restored_step,
         **stage.report(),
         **_fit_report(fitted),
         "passed": not missed_targets(result),
         "elapsed_seconds": round(time.monotonic() - t0, 3),
-        "sha256": {k: _file_sha256(p)
-                   for k, p in sorted(result["outputs"].items())},
+        "sha256": hashes,
     })
     path = os.path.join(out_dir, "results.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -198,8 +198,10 @@ def backward(model, batch_x, batch_labels):
             or labels.max() >= model.output_size):
         raise ValidationError(
             f"need one label in [0, {model.output_size}) per batch row")
-    step = nn._TrainStep(model, x, labels, x.shape[0])
-    step.gradients(np.arange(x.shape[0]))
+    n = x.shape[0]
+    step = nn._TrainStep(model, n)
+    step.gradients(*nn._Batches(x, labels, n, 0, False).gather(
+        np.arange(n), 0))
     return ([g.copy() for g in step.grad_w], [g.copy() for g in step.grad_b])
 
 

@@ -257,8 +257,8 @@ def test_criterion_6_repro_determinism(two_class_runs, tmp_path):
             small.append(json.load(fh))
     assert small[0]["sha256"] == small[1]["sha256"]
     # stage timings vary between runs and never reach a hashed file
-    assert set(small[0]["timings"]) == {"render", "fit", "train", "predict",
-                                        "evaluate"}
+    assert set(small[0]["timings"]) == {"render", "fit", "write", "train",
+                                        "predict", "evaluate", "hash"}
     print(f"criterion 6 PASS: {len(first['sha256'])} two-class outputs and "
           f"{len(small[0]['sha256'])} four-class outputs byte-identical "
           f"across reruns")

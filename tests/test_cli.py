@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermoseg import cli, nn, features, synthgen
+from thermoseg import cli, features, nn, repro, synthgen
 from thermoseg.ingest import (FrameSequence, load_mask, save_mask,
                               write_sequence)
 from thermoseg.pgmio import read_pgm
@@ -479,6 +479,10 @@ MALFORMED_INPUTS = [
      ["eval", "--model", "{model}", "--features", "{features}", "--mask",
       "{mask}", "--config", "{path}", "--perturb", "0.1",
       "--perturb-seed", "-1"], "perturb seed"),
+    ("negative perturb seed without --perturb", "absent", None,
+     ["eval", "--model", "{model}", "--features", "{features}", "--mask",
+      "{mask}", "--perturb-seed", "-1"],
+     "perturb seed must be >= 0, got -1"),
     ("eval without inputs", "absent", None, ["eval"], "eval needs"),
     ("missing training mask", "nope.pgm", None, MASK, "nope.pgm"),
     ("negative PGM size", "n.pgm", "P5\n-1 -1\n255\n\x00", MASK,
@@ -604,14 +608,15 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
                             else r[key] <= bound)
         assert verdicts and r["passed"] == all(verdicts)
         assert code1 == (0 if r["passed"] else 3)
-        assert set(r["timings"]) == {"render", "fit", "train", "predict",
-                                     "evaluate"}
+        assert set(r["timings"]) == {"render", "fit", "write", "train",
+                                     "predict", "evaluate", "hash"}
         assert all(v >= 0.0 for v in r["timings"].values())
         assert r["peak_rss_mb"] > 0.0
+        assert r["train_feeder"] in ("process", "inline")
         # one high-water mark per stage end, in run order
         stages = [stage for stage, _ in r["stage_peak_rss_mb"]]
-        assert stages == ["render", "fit"] * 3 + ["train", "predict",
-                                                  "evaluate"]
+        assert stages == ["render", "fit"] * 3 + [
+            "write", "train", "write", "predict", "evaluate", "hash"]
         marks = [mb for _, mb in r["stage_peak_rss_mb"]]
         assert 0.0 < marks[0] and marks == sorted(marks)
         assert marks[-1] <= r["peak_rss_mb"]
@@ -620,6 +625,19 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
         children = r["stage_peak_rss_children_mb"]
         assert [stage for stage, _ in children] == stages
         assert [mb for _, mb in children] == sorted(mb for _, mb in children)
+
+
+@pytest.mark.parametrize("experiment", sorted(repro.EXPERIMENTS))
+def test_repro_stages_count_every_second(tmp_path, capsys, experiment):
+    code = cli.main(["repro", "--experiment", experiment, "--out",
+                     str(tmp_path), "--scale", "0.25"])
+    capsys.readouterr()
+    assert code in (0, 3)
+    with open(tmp_path / "results.json", "r", encoding="utf-8") as fh:
+        r = json.load(fh)
+    staged = sum(r["timings"].values())
+    assert staged <= r["elapsed_seconds"] * 1.001
+    assert staged >= r["elapsed_seconds"] * 0.95, r["timings"]
 
 
 def test_unknown_experiment_rejected(tmp_path):

@@ -49,6 +49,9 @@ OPTIONS = {
     "eval --perturb-seed": ["eval", "--model", "{model}", "--features",
                             "{features}", "--mask", "{mask}", "--perturb",
                             "0.1", "--perturb-seed", "{value}"],
+    "eval --perturb-seed without --perturb": [
+        "eval", "--model", "{model}", "--features", "{features}", "--mask",
+        "{mask}", "--perturb-seed", "{value}"],
     "eval --positive": ["eval", "--model", "{model}", "--features",
                         "{features}", "--mask", "{mask}", "--positive",
                         "{value}"],
@@ -57,6 +60,11 @@ OPTIONS = {
     "repro --scale": ["repro", "--experiment", "synthetic-2class", "--out",
                       "{dir}/r", "--scale", "{value}"],
 }
+
+# (option, value): the one exit code the rule above must narrow to. A
+# negative perturb seed is refused whether or not --perturb is set
+EXPECTED_EXIT = {("eval --perturb-seed", "-1"): 2,
+                 ("eval --perturb-seed without --perturb", "-1"): 2}
 
 _TOKEN = re.compile(r"[^\s,=]+")
 
@@ -172,6 +180,7 @@ def test_numeric_options_exit_cleanly(pipeline, tmp_path, capsys):
             argv = [a.format(dir=tmp_path, value=value, **files)
                     for a in template]
             outcome, err = _run(argv, capsys)
-            if not _clean(outcome, err):
+            expected = EXPECTED_EXIT.get((option, value), outcome)
+            if not _clean(outcome, err) or outcome != expected:
                 failures.append((option, value, outcome, err))
     assert failures == []

@@ -1,6 +1,8 @@
 """Forward/backward math, optimizers, early stopping, model files."""
 
 import math
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +10,7 @@ import numpy.testing as npt
 import pytest
 
 import oracle
-from thermoseg import features, nn, tsr
+from thermoseg import _kernels, features, nn, tsr
 from thermoseg.errors import ComputeError, ValidationError
 from thermoseg.ingest import LabelMask
 
@@ -704,3 +706,104 @@ def test_write_trace(tmp_path):
     assert lines[0] == "step,epoch,train_loss,val_loss,train_acc,val_acc"
     assert lines[1].startswith("10,0,1.5,1.6,")
     assert lines[-1] == "# stop: epoch-budget"
+
+
+# ---------------------------------------------------------------------------
+# the batch feeder
+# ---------------------------------------------------------------------------
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _feeder_data():
+    # 1000 rows at batch 64 leave a 40-row batch at the end of each epoch
+    centers = [(0.0, 0.0, 0.0, 0.0, 0.0), (0.6, 0.0, 0.3, 0.0, 0.0),
+               (0.0, 0.6, 0.0, 0.3, 0.0), (0.3, 0.3, 0.0, 0.0, 0.6)]
+    return (_blob_dataset(250, centers, 0.6, seed=100),
+            _blob_dataset(40, centers, 0.6, seed=101),
+            nn.init_model((5, 12, 8, 4), ("tanh", "tanh", "softmax"), 102))
+
+
+def _overrun(signum, frame):
+    raise TimeoutError("the feeder test ran longer than 30 s")
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """nn.train feeds its batches from a forked process; a test that hangs
+    fails after 30 s instead of waiting."""
+    monkeypatch.setattr(_kernels, "core_count", lambda: 2)
+    assert not _kernels.feeds_inline()
+    previous = signal.signal(signal.SIGALRM, _overrun)
+    signal.alarm(30)
+    yield monkeypatch
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("optimizer, early", [("adam", (8, 3)),
+                                              ("sgd-decay", None)])
+def test_feeder_process_and_inline_train_the_same_bits(forked, optimizer,
+                                                       early):
+    train_ds, val_ds, model = _feeder_data()
+    config = nn.TrainConfig(optimizer=optimizer, learning_rate=0.05,
+                            decay_step=10, decay_rate=0.9, batch_size=64,
+                            epochs=60 if early else 3, early_stopping=early,
+                            seed=103)
+    runs = [nn.train(model, train_ds, val_ds, config)]
+    _assert_no_child()
+    # inline on one core, and inline where os.fork is missing
+    forked.setattr(_kernels, "core_count", lambda: 1)
+    runs.append(nn.train(model, train_ds, val_ds, config))
+    forked.setattr(_kernels, "core_count", lambda: 2)
+    forked.delattr(os, "fork")
+    runs.append(nn.train(model, train_ds, val_ds, config))
+    assert [t.feeder for _, t in runs] == ["process", "inline", "inline"]
+    if early:
+        assert runs[0][1].stop_reason == "early-stopping"
+        assert 16 < runs[0][1].restored_step < runs[0][1].steps[-1]
+    want_model, want = runs[0]
+    for got_model, got in runs[1:]:
+        for a, b in zip(got_model.weights + got_model.biases,
+                        want_model.weights + want_model.biases):
+            assert a.tobytes() == b.tobytes()
+        assert (got.steps, got.train_loss, got.val_loss, got.val_acc,
+                got.stop_reason, got.restored_step) == (
+            want.steps, want.train_loss, want.val_loss, want.val_acc,
+            want.stop_reason, want.restored_step)
+
+
+def test_feeder_leaves_no_process(forked):
+    train_ds, val_ds, model = _feeder_data()
+    # a budget smaller than the ring: the feeder fills every step at once
+    config = nn.TrainConfig(batch_size=64, max_steps=nn.FEED_SLOTS - 2)
+    _, trace = nn.train(model, train_ds, val_ds, config)
+    assert trace.feeder == "process"
+    assert trace.steps[-1] == nn.FEED_SLOTS - 2
+    _assert_no_child()
+    # a non-finite loss raised at the first check, mid-loop
+    bad = features.Dataset(val_ds.vectors.copy(), val_ds.labels, 4)
+    bad.vectors[3, 1] = np.nan
+    config = nn.TrainConfig(batch_size=64, epochs=5, trace_every=10)
+    with pytest.raises(ComputeError, match="non-finite"):
+        nn.train(model, train_ds, bad, config)
+    _assert_no_child()
+
+
+def test_dead_feeder_is_one_compute_error(forked):
+    train_ds, val_ds, model = _feeder_data()
+    fill = nn._Batches.fill
+
+    def dies_at_step_7(self, k, slot):
+        if k == 6:
+            os.kill(os.getpid(), signal.SIGKILL)
+        fill(self, k, slot)
+
+    forked.setattr(nn._Batches, "fill", dies_at_step_7)
+    with pytest.raises(ComputeError) as caught:
+        nn.train(model, train_ds, val_ds,
+                 nn.TrainConfig(batch_size=64, epochs=3))
+    assert str(caught.value) == "the batch feeder process died before step 7"
+    _assert_no_child()
