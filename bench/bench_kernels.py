@@ -4,20 +4,23 @@ frame-file I/O, training-set preparation and the training step.
 Times the round trip of a noisy 96x72x400 recording (the CLI benchmark's)
 through write_sequence and load_sequence, on one worker process per core
 and on one process; the public render_frames and fit_image on a noisy
-four-quadrant scene; the render's cos and sin kernel against numpy's
-np.cos plus np.sin on the frame pairs of one numpy call at one render
-span's width; the x50 augment, fit_scaler and apply_scaler of a
-training split the size of the four-class benchmark's (25,195 rows of 15
-features); and one Adam step of the 15/10/20/4 tanh net at batch 2048
-(the four-class experiment's), over two epochs of a matrix as large as
-the full-scale four-class run's (1,284,945 rows), so the step pays for its
-random row gathers and epoch permutations, with the batches fed by the
-forked feeder process and inline. It prints the best of several runs of
-each, and writes them with the frame I/O worker count, the render's span
-count and frame pairs per call, the fit's worker count, the fit's
-tracemalloc peak on one worker and the preparation's to BENCH_kernels.json
-beside this script. The render (threads) and the fit (forked processes)
-both take one worker per core.
+four-quadrant scene; fit_image at degree 8 on the CLI benchmark's
+recording shape with start frames spread over the first 10 frames, a
+case no workload has, where each block splits into many small groups;
+the render's cos and sin kernel against numpy's np.cos plus np.sin on
+the frame pairs of one numpy call at one render span's width; the x50
+augment, fit_scaler and apply_scaler of a training split the size of the
+four-class benchmark's (25,195 rows of 15 features); and one Adam step
+of the 15/10/20/4 tanh net at batch 2048 (the four-class experiment's),
+over two epochs of a matrix as large as the full-scale four-class run's
+(1,284,945 rows), so the step pays for its random row gathers and epoch
+permutations, with the batches fed by the forked feeder process and
+inline. It prints the best of several runs of each, and writes them with
+the frame I/O worker count, the render's span count and frame pairs per
+call, the fit's worker count, the fit's tracemalloc peak on one worker
+and the preparation's to BENCH_kernels.json beside this script. The
+render (threads) and the fit (forked processes) both take one worker per
+core.
 
 Run: OPENBLAS_NUM_THREADS=1 python3 bench/bench_kernels.py
 """
@@ -112,6 +115,26 @@ def frame_io(repeats):
             round(one_write, 1), "one_worker_load_ms": round(one_load, 1)}
 
 
+SPREAD_FRAMES, SPREAD_DEGREE = 10, 8
+
+
+def fit_spread_ms(repeats):
+    """Best fit_image time, in ms, of a noisy FRAME_IO_SHAPE recording whose
+    pixels saturate in their first 0 to SPREAD_FRAMES - 1 frames, so each
+    block of CHUNK pixels splits into about SPREAD_FRAMES start-frame
+    groups."""
+    width, height, frames = FRAME_IO_SHAPE
+    rng = np.random.default_rng(13)
+    t = (np.arange(frames) + 1.0) / (frames / 240.0)
+    data = (200.0 * t[:, None] ** -0.5
+            + rng.normal(0.0, 0.5, (frames, height * width)))
+    prefix = rng.integers(0, SPREAD_FRAMES, height * width)
+    data[np.arange(frames)[:, None] < prefix] = 1000.0
+    return time_calls(_kernels.fit_image, repeats,
+                      data.reshape(frames, height, width), np.log10(t),
+                      1000.0, SPREAD_DEGREE, 1.0 / math.log(10.0))
+
+
 def cos_sin(width, repeats):
     """Best times of _kernels._cos_sin and of np.cos plus np.sin on the
     random angles of PAIRS_PER_CALL frame pairs of `width` pixels, in us
@@ -174,6 +197,9 @@ def main():
                 1.0 / math.log(10.0))
     t_fit = time_calls(_kernels.fit_image, args.repeats, *fit_args)
     print(f"fit:    {t_fit:10.1f} ms ({spans} workers)")
+    t_spread = fit_spread_ms(10 * args.repeats)
+    print(f"fit spread: {t_spread:6.1f} ms (96x72x400, degree "
+          f"{SPREAD_DEGREE}, start frames 0-{SPREAD_FRAMES - 1})")
 
     # on one worker, which runs inline, every fit buffer is the parent's,
     # where tracemalloc sees it; forked workers' buffers are not
@@ -219,6 +245,11 @@ def main():
         "fit_ms": round(t_fit, 1),
         "fit_workers": spans,
         "fit_one_worker_tracemalloc_peak_mb": round(fit_peak_mb, 2),
+        "fit_spread": {"shape": dict(zip(("width", "height", "frames"),
+                                         FRAME_IO_SHAPE)),
+                       "degree": SPREAD_DEGREE,
+                       "start_frames": SPREAD_FRAMES},
+        "fit_spread_ms": round(t_spread, 1),
         "cube_mb": round(data.nbytes / 1e6, 2),
         "prep": {"rows": PREP_ROWS, "features": 15, "copies": PREP_COPIES,
                  "steps": ["augment", "fit_scaler", "apply_scaler"]},

@@ -7,12 +7,12 @@ Both dominate runtime at video scale and are vectorised in numpy:
   (worker_count; one span starts no thread). _cos_sin stands in for
   libm's cos and sin, which took most of the render. The output is
   bitwise the same for any span count (see _render_span).
-* fit_image fits blocks of CHUNK adjacent pixels, each start frame's
-  window by one cached thin QR on a log-time axis mapped to [-1, 1] (see
-  _FitWorker), with no copy of the cube, and returns a reason code per
-  pixel. Each worker takes a contiguous run of blocks as one run_pool
-  task; a pixel's bits depend on neither the pixels solved with it, the
-  worker count nor the BLAS thread count.
+* fit_image fits blocks of CHUNK adjacent pixels, one group per start
+  frame, each by its window's cached thin QR on a log-time axis mapped to
+  [-1, 1] (see _FitWorker), and returns a reason code per pixel. Each
+  worker takes an even contiguous run of pixels as one run_pool task; a
+  pixel's bits depend on neither the pixels solved with it, the worker
+  count nor the BLAS thread count.
 
 run_pool is the one process pool, for the fit and the frame files. Its
 workers are forked and inherit the cube; a forked render would need an
@@ -380,9 +380,9 @@ def _window(log_t, s, degree):
 
 
 class _FitWorker:
-    """One fit worker over the (frames, pixels) view `flat`: its own window
-    cache, log and residual buffers, and coef, rms, start and reason
-    arrays for the view's pixels."""
+    """One fit worker over the (frames, pixels) view `flat`: its window
+    cache, buffers and per-pixel outputs. It solves each block's start-frame
+    groups where it finds them, so only the window cache spans blocks."""
 
     def __init__(self, flat, log_t, saturation, degree, inv_ln_base):
         self.flat, self.log_t, self.saturation = flat, log_t, saturation
@@ -397,38 +397,27 @@ class _FitWorker:
         self.windows = {}
 
     def run(self):
-        """Fit every pixel in blocks of CHUNK. A block finds its start
-        frames and reasons; one that has one window and drops nothing is
-        fitted straight from the cube view, and the fitted pixels of any
-        other wait in a queue per start frame, gathered CHUNK at a time."""
+        """Fit every pixel in blocks of CHUNK; returns coef, rms, start and
+        reason. A block finds its start frames and reasons, then solves the
+        fitted pixels of each start frame as one group: a group of the whole
+        block reads the cube view, any other a gather of its columns."""
         (frame_count, pixels), m = self.flat.shape, self.degree + 1
-        pending = {}
         for a in range(0, pixels, CHUNK):
             b = min(a + CHUNK, pixels)
-            block = self.flat[:, a:b]
-            b_start = self.start[a:b]
-            b_reason = self.reason[a:b]
+            block, b_start, b_reason = (self.flat[:, a:b], self.start[a:b],
+                                        self.reason[a:b])
             sat = block >= self.saturation
             hit = sat.any(axis=0)
             if hit.any():
                 b_start[hit] = frame_count - np.argmax(sat[::-1, hit], axis=0)
             b_reason[b_start > frame_count - m] = TOO_FEW_FRAMES
             b_reason[b_start == frame_count] = SATURATED
-            cols = a + np.nonzero(b_reason == FITTED)[0]
-            if cols.shape[0] == b - a and (b_start == b_start[0]).all():
-                # one window and nothing dropped: read the cube view, no copy
-                self.solve(b_start[0], cols, block[b_start[0]:])
-                continue
-            for s in np.unique(self.start[cols]):
-                queue = np.concatenate([pending.get(s, cols[:0]),
-                                        cols[self.start[cols] == s]])
-                while queue.shape[0] >= CHUNK:
-                    self.solve(s, queue[:CHUNK], self.flat[s:, queue[:CHUNK]])
-                    queue = queue[CHUNK:]
-                pending[s] = queue
-        for s, queue in pending.items():
-            if queue.shape[0]:
-                self.solve(s, queue, self.flat[s:, queue])
+            fitted = b_reason == FITTED
+            for s in np.unique(b_start[fitted]):
+                cols = a + np.nonzero(fitted & (b_start == s))[0]
+                self.solve(s, cols, block[s:] if cols.shape[0] == b - a
+                           else self.flat[s:, cols])
+        return self.coef, self.rms, self.start, self.reason
 
     def solve(self, s, cols, src):
         """Fit pixels cols, whose frames from s on are the columns of src."""
@@ -482,9 +471,7 @@ def _fit_run(state, lo, hi):
     """coef, rms, start and reason of pixels lo to hi of state's
     (flat, log_t, saturation, degree, inv_ln_base)."""
     flat, *args = state
-    worker = _FitWorker(flat[:, lo:hi], *args)
-    worker.run()
-    return worker.coef, worker.rms, worker.start, worker.reason
+    return _FitWorker(flat[:, lo:hi], *args).run()
 
 
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
@@ -502,14 +489,12 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     data = np.ascontiguousarray(data, dtype=np.float64)
     log_t = np.ascontiguousarray(log_t, dtype=np.float64)
     frame_count, height, width = data.shape
-    m = degree + 1
-    pixels = height * width
+    pixels, m = height * width, degree + 1
     flat = data.reshape(frame_count, pixels)
 
-    # each worker takes a contiguous run of whole blocks
-    blocks, count = -(-pixels // CHUNK), worker_count(pixels, MIN_SPAN)
-    edges = [min(pixels, CHUNK * (blocks * i // count))
-             for i in range(count + 1)]
+    # each worker takes an even contiguous run of pixels, as a render span
+    count = worker_count(pixels, MIN_SPAN)
+    edges = [pixels * i // count for i in range(count + 1)]
     parts = []
     run_pool(count, (flat, log_t, saturation, degree, inv_ln_base), _fit_run,
              list(zip(edges[:-1], edges[1:])),

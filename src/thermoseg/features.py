@@ -62,12 +62,6 @@ class ScalingStats:
     mean: np.ndarray
     std: np.ndarray
 
-    def __post_init__(self):
-        if self.mean.shape != self.std.shape or self.mean.ndim != 1:
-            raise DatasetError("mean and std must be equal-length vectors")
-        if np.any(self.std < 0):
-            raise DatasetError("std must be >= 0")
-
     @property
     def constant(self):
         """Mask of features with zero spread in the training data."""

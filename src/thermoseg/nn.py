@@ -132,8 +132,10 @@ def forward(model, x):
         raise ComputeError("model weights are non-finite")
     n = x.shape[0]
     acts = [np.empty((units, n)) for units in model.layer_sizes[1:]]
-    return _forward_into(model.weights, [b[:, None] for b in model.biases],
-                         model.activations, x.T, acts, np.empty(n)).T
+    # an overflow shows as non-finite probabilities: one ComputeError
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _forward_into(model.weights, [b[:, None] for b in model.biases],
+                             model.activations, x.T, acts, np.empty(n)).T
 
 
 def loss(probs, labels):
@@ -480,8 +482,9 @@ def train(model, train_ds, val_ds, config):
 
     step = 0
     started = time.perf_counter()
-    with contextlib.closing(_kernels.feed(FEED_SLOTS, batches.fill,
-                                          budget)) as slots:
+    # an overflow shows as one ComputeError below; set once, not per step
+    with np.errstate(over="ignore", invalid="ignore"), contextlib.closing(
+            _kernels.feed(FEED_SLOTS, batches.fill, budget)) as slots:
         for slot in slots:
             runner.gradients(*batches.batch(step, slot))
             if config.optimizer == "adam":
@@ -586,8 +589,16 @@ def load_model(path):
     if scaled:             # the two scaling rows are header lines too
         keys = keyfile.KeyFile(text[4:6], path, ModelFormatError, 5)
         head = keys.section("")
-        stats = ScalingStats(np.array(head.numbers("mean")),
-                             np.array(head.numbers("std")))
+        columns = []
+        for key, limit in (("mean", "finite"), ("std", "finite and >= 0")):
+            values = np.array(head.numbers(key))
+            if values.size != sizes[0]:
+                head.fail(key, f"expected {sizes[0]} values, got {values.size}")
+            bad = ~np.isfinite(values) | (key == "std") & (values < 0)
+            if bad.any():
+                head.fail(key, f"must be {limit}, got {values[bad][0]:g}")
+            columns.append(values)
+        stats = ScalingStats(*columns)
         keys.finish()
         at = 6
     # each layer is a marker line, its weight rows, "bias" and one row
@@ -601,6 +612,10 @@ def load_model(path):
         if count:
             params.append(keyfile.rows(text[at + 1:at + 1 + count], count,
                                        width, path, ModelFormatError, at + 2))
+            bad = np.nonzero(~np.isfinite(params[-1]).all(axis=1))[0]
+            if bad.size:
+                raise ModelFormatError(f"{path}:{at + 2 + bad[0]}: {marker!r} "
+                                       f"holds a non-finite value")
         at += 1 + count
     if at < len(text):
         raise ModelFormatError(f"{path}:{at + 1}: a line after 'end'")

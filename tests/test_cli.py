@@ -1,5 +1,6 @@
 """End-to-end command-line runs against a tiny rendered scene."""
 
+import importlib
 import json
 import pathlib
 import re
@@ -8,9 +9,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from thermoseg import cli, features, nn, repro, synthgen
-from thermoseg.ingest import (FrameSequence, load_mask, save_mask,
-                              write_sequence)
+from thermoseg import cli, evaluate, features, nn, repro, synthgen, tsr
+from thermoseg.ingest import (FrameSequence, load_mask, load_sequence,
+                              save_mask, write_sequence)
 from thermoseg.pgmio import read_pgm
 
 SCENE = """\
@@ -295,6 +296,18 @@ def _features_with(log_base="10.0", row="1,1.5", width="1", height="1"):
             f"scaling_pending = 1\n{row}" + ",0.5" * 11 + "\n")
 
 
+def _scaled_model(mean="0 " * 12, std="1 " * 12, weight="0.5", bias="0,0"):
+    """A whole 12/2/2 model file for the pipeline's features. `weight`
+    opens layer 0's third row (line 10), `bias` is the output bias row
+    (line 26)."""
+    rows = ["0.5,-0.5"] * 12
+    rows[2] = f"{weight},-0.5"
+    return ("thermoseg-model v1\nlayers = 12 2 2\n"
+            f"activations = tanh softmax\nscaling = 1\nmean = {mean}\n"
+            f"std = {std}\nlayer 0\n" + "\n".join(rows)
+            + f"\nbias\n0,0\nlayer 1\n1,-1\n-1,1\nbias\n{bias}\nend\n")
+
+
 def _model_with(layers):
     """A model file header; the reader stops at its layer sizes."""
     return (f"thermoseg-model v1\nlayers = {layers}\n"
@@ -416,6 +429,24 @@ MALFORMED_INPUTS = [
     ("model layers beyond the file", "m.txt",
      _model_with("12 1000000000 2"), MODEL,
      "m.txt:6: expected 12 rows of 1000000000 values, got none"),
+    # prediction cannot use a non-finite parameter or scaling value
+    ("inf model weight", "m.txt", _scaled_model(weight="inf"), MODEL,
+     "m.txt:10: 'layer 0' holds a non-finite value"),
+    ("nan model weight", "m.txt", _scaled_model(weight="nan"), MODEL,
+     "m.txt:10: 'layer 0' holds a non-finite value"),
+    ("inf model bias", "m.txt", _scaled_model(bias="0,-inf"), MODEL,
+     "m.txt:26: 'bias' holds a non-finite value"),
+    ("inf scaling mean", "m.txt", _scaled_model(mean="inf" + " 0" * 11),
+     MODEL, "m.txt:5: 'mean': must be finite, got inf"),
+    ("inf scaling std", "m.txt", _scaled_model(std="1 inf" + " 1" * 10),
+     MODEL, "m.txt:6: 'std': must be finite and >= 0, got inf"),
+    ("negative scaling std", "m.txt", _scaled_model(std="-1" + " 1" * 11),
+     MODEL, "m.txt:6: 'std': must be finite and >= 0, got -1"),
+    ("short scaling std", "m.txt", _scaled_model(std="1 " * 11), MODEL,
+     "m.txt:6: 'std': expected 12 values, got 11"),
+    ("short scaling mean and std", "m.txt",
+     _scaled_model(mean="0 " * 11, std="1 " * 11), MODEL,
+     "m.txt:5: 'mean': expected 12 values, got 11"),
     ("matrix cell above int64", "mx.csv",
      f"actual,a,b\na,{HUGE},0\nb,0,1\n", ["eval", "--matrix", "{path}"],
      f"mx.csv:2: could not convert string '{HUGE}' to int64"),
@@ -535,13 +566,30 @@ def test_exit_code_validation_errors(pipeline, tmp_path, capsys):
     assert not (tmp_path / "r").exists()
 
 
-def test_exit_code_compute_error(pipeline, tmp_path, capsys):
+def test_scaled_model_is_valid(pipeline, tmp_path):
+    # each malformed model row breaks one value of this file
+    path = tmp_path / "m.txt"
+    path.write_text(_scaled_model())
+    assert cli.main(["segment", "--model", str(path), "--features",
+                     str(pipeline["features"]),
+                     "--out", str(tmp_path / "s.pgm")]) == 0
+
+
+def overflowing_model(pipeline, path):
+    """Save the pipeline's model with every tanh unit saturated at 1 and
+    output weights of 1e308: finite, but its logits overflow."""
     trained = nn.load_model(str(pipeline["model"]))
-    broken_w = [w.copy() for w in trained.weights]
-    broken_w[0][0, 0] = np.inf
-    broken = replace(trained, weights=tuple(broken_w))
-    path = tmp_path / "broken.txt"
-    nn.save_model(broken, str(path))
+    hidden, out = trained.weights
+    model = replace(trained, weights=(np.zeros_like(hidden),
+                                      np.full_like(out, 1e308)),
+                    biases=(np.full_like(trained.biases[0], 50.0),
+                            np.zeros_like(trained.biases[1])))
+    nn.save_model(model, str(path))
+    return path
+
+
+def test_exit_code_compute_error(pipeline, tmp_path, capsys):
+    path = overflowing_model(pipeline, tmp_path / "broken.txt")
     code = cli.main(["eval", "--model", str(path),
                      "--features", str(pipeline["features"]),
                      "--mask", str(pipeline["mask"])])
@@ -688,3 +736,44 @@ def test_undecodable_file_exits_2(pipeline, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert f"{path}:2: not UTF-8 text" in err, err
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_perfbench_readers_match_the_package(pipeline, monkeypatch, capsys,
+                                             tmp_path):
+    # the benchmark reads the package's files with readers of its own; a
+    # format change they miss would fail its operations, not this suite
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    image = tsr.read_feature_image(str(pipeline["features"]))
+    rows = [0, 5, image.height - 1]
+    # cli-2class skips seven header lines before the feature body
+    lines = pipeline["features"].read_text().splitlines()
+    assert len(lines) == 7 + image.width * image.height
+    flags, values = workloads._read_feature_rows(str(pipeline["features"]),
+                                                 image.width, rows)
+    np.testing.assert_array_equal(flags, image.valid[rows].ravel())
+    np.testing.assert_array_equal(
+        values, image.values[rows].reshape(-1, image.feature_count))
+    stamps, series = workloads._read_frame_rows(str(pipeline["manifest"]),
+                                                rows)
+    seq = load_sequence(str(pipeline["manifest"]))
+    np.testing.assert_array_equal(stamps, seq.timestamps)
+    np.testing.assert_array_equal(
+        series, seq.data[:, rows].reshape(seq.frame_count, -1))
+    mask = load_mask(str(pipeline["mask"]))
+    np.testing.assert_array_equal(checks.read_pgm(str(pipeline["mask"])),
+                                  mask.labels)
+    out = tmp_path / "report"
+    assert cli.main(["eval", "--model", str(pipeline["model"]),
+                     "--features", str(pipeline["features"]),
+                     "--mask", str(pipeline["mask"]),
+                     "--config", str(pipeline["config"]),
+                     "--out", str(out)]) == 0
+    match = re.search(r"accuracy (\S+)%", capsys.readouterr().out)
+    accuracy = evaluate.metrics(
+        evaluate.read_matrix_csv(str(out / "matrix.csv")))[0]
+    assert match and match.group(1) == f"{100.0 * accuracy:.2f}"

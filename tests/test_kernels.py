@@ -344,7 +344,7 @@ def test_fit_block_boundaries(monkeypatch):
 def _edge_cube():
     """Noisy decays over 900 frames, enough for BLAS to pick its reduction
     by shape. The left edge of the top half saturates in its first frames
-    and one pixel in a negative sample, so the top blocks queue their
+    and one pixel in a negative sample, so the top blocks gather their
     pixels by start frame and the bottom ones are fitted from the view."""
     rng = np.random.default_rng(17)
     t = (np.arange(900) + 1.0) / 2.0
@@ -513,7 +513,7 @@ def _uniform_cube():
 
 def _mixed_cube():
     """Every pixel kind of _mixed_window_cube, each on more than CHUNK
-    pixels, so the queue fills whole gathers and leaves tails."""
+    pixels, so the oracle's queue fills whole gathers and leaves tails."""
     data, t, kind = _mixed_window_cube(40, 90, 60, 5)
     assert (np.bincount(kind.ravel()) > CHUNK).all()
     return data, np.log10(t), 1000.0
@@ -532,8 +532,23 @@ def _bad_sample_cube():
     return data, np.log10(t), 5.0
 
 
+def _spread_cube():
+    """Start frames drawn from the first 40 frames, so each block holds
+    dozens of start-frame groups, some of one pixel, which is solved as
+    two equal columns."""
+    rng = np.random.default_rng(47)
+    t = np.arange(120) + 1.0
+    data = 200.0 * t[:, None] ** -0.5 + rng.normal(0.0, 0.5, (120, 1500))
+    prefix = rng.integers(0, 40, 1500)
+    data[np.arange(120)[:, None] < prefix] = 1000.0
+    sizes = [np.unique(prefix[a:a + CHUNK], return_counts=True)[1]
+             for a in range(0, 1500, CHUNK)]
+    assert min(map(len, sizes)) > 30 and (np.concatenate(sizes) == 1).any()
+    return data.reshape(120, 30, 50), np.log10(t), 1000.0
+
+
 FIT_CUBES = {"uniform": _uniform_cube, "mixed": _mixed_cube,
-             "bad-samples": _bad_sample_cube}
+             "bad-samples": _bad_sample_cube, "spread": _spread_cube}
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])

@@ -10,7 +10,8 @@ import warnings
 
 from thermoseg import cli
 
-from test_cli import pipeline  # noqa: F401  (the shared fixture)
+# pipeline is the shared fixture
+from test_cli import overflowing_model, pipeline  # noqa: F401
 
 # Each value is either refused by the reader that parses it or harmless
 # where it is accepted: none is a size that a reader accepts and then
@@ -184,3 +185,23 @@ def test_numeric_options_exit_cleanly(pipeline, tmp_path, capsys):
             if not _clean(outcome, err) or outcome != expected:
                 failures.append((option, value, outcome, err))
     assert failures == []
+
+
+def test_overflow_is_one_compute_error(pipeline, tmp_path, capsys):
+    # numpy's overflow and invalid-value warnings would print their own
+    # lines before the error
+    config = tmp_path / "c.ini"
+    config.write_text(pipeline["config"].read_text().replace(
+        "hidden_activation = tanh\noptimizer = adam\nlearning_rate = 3e-3",
+        "hidden_activation = relu\noptimizer = sgd-decay\n"
+        "learning_rate = 1e200"))
+    model = overflowing_model(pipeline, tmp_path / "m.txt")
+    for argv in (["train", "--features", str(pipeline["features"]),
+                  "--mask", str(pipeline["mask"]), "--config", str(config),
+                  "--out", str(tmp_path / "trained.txt")],
+                 ["segment", "--model", str(model), "--features",
+                  str(pipeline["features"]), "--out",
+                  str(tmp_path / "s.pgm")]):
+        outcome, err = _run(argv, capsys)
+        assert outcome == 3, (argv[0], outcome, err)
+        assert len(err) == 1 and err[0].startswith("compute error: "), err
