@@ -9,25 +9,28 @@ Both dominate runtime at video scale and are vectorised in numpy:
   bitwise the same for any span count (see _render_span).
 * fit_image fits blocks of CHUNK adjacent pixels, one group per start
   frame, each by its window's cached thin QR on a log-time axis mapped to
-  [-1, 1] (see _FitWorker), and returns a reason code per pixel. Each
-  worker takes an even contiguous run of pixels as one run_pool task; a
-  pixel's bits depend on neither the pixels solved with it, the worker
-  count nor the BLAS thread count.
+  [-1, 1] (see _FitWorker), into one record per pixel with a reason code.
+  Each worker fills the records of an even contiguous run of pixels as
+  one run_pool share; a pixel's bits depend on neither the pixels solved
+  with it, the worker count nor the BLAS thread count.
 
-run_pool is the one process pool, for the fit and the frame files. Its
-workers are forked and inherit the cube; a forked render would need an
-output mapping shared with the parent, which was no faster. feed, its
-one sibling, gathers training batches on one forked process ahead of the
-step, into a ring mapped before the fork, with one-byte "ready" and
-"free" tokens on two pipes: run_pool would pickle each 245 KB batch, at
-a per-task cost near a whole sub-millisecond step. Both run inline on
-one core or without os.fork; no process outlives either call.
+run_pool runs the fit and the frame files, feed the training batches;
+both start their processes through _fork. A run_pool share is forked
+with the caller's arrays, fills its slice of the output in place and
+sends the slice's bytes back over a pipe, which the parent reads
+straight into the output. A forked render would need an output mapping
+shared with the parent, which was no faster. feed runs one forked
+process ahead of the training step, into a ring mapped before the fork,
+with one-byte "ready" and "free" tokens on two pipes: a batch is
+rewritten every sub-millisecond step, so a fork per batch would cost
+more than the step. Both run inline on one core or without os.fork; no
+process outlives either call.
 """
 
-import collections
 import contextlib
 import math
 import os
+import pickle
 import signal
 from concurrent.futures import ThreadPoolExecutor
 
@@ -221,55 +224,76 @@ def worker_count(size, least):
     return max(1, min(core_count(), size // least))
 
 
-# a forked worker's state, set as it starts; never set in the parent
-_inherited = None
+def _even_split(size, count):
+    """(lo, hi) of each of `count` even contiguous runs of range(size)."""
+    edges = [size * i // count for i in range(count + 1)]
+    return list(zip(edges[:-1], edges[1:]))
 
 
-def _inherit(state):
-    global _inherited
-    _inherited = state
-
-
-def _call(func, *task):
-    return func(_inherited, *task)
-
-
-def run_pool(count, state, func, tasks, store):
-    """store(task, func(state, *task)) for each task, in task order.
-
-    func runs on min(count, len(tasks)) forked processes that inherit
-    `state`, so it is never pickled; one worker, or a platform without
-    fork, runs every task inline and starts no process. At most 2 * count
-    tasks are in flight. The first task to fail, in task order, raises its
-    error here and cancels the tasks not yet started. No worker outlives
-    the call.
-    """
-    count = min(count, len(tasks))
-    if count <= 1 or not hasattr(os, "fork"):
-        for task in tasks:
-            store(task, func(state, *task))
-        return
-    # the process machinery is imported only when a pool starts. Forking is
-    # safe here: no other thread of this program runs while the pool
-    # forks, since the render's threads join before it returns
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    pending = collections.deque()
-    with ProcessPoolExecutor(count, multiprocessing.get_context("fork"),
-                             initializer=_inherit,
-                             initargs=(state,)) as pool:
+def _fork(child, *args):
+    """The pid of a forked process that runs child(*args). The process
+    ends without unwinding: no traceback, no parent buffer flushed twice."""
+    pid = os.fork()
+    if pid == 0:
         try:
-            for task in tasks:
-                pending.append((task, pool.submit(_call, func, *task)))
-                if len(pending) > 2 * count:
-                    task, done = pending.popleft()
-                    store(task, done.result())
-            while pending:
-                task, done = pending.popleft()
-                store(task, done.result())
+            child(*args)
         finally:
-            for _, done in pending:
-                done.cancel()
+            os._exit(0)
+    return pid
+
+
+def _send(sink, func, out, lo, hi):
+    """Run one forked share: a 0 byte then the bytes of out[lo:hi] once
+    func(lo, hi) has filled it, or a 1 byte then func's pickled error."""
+    try:
+        func(lo, hi)
+        status, body = b"\0", out[lo:hi]
+    except Exception as exc:
+        status, body = b"\1", pickle.dumps(exc)
+    with sink:
+        sink.write(status)
+        sink.write(body)
+
+
+def run_pool(count, func, out):
+    """Fill the C-contiguous array `out` in place: func(lo, hi) fills
+    out[lo:hi] for each of min(count, len(out)) even contiguous shares of
+    its first axis.
+
+    One share, or a platform without fork, runs inline. Otherwise each
+    share runs on its own forked process, which sends its out[lo:hi] back
+    over a pipe; the parent reads the pipes in share order straight into
+    out. The first share to fail, in share order, raises its error here,
+    and a share whose process died raises one ComputeError line. No
+    process outlives the call.
+    """
+    shares = _even_split(len(out), max(1, min(count, len(out))))
+    if len(shares) == 1 or not hasattr(os, "fork"):
+        for lo, hi in shares:
+            func(lo, hi)
+        return
+    # forking is safe here: no other thread of this program runs, since
+    # the render's threads join before it returns
+    pids, pipes = [], []
+    try:
+        for lo, hi in shares:
+            r, w = os.pipe()
+            pipes.append(open(r, "rb"))
+            with open(w, "wb") as sink:
+                pids.append(_fork(_send, sink, func, out, lo, hi))
+        for k, ((lo, hi), pipe) in enumerate(zip(shares, pipes), 1):
+            part, status = out[lo:hi], pipe.read(1)
+            if status == b"\1":
+                raise pickle.load(pipe)
+            if status != b"\0" or pipe.readinto(part) != part.nbytes:
+                raise ComputeError(f"worker process {k} of {len(shares)} "
+                                   f"died before it sent its share")
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def feeds_inline():
@@ -289,18 +313,16 @@ def feed(slots, fill, steps):
             yield k % slots
         return
     (ready_r, ready_w), (free_r, free_w) = os.pipe(), os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        # end without unwinding: no traceback, no parent buffer flushed twice
-        try:
-            os.close(free_w)
-            for k in range(steps):
-                if k >= slots and not os.read(free_r, 1):   # parent gone
-                    break
-                fill(k, k % slots)
-                os.write(ready_w, b"\0")
-        finally:
-            os._exit(0)
+
+    def feeder():
+        os.close(free_w)
+        for k in range(steps):
+            if k >= slots and not os.read(free_r, 1):   # parent gone
+                break
+            fill(k, k % slots)
+            os.write(ready_w, b"\0")
+
+    pid = _fork(feeder)
     os.close(ready_w)
     os.close(free_r)
     try:
@@ -335,15 +357,14 @@ def render_frames(base, region_map, sigma, seed, lo, hi):
     flat = out.reshape(frame_count, idx.shape[0])
     states = _pixel_states(int(seed), *out.shape[1:]).ravel()
     args = (float(sigma), float(lo), float(hi))
-    count = worker_count(idx.shape[0], MIN_SPAN)
-    edges = [idx.shape[0] * i // count for i in range(count + 1)]
     spans = [(flat[:, a:b], base_t, idx[a:b], states[a:b], *args)
-             for a, b in zip(edges[:-1], edges[1:])]
-    if count == 1:
+             for a, b in _even_split(idx.shape[0],
+                                     worker_count(idx.shape[0], MIN_SPAN))]
+    if len(spans) == 1:
         _render_span(*spans[0])
     else:
         # numpy releases the GIL inside each call, so spans share the cores
-        with ThreadPoolExecutor(count) as pool:
+        with ThreadPoolExecutor(len(spans)) as pool:
             list(pool.map(lambda span: _render_span(*span), spans))
     return out
 
@@ -381,24 +402,23 @@ def _window(log_t, s, degree):
 
 class _FitWorker:
     """One fit worker over the (frames, pixels) view `flat`: its window
-    cache, buffers and per-pixel outputs. It solves each block's start-frame
+    cache and buffers, and `out`, its pixels' records (coef, rms, start,
+    reason), which it fills in place. It solves each block's start-frame
     groups where it finds them, so only the window cache spans blocks."""
 
-    def __init__(self, flat, log_t, saturation, degree, inv_ln_base):
+    def __init__(self, flat, log_t, saturation, degree, inv_ln_base, out):
         self.flat, self.log_t, self.saturation = flat, log_t, saturation
         self.degree, self.inv_ln_base = degree, inv_ln_base
-        pixels = flat.shape[1]
-        self.coef, self.rms = np.zeros((pixels, degree + 1)), np.zeros(pixels)
-        self.start = np.zeros(pixels, dtype=np.int64)
-        self.reason = np.zeros(pixels, dtype=np.uint8)
+        self.coef, self.rms = out["coef"], out["rms"]
+        self.start, self.reason = out["start"], out["reason"]
         # a one-pixel solve runs on two columns
         self.log_buf = np.empty(flat.shape[0] * max(CHUNK, 2))
         self.resid_buf = np.empty(flat.shape[0] * max(CHUNK, 2))
         self.windows = {}
 
     def run(self):
-        """Fit every pixel in blocks of CHUNK; returns coef, rms, start and
-        reason. A block finds its start frames and reasons, then solves the
+        """Fit every pixel in blocks of CHUNK into the zeroed records. A
+        block finds its start frames and reasons, then solves the
         fitted pixels of each start frame as one group: a group of the whole
         block reads the cube view, any other a gather of its columns."""
         (frame_count, pixels), m = self.flat.shape, self.degree + 1
@@ -417,7 +437,6 @@ class _FitWorker:
                 cols = a + np.nonzero(fitted & (b_start == s))[0]
                 self.solve(s, cols, block[s:] if cols.shape[0] == b - a
                            else self.flat[s:, cols])
-        return self.coef, self.rms, self.start, self.reason
 
     def solve(self, s, cols, src):
         """Fit pixels cols, whose frames from s on are the columns of src."""
@@ -467,13 +486,6 @@ class _FitWorker:
             return y, np.einsum("fm,fn->mn", q, y)
 
 
-def _fit_run(state, lo, hi):
-    """coef, rms, start and reason of pixels lo to hi of state's
-    (flat, log_t, saturation, degree, inv_ln_base)."""
-    flat, *args = state
-    return _FitWorker(flat[:, lo:hi], *args).run()
-
-
 def fit_image(data, log_t, saturation, degree, inv_ln_base):
     """Least-squares log-log polynomial fit of every pixel history.
 
@@ -492,15 +504,18 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     pixels, m = height * width, degree + 1
     flat = data.reshape(frame_count, pixels)
 
-    # each worker takes an even contiguous run of pixels, as a render span
-    count = worker_count(pixels, MIN_SPAN)
-    edges = [pixels * i // count for i in range(count + 1)]
-    parts = []
-    run_pool(count, (flat, log_t, saturation, degree, inv_ln_base), _fit_run,
-             list(zip(edges[:-1], edges[1:])),
-             lambda task, part: parts.append(part))
-    # a single part is the whole image, taken with no copy
-    coef, rms, start, reason = (parts[0] if len(parts) == 1
-                                else map(np.concatenate, zip(*parts)))
-    return (coef.reshape(height, width, m), rms.reshape(height, width),
-            start.reshape(height, width), reason.reshape(height, width))
+    # one zeroed record per pixel; each worker fills an even contiguous
+    # run of them, as a render span
+    out = np.zeros(pixels, np.dtype([
+        ("coef", np.float64, (m,)), ("rms", np.float64),
+        ("start", np.int64), ("reason", np.uint8)], align=True))
+
+    def fit(lo, hi):
+        _FitWorker(flat[:, lo:hi], log_t, saturation, degree, inv_ln_base,
+                   out[lo:hi]).run()
+
+    run_pool(worker_count(pixels, MIN_SPAN), fit, out)
+    return (out["coef"].reshape(height, width, m),
+            out["rms"].reshape(height, width),
+            out["start"].reshape(height, width),
+            out["reason"].reshape(height, width))

@@ -9,12 +9,14 @@ class id and 255 marks invalid pixels.
 Frame files are written and parsed on _kernels.run_pool, one forked
 worker process per available core. Formatting or parsing a value is a
 few hundred nanoseconds of work that holds the GIL, so threads would
-take turns rather than share it. The workers inherit the frame cube and
-the frame paths rather than receiving a pickled copy. Without fork, and
-for a recording of fewer than MIN_WORKER_VALUES values per worker, the
-files are written and parsed serially and no process starts. Every frame
-is formatted and parsed by the same code in any worker, so the files'
-bytes and the loaded values are the same for any core count.
+take turns rather than share it. Each worker takes an even contiguous
+run of frames: a writer inherits the cube and sends nothing back, and a
+reader parses its frames into its copy of the cube and sends their bytes
+back over a pipe, straight into the parent's cube. Without fork, and for
+a recording of fewer than MIN_WORKER_VALUES values per worker, the files
+are written and parsed serially and no process starts. Every frame is
+formatted and parsed by the same code in any worker, so the files' bytes
+and the loaded values are the same for any core count.
 """
 
 import math
@@ -32,10 +34,6 @@ INVALID_LABEL = 255
 # fewest frame values per worker process (about 0.4 s of parsing): below
 # it a process costs more than it saves
 MIN_WORKER_VALUES = 1 << 20
-
-# frames per parse task: the parent copies each task's frames into the
-# cube as they arrive, so few are in flight at once
-FRAMES_PER_TASK = 4
 
 
 class IngestError(ValidationError):
@@ -102,28 +100,12 @@ def _read_frame(path, height, width):
                         path, IngestError, 1)
 
 
-def _read_frames(state, lo, hi):
-    """Frames lo to hi - 1 of state's (paths, height, width)."""
-    paths, height, width = state
-    block = np.empty((hi - lo, height, width))
-    for i in range(lo, hi):
-        block[i - lo] = _read_frame(paths[i], height, width)
-    return block
-
-
-def _write_frames(state, lo, hi):
-    """Frame files lo to hi - 1 of state's (cube, paths)."""
-    data, paths = state
-    for i in range(lo, hi):
-        with open(paths[i], "w", encoding="utf-8") as fh:
-            keyfile.write_rows(fh, data[i])
-
-
 def load_sequence(path):
     """Load and validate the frame sequence a manifest describes. A
     manifest is a keyfile without sections. Frame 0 is read, and its size
     checked, before the cube is allocated; the other frames are parsed on
-    one worker process per core (see the module docstring)."""
+    one worker process per core (see the module docstring), and the first
+    bad frame in file order is the one reported."""
     keys = keyfile.read(path, IngestError)
     head = keys.section("")
     width, height = head.integer("width", 1), head.integer("height", 1)
@@ -149,14 +131,12 @@ def load_sequence(path):
     data = np.empty((len(frames), height, width))
     data[0] = first
 
-    def store(task, block):
-        data[task[0]:task[1]] = block
+    def parse(lo, hi):
+        for i in range(lo + 1, hi + 1):
+            data[i] = _read_frame(frames[i], height, width)
 
-    _kernels.run_pool(
-        _kernels.worker_count(data[1:].size, MIN_WORKER_VALUES),
-        (frames, height, width), _read_frames,
-        [(lo, min(lo + FRAMES_PER_TASK, len(frames)))
-         for lo in range(1, len(frames), FRAMES_PER_TASK)], store)
+    _kernels.run_pool(_kernels.worker_count(data[1:].size, MIN_WORKER_VALUES),
+                      parse, data[1:])
     return FrameSequence(width, height, len(frames), np.array(stamps), data,
                          saturation)
 
@@ -172,12 +152,16 @@ def write_sequence(seq, out_dir):
     os.makedirs(frame_dir, exist_ok=True)
     frames = seq.frame_count
     names = [f"frame_{i:05d}.csv" for i in range(frames)]
-    count = min(frames, _kernels.worker_count(seq.data.size,
-                                               MIN_WORKER_VALUES))
-    edges = [frames * i // count for i in range(count + 1)]
-    _kernels.run_pool(
-        count, (seq.data, [os.path.join(frame_dir, n) for n in names]),
-        _write_frames, list(zip(edges[:-1], edges[1:])), lambda task, _: None)
+
+    def write(lo, hi):
+        for i in range(lo, hi):
+            with open(os.path.join(frame_dir, names[i]), "w",
+                      encoding="utf-8") as fh:
+                keyfile.write_rows(fh, seq.data[i])
+
+    # the files are the output, so no share sends back a byte
+    _kernels.run_pool(_kernels.worker_count(seq.data.size, MIN_WORKER_VALUES),
+                      write, np.empty((frames, 0)))
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(f"width = {seq.width}\n")

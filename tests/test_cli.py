@@ -2,14 +2,17 @@
 
 import importlib
 import json
+import os
 import pathlib
 import re
+import signal
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from thermoseg import cli, evaluate, features, nn, repro, synthgen, tsr
+from thermoseg import (cli, evaluate, features, ingest, nn, repro, synthgen,
+                       tsr)
 from thermoseg.ingest import (FrameSequence, load_mask, load_sequence,
                               save_mask, write_sequence)
 from thermoseg.pgmio import read_pgm
@@ -595,6 +598,29 @@ def test_exit_code_compute_error(pipeline, tmp_path, capsys):
                      "--mask", str(pipeline["mask"])])
     assert code == 3
     assert "compute error" in capsys.readouterr().err
+
+
+def test_dead_frame_worker_is_one_compute_error(pipeline, tmp_path,
+                                                monkeypatch, capsys):
+    # two worker processes parse frames 1 to 99; the second dies at 90
+    monkeypatch.setattr(ingest._kernels, "core_count", lambda: 2)
+    monkeypatch.setattr(ingest, "MIN_WORKER_VALUES", 8)
+    read = ingest._read_frame
+
+    def dies_at_frame_90(path, height, width):
+        if path.endswith("frame_00090.csv"):
+            os.kill(os.getpid(), signal.SIGKILL)
+        return read(path, height, width)
+
+    monkeypatch.setattr(ingest, "_read_frame", dies_at_frame_90)
+    code = cli.main(["fit", "--manifest", str(pipeline["manifest"]),
+                     "--config", str(pipeline["config"]),
+                     "--out", str(tmp_path / "f.csv")])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "compute error: worker process 2 of 2 died before it sent its "
+        "share\n")
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_fit_reports_drop_reasons(tmp_path, capsys):

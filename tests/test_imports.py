@@ -250,3 +250,49 @@ def test_text_is_read_only_through_keyfile():
         "open(p)\nopen(p, 'r+b')\nopen(p, mode='w+')\nopen(p, m)\n"
         "np.loadtxt(p)\nnp.savetxt(p, a)\nopen(p, 'wb')\nopen(p, 'w')\n"
         "open(p, 'rb')\n")) == [1, 3, 4, 5, 6]
+
+
+def _process_starts(tree, fork_helper):
+    """Line numbers of the ways to start a process other than through
+    the function `fork_helper` (none if None): an import of
+    multiprocessing, a ProcessPoolExecutor name, and os.fork outside it."""
+    allowed = {id(n) for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name == fork_helper for n in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [a.name for a in node.names] + [
+                f"{node.module}.{a.name}" for a in node.names
+                if isinstance(node, ast.ImportFrom)]
+            if any(n.split(".")[0] == "multiprocessing"
+                   or n.endswith("ProcessPoolExecutor") or n == "os.fork"
+                   for n in names):
+                found.append(node.lineno)
+        elif (getattr(node, "id", getattr(node, "attr", None))
+              == "ProcessPoolExecutor"):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "fork"
+              and getattr(node.value, "id", None) == "os"
+              and id(node) not in allowed):
+            found.append(node.lineno)
+    return sorted(set(found))
+
+
+def test_processes_start_only_through_fork_helper():
+    # one fork helper starts every worker, so each worker ends the same
+    # way: no traceback from the child, and a death the parent reports
+    starts = {p.name: _process_starts(
+        ast.parse(p.read_text(encoding="utf-8")),
+        "_fork" if p.name == "_kernels.py" else None)
+        for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in starts.items() if v} == {}
+    source = ("import multiprocessing\nfrom multiprocessing import Pool\n"
+              "import multiprocessing.pool as mp\n"
+              "from concurrent.futures import ProcessPoolExecutor\n"
+              "futures.ProcessPoolExecutor(2)\nos.fork()\npid = os.fork\n"
+              "from os import fork\ndef _fork():\n    os.fork()\n"
+              "hasattr(os, 'fork')\nos.forkpty\nimport concurrent.futures\n")
+    assert _process_starts(ast.parse(source), "_fork") == list(range(1, 9))
+    assert _process_starts(ast.parse(source), None) == [
+        *range(1, 9), 10]

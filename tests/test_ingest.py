@@ -1,5 +1,4 @@
-import concurrent.futures
-import multiprocessing
+import os
 import pathlib
 
 import numpy as np
@@ -202,6 +201,11 @@ def workers(monkeypatch):
     return use
 
 
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _frame_files(manifest):
     frames = pathlib.Path(manifest).parent / "frames"
     return {p.name: p.read_bytes() for p in sorted(frames.iterdir())}
@@ -218,7 +222,7 @@ def test_two_worker_write_and_load_are_identical(tmp_path, workers):
         manifest = write_sequence(seq, str(tmp_path / str(count)))
         written[count] = _frame_files(manifest)
         loaded[count] = load_sequence(manifest)
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
     assert len(written[2]) == 23 and written[2] == written[1]
     for back in loaded.values():
         assert back.data.tobytes() == seq.data.tobytes()
@@ -237,16 +241,16 @@ def test_first_bad_frame_in_file_order_is_reported(tmp_path, workers):
         with pytest.raises(IngestError) as caught:
             load_sequence(manifest)
         messages.append(str(caught.value))
-        assert multiprocessing.active_children() == []
+        _assert_no_child()
     assert messages[0] == messages[1]
     assert "frame_00003.csv:1:" in messages[0]
     assert "\n" not in messages[0]
 
 
 def test_small_recording_starts_no_process(tmp_path, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    def refuse():
+        raise AssertionError("a worker process was started")
+    monkeypatch.setattr(os, "fork", refuse)
     seq = make_sequence(frames=40, height=12, width=16)
     assert seq.data.size < 2 * ingest.MIN_WORKER_VALUES
     back = load_sequence(write_sequence(seq, str(tmp_path)))

@@ -1,9 +1,9 @@
-import concurrent.futures
 import math
-import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 
@@ -13,6 +13,7 @@ import pytest
 
 import oracle
 from thermoseg import _kernels
+from thermoseg.errors import ComputeError
 
 
 def test_render_deterministic_and_clamped():
@@ -559,12 +560,12 @@ def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
     want = _serial_fit(*args)
     monkeypatch.setattr(_kernels, "worker_count",
                         lambda size, least: workers)
-    # the workers are forked processes, each with its own buffers and
-    # outputs, so no two of them share a buffer or a pixel
+    # the workers are forked processes, each with its own buffers and its
+    # own copy of the records, so no two of them share a buffer or a pixel
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _kernels.fit_image(*args)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     for g, w in zip(got, want):
         assert g.dtype == w.dtype and g.shape == w.shape
         assert g.tobytes() == w.tobytes()
@@ -584,34 +585,99 @@ def test_two_worker_fit_leaves_no_process(monkeypatch):
     monkeypatch.setattr(_kernels, "core_count", lambda: 2)
     monkeypatch.setattr(_kernels, "MIN_SPAN", CHUNK)
     assert _kernels.worker_count(data[0].size, _kernels.MIN_SPAN) == 2
-    started = []
+    started, fork = [], os.fork
 
-    class Counted(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, workers, *args, **kwargs):
-            started.append(workers)
-            super().__init__(workers, *args, **kwargs)
+    def counted():
+        started.append(os.getpid())
+        return fork()
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counted)
+    monkeypatch.setattr(os, "fork", counted)
     forked = _kernels.fit_image(*args)
-    assert started == [2]
-    assert multiprocessing.active_children() == []
-    # without os.fork the same two tasks run inline, to the same bytes
+    assert started == [os.getpid()] * 2
+    _assert_no_child()
+    # without os.fork the same two shares run inline, to the same bytes
     monkeypatch.delattr(os, "fork")
     inline = _kernels.fit_image(*args)
-    assert started == [2]
+    assert len(started) == 2
     for f, i in zip(forked, inline):
         assert f.tobytes() == i.tobytes()
 
 
 def test_small_fit_starts_no_pool(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a worker pool was started")
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    def refuse():
+        raise AssertionError("a worker process was started")
+    monkeypatch.setattr(os, "fork", refuse)
     data, log_t, saturation = _uniform_cube()
     assert data[0].size < 2 * _kernels.MIN_SPAN
     coef, _, _, reason = _kernels.fit_image(data, log_t, saturation, 4,
                                             1.0 / math.log(10.0))
     assert (reason == FITTED).all() and np.isfinite(coef).all()
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _pool_func(out, fails=None):
+    """A run_pool func that fills rows lo to hi of out with their indices
+    plus 1, or fails as fails[lo] says: "kill" SIGKILLs its process,
+    "late" raises after the later shares have had time to fail, and any
+    other text raises at once."""
+    def func(lo, hi):
+        how = (fails or {}).get(lo)
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        if how == "late":
+            time.sleep(0.2)
+        if how:
+            raise ValueError(f"the share from row {lo} failed")
+        out[lo:hi] = np.arange(lo, hi)[:, None] + 1.0
+    return func
+
+
+def test_run_pool_fills_out_from_forked_shares():
+    for count in (1, 3, 9):
+        out = np.zeros((7, 2))
+        _kernels.run_pool(count, _pool_func(out), out)
+        npt.assert_array_equal(out, np.arange(1.0, 8.0)[:, None] + [0, 0])
+        _assert_no_child()
+    assert _kernels._even_split(7, 3) == [(0, 2), (2, 4), (4, 7)]
+
+
+def test_run_pool_dead_share_is_one_compute_error():
+    out = np.zeros((6, 2))
+    with pytest.raises(ComputeError) as caught:
+        _kernels.run_pool(3, _pool_func(out, {2: "kill"}), out)
+    assert str(caught.value) == (
+        "worker process 2 of 3 died before it sent its share")
+    _assert_no_child()
+
+
+@pytest.mark.parametrize("earlier, error", [
+    ("kill", "worker process 2 of 3 died before it sent its share"),
+    ("late", "the share from row 2 failed")])
+def test_run_pool_raises_the_earlier_share_failure(earlier, error):
+    # the later share fails first in time, yet the earlier share's error
+    # is the one raised
+    out = np.zeros((6, 2))
+    with pytest.raises((ComputeError, ValueError)) as caught:
+        _kernels.run_pool(3, _pool_func(out, {2: earlier, 4: "now"}), out)
+    assert str(caught.value) == error
+    _assert_no_child()
+
+
+def test_run_pool_keeps_shares_before_a_failure():
+    out, want = np.zeros((8, 3)), np.zeros((8, 3))
+    with pytest.raises(ValueError, match="row 4 failed"):
+        _kernels.run_pool(2, _pool_func(out, {4: "now"}), out)
+    _assert_no_child()
+    # the earlier share's rows are those its func alone fills; the failed
+    # share sent none back
+    _kernels.run_pool(2, _pool_func(want), want)
+    _assert_no_child()
+    npt.assert_array_equal(out[:4], want[:4])
+    assert not out[4:].any()
 
 
 def test_affine_basis_matrix_identity():
