@@ -59,7 +59,8 @@ def train_step_ms(repeats):
     ds = features.Dataset(rng.normal(size=(TRAIN_ROWS, 15)),
                           rng.integers(0, 4, TRAIN_ROWS), 4)
     val = ds.take(np.arange(256))
-    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0)
+    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0,
+                          features.ScalingStats(np.zeros(15), np.ones(15)))
     steps = 2 * -(-TRAIN_ROWS // 2048)
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
                             batch_size=2048, max_steps=steps,

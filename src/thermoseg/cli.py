@@ -153,7 +153,8 @@ def cmd_train(args):
             nn.write_trace(trace, args.trace)
     steps = trace.steps[-1]
     print(f"trained {model.layer_sizes} in {steps} steps "
-          f"({trace.stop_reason}, {steps / trace.seconds:.0f} steps/s); "
+          f"({trace.stop_reason}, {steps / trace.seconds:.0f} steps/s, "
+          f"{trace.batch_wait:.2f} s waiting for batches); "
           f"final val acc {trace.saved_val_acc:.4f} -> {args.out}")
     _print_stages(stage)
     return 0

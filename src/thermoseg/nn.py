@@ -3,8 +3,10 @@
 Covers both experiment architectures (16/32/16 relu and 10/20/4 tanh with
 a softmax head), categorical cross entropy, plain SGD with staircase
 learning-rate decay, Adam, epoch shuffling, early stopping with snapshot
-restore, and a versioned plain-text model format. Training is a single
-deterministic sequence of mini-batch updates for a given seed.
+restore, and a versioned plain-text model format. Every model carries
+its training rows' scaling statistics, so prediction takes raw features.
+Training is a single deterministic sequence of mini-batch updates for a
+given seed.
 
 A forked feeder process (`_kernels.feed`) gathers each step's rows and
 one-hot offsets ahead of it; inline, on one core or without os.fork, the
@@ -51,7 +53,7 @@ class MlpModel:
     activations: tuple
     weights: tuple                # W_l is (n_in, n_out)
     biases: tuple
-    stats: Optional[ScalingStats] = None
+    stats: ScalingStats           # the training rows' scaling statistics
 
     def __post_init__(self):
         sizes = self.layer_sizes
@@ -81,8 +83,8 @@ class MlpModel:
         return self.layer_sizes[-1]
 
 
-def init_model(layer_sizes, activations, seed=0, stats=None):
-    """Fan-balanced uniform weight init, zero biases."""
+def init_model(layer_sizes, activations, seed, stats):
+    """Fan-balanced uniform weight init, zero biases, carrying `stats`."""
     rng = np.random.default_rng(seed)
     weights = []
     biases = []
@@ -404,6 +406,7 @@ class TrainTrace:
     stop_reason: str = ""
     restored_step: Optional[int] = None
     seconds: float = 0.0          # wall time of the step loop, checks included
+    batch_wait: float = 0.0       # seconds of it spent getting the batches
     feeder: str = ""              # "process" or "inline": who gathered
 
     def record(self, step, epoch, t_loss, v_loss, t_acc, v_acc):
@@ -485,7 +488,13 @@ def train(model, train_ds, val_ds, config):
     # an overflow shows as one ComputeError below; set once, not per step
     with np.errstate(over="ignore", invalid="ignore"), contextlib.closing(
             _kernels.feed(FEED_SLOTS, batches.fill, budget)) as slots:
-        for slot in slots:
+        while True:
+            # forked, the wait for the feeder's token; inline, the gather
+            asked = time.perf_counter()
+            slot = next(slots, None)
+            trace.batch_wait += time.perf_counter() - asked
+            if slot is None:
+                break
             runner.gradients(*batches.batch(step, slot))
             if config.optimizer == "adam":
                 runner.adam(config.learning_rate, step + 1)
@@ -512,22 +521,16 @@ def train(model, train_ds, val_ds, config):
     return final, trace
 
 
-def _require_stats(model):
-    if model.stats is None:
-        raise ValidationError("prediction needs scaling statistics")
-
-
 def predict(model, vectors):
     """Argmax class of each raw (unscaled) N x F feature row, scaled by the
-    statistics the model carries."""
-    _require_stats(model)
+    training rows' statistics that every model carries."""
     scaled = scale(np.array(vectors, dtype=np.float64), model.stats)
     return forward(model, scaled).argmax(axis=1)
 
 
 def predict_map(model, image):
-    """Per-pixel argmax class map; invalid pixels stay invalid."""
-    _require_stats(model)
+    """Per-pixel argmax class map of a raw (unscaled) feature image,
+    scaled as `predict` scales it; invalid pixels stay invalid."""
     if image.feature_count != model.input_size:
         raise ValidationError(
             f"feature image width {image.feature_count} does not match "
@@ -553,10 +556,9 @@ def save_model(model, path):
         fh.write(f"{_MODEL_MAGIC}{MODEL_VERSION}\n")
         fh.write("layers = " + " ".join(str(s) for s in model.layer_sizes) + "\n")
         fh.write("activations = " + " ".join(model.activations) + "\n")
-        fh.write(f"scaling = {int(model.stats is not None)}\n")
-        if model.stats is not None:
-            fh.write("mean = " + " ".join("%.17g" % v for v in model.stats.mean) + "\n")
-            fh.write("std = " + " ".join("%.17g" % v for v in model.stats.std) + "\n")
+        fh.write("scaling = 1\n")          # fixed: every model has its stats
+        fh.write("mean = " + " ".join("%.17g" % v for v in model.stats.mean) + "\n")
+        fh.write("std = " + " ".join("%.17g" % v for v in model.stats.std) + "\n")
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             fh.write(f"layer {i}\n")
             keyfile.write_rows(fh, w)
@@ -579,28 +581,22 @@ def load_model(path):
             f"{path}: model version {version} is not supported "
             f"(expected {MODEL_VERSION})")
 
-    keys = keyfile.KeyFile(text[1:4], path, ModelFormatError, 2)
+    at = (text + ["layer 0"]).index("layer 0")     # the header ends there
+    keys = keyfile.KeyFile(text[1:at], path, ModelFormatError, 2)
     head = keys.section("")
     sizes = head.integers("layers", 1)
     activations = tuple(head.text("activations").split())
-    scaled = head.text("scaling", choices=("0", "1")) == "1"
+    head.text("scaling", choices=("1",))
+    columns = []
+    for key, limit in (("mean", "finite"), ("std", "finite and >= 0")):
+        values = np.array(head.numbers(key))
+        if values.size != sizes[0]:
+            head.fail(key, f"expected {sizes[0]} values, got {values.size}")
+        bad = ~np.isfinite(values) | (key == "std") & (values < 0)
+        if bad.any():
+            head.fail(key, f"must be {limit}, got {values[bad][0]:g}")
+        columns.append(values)
     keys.finish()
-    stats, at = None, 4                     # at: index of the next line
-    if scaled:             # the two scaling rows are header lines too
-        keys = keyfile.KeyFile(text[4:6], path, ModelFormatError, 5)
-        head = keys.section("")
-        columns = []
-        for key, limit in (("mean", "finite"), ("std", "finite and >= 0")):
-            values = np.array(head.numbers(key))
-            if values.size != sizes[0]:
-                head.fail(key, f"expected {sizes[0]} values, got {values.size}")
-            bad = ~np.isfinite(values) | (key == "std") & (values < 0)
-            if bad.any():
-                head.fail(key, f"must be {limit}, got {values[bad][0]:g}")
-            columns.append(values)
-        stats = ScalingStats(*columns)
-        keys.finish()
-        at = 6
     # each layer is a marker line, its weight rows, "bias" and one row
     blocks = [(marker, count, n_out)
               for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
@@ -621,7 +617,8 @@ def load_model(path):
         raise ModelFormatError(f"{path}:{at + 1}: a line after 'end'")
     weights, biases = params[::2], [b[0] for b in params[1::2]]
     try:
-        return MlpModel(sizes, activations, tuple(weights), tuple(biases), stats)
+        return MlpModel(sizes, activations, tuple(weights), tuple(biases),
+                        ScalingStats(*columns))
     except ValidationError as exc:
         raise ModelFormatError(f"{path}: inconsistent model: {exc}") from exc
 

@@ -369,6 +369,7 @@ def run_experiment(name, out_dir, seed=None, scale=1.0):
         "train_steps": steps,
         "train_seconds": round(trace.seconds, 3),
         "train_steps_per_s": round(steps / trace.seconds, 1),
+        "train_batch_wait_s": round(trace.batch_wait, 3),
         "train_feeder": trace.feeder,
         "stop_reason": trace.stop_reason,
         "restored_step": trace.restored_step,

@@ -100,8 +100,9 @@ def fit_sequence(seq, degree, packing=PACK_PADDED):
     valid = reason == _kernels.FITTED
     values = _pack_image(coef, degree, packing)
     values[~valid] = 0.0
+    # copies: field views would keep the fit's whole records alive
     return FeatureImage(seq.width, seq.height, degree, packing, values,
-                        valid, rms, reason)
+                        valid, rms.copy(), reason.copy())
 
 
 def reason_counts(image):

@@ -9,13 +9,14 @@ import json
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 import oracle
-from thermoseg import cli, evaluate, nn, repro, synthgen, tsr
+from thermoseg import cli, evaluate, features, nn, repro, synthgen, tsr
 from thermoseg.ingest import FrameSequence
 
 
@@ -179,7 +180,9 @@ def _max_relative_gradient_error(sizes, activations, pairs, seed):
     worst = 0.0
     for _ in range(pairs):
         model = nn.init_model(sizes, activations,
-                              int(rng.integers(0, 2 ** 31)))
+                              int(rng.integers(0, 2 ** 31)),
+                              features.ScalingStats(np.zeros(sizes[0]),
+                                                    np.ones(sizes[0])))
         x = rng.normal(size=(8, sizes[0]))
         y = rng.integers(0, sizes[-1], 8)
         grads_w, grads_b = oracle.backward(model, x, y)
@@ -198,11 +201,7 @@ def _max_relative_gradient_error(sizes, activations, pairs, seed):
                 p = params[layer].copy()
                 p[index] += bump
                 params[layer] = p
-                probed = nn.MlpModel(model.layer_sizes, model.activations,
-                                     tuple(params) if kind == "weights"
-                                     else model.weights,
-                                     tuple(params) if kind == "biases"
-                                     else model.biases)
+                probed = replace(model, **{kind: tuple(params)})
                 return nn.loss(nn.forward(probed, x), y)
 
             numeric = (bumped_loss(h) - bumped_loss(-h)) / (2.0 * h)

@@ -183,6 +183,8 @@ def test_commands_end_with_stage_seconds(pipeline, tmp_path, capsys):
                      "--out", str(model)]) == 0
     lines = _stage_line(capsys.readouterr().out, ["load", "train", "write"])
     assert len(lines) == 1 and lines[0].startswith("trained (12, 8, 2)")
+    assert re.search(r" steps/s, \d+\.\d\d s waiting for batches\); ",
+                     lines[0])
     assert cli.main(["eval", "--model", str(model), "--features", str(feats),
                      "--mask", str(out / "mask.pgm")]) == 0
     lines = _stage_line(capsys.readouterr().out,
@@ -299,22 +301,26 @@ def _features_with(log_base="10.0", row="1,1.5", width="1", height="1"):
             f"scaling_pending = 1\n{row}" + ",0.5" * 11 + "\n")
 
 
-def _scaled_model(mean="0 " * 12, std="1 " * 12, weight="0.5", bias="0,0"):
-    """A whole 12/2/2 model file for the pipeline's features. `weight`
-    opens layer 0's third row (line 10), `bias` is the output bias row
-    (line 26)."""
+def _scaled_model(mean="0 " * 12, std="1 " * 12, weight="0.5", bias="0,0",
+                  scaling="1"):
+    """A whole 12/2/2 model file for the pipeline's features; a `mean` or
+    `std` of None leaves its line out. `weight` opens layer 0's third row
+    (line 10), `bias` is the output bias row (line 26)."""
     rows = ["0.5,-0.5"] * 12
     rows[2] = f"{weight},-0.5"
-    return ("thermoseg-model v1\nlayers = 12 2 2\n"
-            f"activations = tanh softmax\nscaling = 1\nmean = {mean}\n"
-            f"std = {std}\nlayer 0\n" + "\n".join(rows)
+    head = [f"{key} = {value}" for key, value in (
+        ("scaling", scaling), ("mean", mean), ("std", std))
+        if value is not None]
+    return ("thermoseg-model v1\nlayers = 12 2 2\nactivations = tanh softmax\n"
+            + "\n".join(head + ["layer 0"] + rows)
             + f"\nbias\n0,0\nlayer 1\n1,-1\n-1,1\nbias\n{bias}\nend\n")
 
 
 def _model_with(layers):
     """A model file header; the reader stops at its layer sizes."""
     return (f"thermoseg-model v1\nlayers = {layers}\n"
-            "activations = tanh softmax\nscaling = 0\nlayer 0\n")
+            "activations = tanh softmax\nscaling = 1\n"
+            f"mean = {'0 ' * 12}\nstd = {'1 ' * 12}\nlayer 0\n")
 
 
 def _manifest_with(width):
@@ -431,7 +437,7 @@ MALFORMED_INPUTS = [
     # refused against the rows the file holds; no array is sized by a header
     ("model layers beyond the file", "m.txt",
      _model_with("12 1000000000 2"), MODEL,
-     "m.txt:6: expected 12 rows of 1000000000 values, got none"),
+     "m.txt:8: expected 12 rows of 1000000000 values, got none"),
     # prediction cannot use a non-finite parameter or scaling value
     ("inf model weight", "m.txt", _scaled_model(weight="inf"), MODEL,
      "m.txt:10: 'layer 0' holds a non-finite value"),
@@ -450,6 +456,12 @@ MALFORMED_INPUTS = [
     ("short scaling mean and std", "m.txt",
      _scaled_model(mean="0 " * 11, std="1 " * 11), MODEL,
      "m.txt:5: 'mean': expected 12 values, got 11"),
+    # every model carries its scaling statistics
+    ("model without scaling", "m.txt",
+     _scaled_model(scaling="0", mean=None, std=None), MODEL,
+     "m.txt:4: 'scaling': '0' is not one of 1"),
+    ("model without a std line", "m.txt", _scaled_model(std=None), MODEL,
+     "m.txt: 'std': missing"),
     ("matrix cell above int64", "mx.csv",
      f"actual,a,b\na,{HUGE},0\nb,0,1\n", ["eval", "--matrix", "{path}"],
      f"mx.csv:2: could not convert string '{HUGE}' to int64"),
@@ -687,6 +699,7 @@ def test_repro_smoke_scale_is_deterministic(tmp_path, capsys):
         assert all(v >= 0.0 for v in r["timings"].values())
         assert r["peak_rss_mb"] > 0.0
         assert r["train_feeder"] in ("process", "inline")
+        assert 0.0 <= r["train_batch_wait_s"] <= r["train_seconds"]
         # one high-water mark per stage end, in run order
         stages = [stage for stage, _ in r["stage_peak_rss_mb"]]
         assert stages == ["render", "fit"] * 3 + [

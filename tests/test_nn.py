@@ -15,11 +15,17 @@ from thermoseg.errors import ComputeError, ValidationError
 from thermoseg.ingest import LabelMask
 
 
+def _unit_stats(n):
+    """Scaling statistics that leave n features as they are."""
+    return features.ScalingStats(np.zeros(n), np.ones(n))
+
+
 def _zero_model(sizes=(4, 4), activations=None):
     activations = activations or ("softmax",) * (len(sizes) - 1)
     weights = tuple(np.zeros((a, b)) for a, b in zip(sizes, sizes[1:]))
     biases = tuple(np.zeros(b) for b in sizes[1:])
-    return nn.MlpModel(tuple(sizes), tuple(activations), weights, biases)
+    return nn.MlpModel(tuple(sizes), tuple(activations), weights, biases,
+                       _unit_stats(sizes[0]))
 
 
 def _blob_dataset(n_per_class, centers, sigma, seed, classes=None):
@@ -49,7 +55,8 @@ def test_zero_model_is_uniform():
 
 
 def test_forward_rows_are_probability_vectors():
-    model = nn.init_model((5, 10, 20, 4), ("tanh", "tanh", "softmax"), 3)
+    model = nn.init_model((5, 10, 20, 4), ("tanh", "tanh", "softmax"), 3,
+                          _unit_stats(5))
     rng = np.random.default_rng(0)
     probs = nn.forward(model, rng.normal(scale=3.0, size=(1000, 5)))
     assert probs.shape == (1000, 4)
@@ -58,7 +65,7 @@ def test_forward_rows_are_probability_vectors():
 
 
 def test_forward_single_matches_batch():
-    model = nn.init_model((6, 8, 3), ("relu", "softmax"), 1)
+    model = nn.init_model((6, 8, 3), ("relu", "softmax"), 1, _unit_stats(6))
     rng = np.random.default_rng(2)
     batch = rng.normal(size=(7, 6))
     stacked = nn.forward(model, batch)
@@ -78,7 +85,7 @@ def test_forward_matches_batch_major_reference(sizes, hidden, rows):
     # the experiments' two architectures, against the allocating
     # batch-major pass kept in the oracle
     activations = (hidden,) * (len(sizes) - 2) + ("softmax",)
-    model = nn.init_model(sizes, activations, rows)
+    model = nn.init_model(sizes, activations, rows, _unit_stats(sizes[0]))
     model = replace(model, biases=tuple(
         np.random.default_rng(rows).normal(scale=0.5, size=b.shape)
         for b in model.biases))
@@ -156,7 +163,8 @@ def _check_gradients(model, x, y, n_checks, seed, h=1e-5, atol=1e-6):
 
 
 def test_gradients_match_finite_differences_tanh():
-    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 11)
+    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 11,
+                          _unit_stats(15))
     rng = np.random.default_rng(12)
     x = rng.normal(size=(8, 15))
     y = rng.integers(0, 4, 8)
@@ -165,7 +173,7 @@ def test_gradients_match_finite_differences_tanh():
 
 def test_gradients_match_finite_differences_relu():
     model = nn.init_model((9, 16, 32, 16, 2), ("relu", "relu", "relu",
-                                               "softmax"), 21)
+                                               "softmax"), 21, _unit_stats(9))
     rng = np.random.default_rng(22)
     x = rng.normal(size=(8, 9))
     y = rng.integers(0, 2, 8)
@@ -174,7 +182,7 @@ def test_gradients_match_finite_differences_relu():
 
 def test_softmax_bias_gradient_closed_form():
     # with no hidden layer the output bias gradient is mean(P - Y)
-    model = nn.init_model((5, 3), ("softmax",), 4)
+    model = nn.init_model((5, 3), ("softmax",), 4, _unit_stats(5))
     rng = np.random.default_rng(5)
     x = rng.normal(size=(32, 5))
     y = rng.integers(0, 3, 32)
@@ -187,7 +195,7 @@ def test_softmax_bias_gradient_closed_form():
 
 def test_gradient_batch_duplication_invariance():
     # the mean-loss gradient must not change when the batch is doubled
-    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 9)
+    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 9, _unit_stats(6))
     rng = np.random.default_rng(10)
     x = rng.normal(size=(10, 6))
     y = rng.integers(0, 3, 10)
@@ -229,7 +237,7 @@ def test_lr_constant_for_adam():
 def test_adam_first_step_magnitude():
     # bias-corrected adam moves every parameter by ~lr on the first step
     ds = _blob_dataset(16, [(-2.0, 0.0), (2.0, 0.5)], 0.5, seed=1)
-    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 2)
+    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 2, _unit_stats(2))
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
                             batch_size=32, epochs=1, max_steps=1)
     trained, _ = nn.train(model, ds, ds, config)
@@ -293,7 +301,8 @@ def test_training_separates_blobs():
     train_ds = _blob_dataset(200, [(-1.5, -1.5), (1.5, 1.5)], 0.4, seed=30)
     val_ds = _blob_dataset(50, [(-1.5, -1.5), (1.5, 1.5)], 0.4, seed=31)
     model = nn.init_model((2, 16, 32, 16, 2),
-                          ("relu", "relu", "relu", "softmax"), 32)
+                          ("relu", "relu", "relu", "softmax"), 32,
+                          _unit_stats(2))
     config = nn.TrainConfig(optimizer="sgd-decay", learning_rate=0.05,
                             decay_step=1000, decay_rate=0.9, batch_size=64,
                             epochs=120, seed=33)
@@ -309,7 +318,8 @@ def test_tanh_architecture_also_learns():
                              0.25, seed=40)
     val_ds = _blob_dataset(40, [(-1.0, 0.0), (1.0, 0.0), (0.0, 1.5)],
                            0.25, seed=41)
-    model = nn.init_model((2, 10, 20, 3), ("tanh", "tanh", "softmax"), 42)
+    model = nn.init_model((2, 10, 20, 3), ("tanh", "tanh", "softmax"), 42,
+                          _unit_stats(2))
     config = nn.TrainConfig(optimizer="adam", learning_rate=3e-3,
                             batch_size=64, epochs=120, seed=43)
     trained, _ = nn.train(model, train_ds, val_ds, config)
@@ -321,7 +331,7 @@ def test_tanh_architecture_also_learns():
 
 def test_training_is_deterministic():
     ds = _blob_dataset(60, [(-1.0, 0.0), (1.0, 0.0)], 0.6, seed=50)
-    model = nn.init_model((2, 8, 2), ("tanh", "softmax"), 51)
+    model = nn.init_model((2, 8, 2), ("tanh", "softmax"), 51, _unit_stats(2))
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
                             batch_size=16, epochs=10, seed=52)
     m1, t1 = nn.train(model, ds, ds, config)
@@ -333,7 +343,7 @@ def test_training_is_deterministic():
 
 def test_train_does_not_mutate_input_model():
     ds = _blob_dataset(40, [(-1.0, 0.0), (1.0, 0.0)], 0.5, seed=60)
-    model = nn.init_model((2, 6, 2), ("relu", "softmax"), 61)
+    model = nn.init_model((2, 6, 2), ("relu", "softmax"), 61, _unit_stats(2))
     frozen = [w.copy() for w in model.weights]
     nn.train(model, ds, ds, nn.TrainConfig(optimizer="adam",
                                            learning_rate=1e-3,
@@ -346,7 +356,7 @@ def test_early_stopping_restores_snapshot():
     # overlapping blobs with a hot learning rate force val-loss churn
     train_ds = _blob_dataset(120, [(-0.3, 0.0), (0.3, 0.0)], 1.0, seed=70)
     val_ds = _blob_dataset(60, [(-0.3, 0.0), (0.3, 0.0)], 1.0, seed=71)
-    model = nn.init_model((2, 12, 2), ("tanh", "softmax"), 72)
+    model = nn.init_model((2, 12, 2), ("tanh", "softmax"), 72, _unit_stats(2))
     config = nn.TrainConfig(optimizer="adam", learning_rate=0.05,
                             batch_size=16, epochs=400,
                             early_stopping=(4, 2), seed=73)
@@ -460,7 +470,8 @@ def test_train_matches_batch_major_reference(hidden, optimizer, rate, epochs,
     train_ds = _blob_dataset(250, centers, 0.6, seed=100)
     val_ds = _blob_dataset(40, centers, 0.6, seed=101)
     assert train_ds.size == 1000
-    model = nn.init_model((5, 12, 8, 4), (hidden, hidden, "softmax"), 102)
+    model = nn.init_model((5, 12, 8, 4), (hidden, hidden, "softmax"), 102,
+                          _unit_stats(5))
     config = nn.TrainConfig(optimizer=optimizer, learning_rate=rate,
                             decay_step=10, decay_rate=0.9, batch_size=64,
                             epochs=epochs, early_stopping=early, seed=103)
@@ -479,13 +490,13 @@ def test_train_matches_batch_major_reference(hidden, optimizer, rate, epochs,
 
 def test_train_budget_validation():
     ds = _blob_dataset(20, [(-1.0, 0.0), (1.0, 0.0)], 0.5, seed=80)
-    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 81)
+    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 81, _unit_stats(2))
     with pytest.raises(ValidationError):
         nn.train(model, ds, ds, nn.TrainConfig(epochs=0, max_steps=0))
-    wrong = nn.init_model((3, 4, 2), ("tanh", "softmax"), 82)
+    wrong = nn.init_model((3, 4, 2), ("tanh", "softmax"), 82, _unit_stats(3))
     with pytest.raises(ValidationError):
         nn.train(wrong, ds, ds, nn.TrainConfig(epochs=1))
-    narrow = nn.init_model((2, 4, 1), ("tanh", "softmax"), 83)
+    narrow = nn.init_model((2, 4, 1), ("tanh", "softmax"), 83, _unit_stats(2))
     with pytest.raises(ValidationError):
         nn.train(narrow, ds, ds, nn.TrainConfig(epochs=1))
 
@@ -495,7 +506,7 @@ def test_train_budget_validation():
 @pytest.mark.parametrize("epochs, max_steps", [(100, 5), (1, 3), (2, 13)])
 def test_max_steps_cuts_epoch_short(epochs, max_steps):
     ds = _blob_dataset(64, [(-1.0, 0.0), (1.0, 0.0)], 0.5, seed=90)
-    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 91)
+    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 91, _unit_stats(2))
     config = nn.TrainConfig(optimizer="adam", learning_rate=1e-3,
                             batch_size=16, epochs=epochs, max_steps=max_steps)
     _, trace = nn.train(model, ds, ds, config)
@@ -504,9 +515,10 @@ def test_max_steps_cuts_epoch_short(epochs, max_steps):
 
 
 def test_param_count():
-    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0)
+    model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0,
+                          _unit_stats(15))
     assert oracle.param_count(model) == 464
-    small = nn.init_model((2, 3), ("softmax",), 0)
+    small = nn.init_model((2, 3), ("softmax",), 0, _unit_stats(2))
     assert oracle.param_count(small) == 9
 
 
@@ -563,10 +575,10 @@ def test_predict_map_scaling_equivariance():
     values = rng.normal(size=(6, 7, 6))
     image = _feature_image(values)
     doubled = _feature_image(values * 2.0)
-    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 11)
     stats = features.ScalingStats(np.full(6, 0.5), np.full(6, 2.0))
     stats2 = features.ScalingStats(np.full(6, 1.0), np.full(6, 4.0))
-    a = nn.predict_map(replace(model, stats=stats), image)
+    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 11, stats)
+    a = nn.predict_map(model, image)
     b = nn.predict_map(replace(model, stats=stats2), doubled)
     npt.assert_array_equal(a.labels, b.labels)
 
@@ -575,13 +587,11 @@ def test_predict_map_uses_model_stats():
     rng = np.random.default_rng(12)
     image = _feature_image(rng.normal(size=(3, 3, 6)))
     stats = features.ScalingStats(rng.normal(size=6), rng.uniform(0.5, 2, 6))
-    bare = nn.init_model((6, 4, 2), ("tanh", "softmax"), 13)
-    with pytest.raises(ValidationError):
-        nn.predict_map(bare, image)
-    label_map = nn.predict_map(replace(bare, stats=stats), image)
+    model = nn.init_model((6, 4, 2), ("tanh", "softmax"), 13, stats)
+    label_map = nn.predict_map(model, image)
     flat = image.values.reshape(-1, 6)
-    expected = nn.forward(bare, (flat - stats.mean) / stats.std).argmax(axis=1)
-    npt.assert_array_equal(label_map.labels.reshape(-1), expected)
+    probs = nn.forward(model, (flat - stats.mean) / stats.std)
+    npt.assert_array_equal(label_map.labels.reshape(-1), probs.argmax(axis=1))
 
 
 def test_predict_matches_predict_map_at_provenance():
@@ -591,18 +601,13 @@ def test_predict_matches_predict_map_at_provenance():
     labels = rng.integers(0, 3, size=(7, 9))
     ds = features.assemble(image, LabelMask(9, 7, labels,
                                             np.ones((7, 9), dtype=bool)))
-    bare = nn.init_model((6, 8, 3), ("tanh", "softmax"), 15)
-    model = replace(bare, stats=features.fit_scaler(ds))
+    model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 15,
+                          features.fit_scaler(ds))
     # assemble's rows follow np.nonzero of the usable pixels
     rows, cols = np.nonzero(valid)
     npt.assert_array_equal(nn.predict(model, ds.vectors),
                            nn.predict_map(model, image).labels[rows, cols])
-    with pytest.raises(ValidationError):
-        nn.predict(bare, ds.vectors)
-    # the stats check does not depend on there being a pixel to score
     empty = _feature_image(image.values, np.zeros((7, 9), dtype=bool))
-    with pytest.raises(ValidationError):
-        nn.predict_map(bare, empty)
     assert not nn.predict_map(model, empty).valid.any()
 
 
@@ -624,20 +629,15 @@ def test_model_round_trip(tmp_path):
     rng = np.random.default_rng(15)
     x = rng.normal(size=(40, 5))
     npt.assert_array_equal(nn.forward(back, x), nn.forward(model, x))
-
-
-def test_model_round_trip_without_stats(tmp_path):
-    model = nn.init_model((3, 4, 2), ("relu", "softmax"), 16)
-    path = tmp_path / "model.txt"
-    nn.save_model(model, str(path))
-    back = nn.load_model(str(path))
-    assert back.stats is None
-    x = np.random.default_rng(17).normal(size=(5, 3))
-    npt.assert_array_equal(nn.forward(back, x), nn.forward(model, x))
+    # the file a loaded model saves is the file it was loaded from
+    again = tmp_path / "again.txt"
+    nn.save_model(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
+    assert path.read_text().splitlines()[3] == "scaling = 1"
 
 
 def test_load_model_version_error(tmp_path):
-    model = nn.init_model((3, 4, 2), ("relu", "softmax"), 18)
+    model = nn.init_model((3, 4, 2), ("relu", "softmax"), 18, _unit_stats(3))
     path = tmp_path / "model.txt"
     nn.save_model(model, str(path))
     lines = path.read_text().splitlines(keepends=True)
@@ -648,7 +648,7 @@ def test_load_model_version_error(tmp_path):
 
 
 def test_load_model_corrupt_files(tmp_path):
-    model = nn.init_model((3, 4, 2), ("relu", "softmax"), 19)
+    model = nn.init_model((3, 4, 2), ("relu", "softmax"), 19, _unit_stats(3))
     path = tmp_path / "model.txt"
     nn.save_model(model, str(path))
     lines = path.read_text().splitlines(keepends=True)
@@ -659,8 +659,8 @@ def test_load_model_corrupt_files(tmp_path):
         nn.load_model(str(truncated))
 
     # each marker line is checked where the layer sizes put it
-    assert lines[8] == "bias\n" and lines[-1] == "end\n"
-    for index, marker in ((8, "bias"), (len(lines) - 1, "end")):
+    assert lines[10] == "bias\n" and lines[-1] == "end\n"
+    for index, marker in ((10, "bias"), (len(lines) - 1, "end")):
         moved = tmp_path / "moved.txt"
         moved.write_text("".join(lines[:index] + ["x\n"] + lines[index + 1:]))
         with pytest.raises(nn.ModelFormatError,
@@ -672,8 +672,8 @@ def test_load_model_corrupt_files(tmp_path):
                        match=f"trailing.txt:{len(lines) + 1}: a line after"):
         nn.load_model(str(trailing))
     ragged = tmp_path / "ragged.txt"
-    ragged.write_text("".join(lines[:5] + ["1,2\n"] + lines[6:]))
-    with pytest.raises(nn.ModelFormatError, match="ragged.txt:6: "):
+    ragged.write_text("".join(lines[:7] + ["1,2\n"] + lines[8:]))
+    with pytest.raises(nn.ModelFormatError, match="ragged.txt:8: "):
         nn.load_model(str(ragged))
 
     not_model = tmp_path / "не.txt"
@@ -692,7 +692,7 @@ def test_model_validation():
         _zero_model((3, 4, 2), ("relu", "tanh"))
     with pytest.raises(ValidationError):
         nn.MlpModel((3, 2), ("softmax",), (np.zeros((2, 2)),),
-                    (np.zeros(2),))
+                    (np.zeros(2),), _unit_stats(3))
 
 
 def test_write_trace(tmp_path):
@@ -723,7 +723,8 @@ def _feeder_data():
                (0.0, 0.6, 0.0, 0.3, 0.0), (0.3, 0.3, 0.0, 0.0, 0.6)]
     return (_blob_dataset(250, centers, 0.6, seed=100),
             _blob_dataset(40, centers, 0.6, seed=101),
-            nn.init_model((5, 12, 8, 4), ("tanh", "tanh", "softmax"), 102))
+            nn.init_model((5, 12, 8, 4), ("tanh", "tanh", "softmax"), 102,
+                          _unit_stats(5)))
 
 
 def _overrun(signum, frame):
@@ -761,6 +762,8 @@ def test_feeder_process_and_inline_train_the_same_bits(forked, optimizer,
     forked.delattr(os, "fork")
     runs.append(nn.train(model, train_ds, val_ds, config))
     assert [t.feeder for _, t in runs] == ["process", "inline", "inline"]
+    # the step loop's time spent getting batches, forked or inline
+    assert all(0.0 < t.batch_wait <= t.seconds for _, t in runs)
     if early:
         assert runs[0][1].stop_reason == "early-stopping"
         assert 16 < runs[0][1].restored_step < runs[0][1].steps[-1]

@@ -331,6 +331,13 @@ def test_fit_sequence_reason_codes():
                         atol=1e-12)
 
 
+def test_fitted_diagnostics_own_their_data():
+    # field views of the fit's per-pixel records would keep all of them
+    image = tsr.fit_sequence(_one_pixel_of_each_kind(), degree=2)
+    assert image.rms.base is None and image.reason.base is None
+    assert (image.rms.dtype, image.reason.dtype) == (np.float64, np.uint8)
+
+
 def test_fit_sequence_saturated_prefix_matches_windowed_fit():
     t = (np.arange(50) + 1.0) / 4.0
     series = 400.0 * t ** -0.5
