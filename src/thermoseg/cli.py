@@ -35,8 +35,7 @@ from .ingest import load_mask, load_sequence, save_mask, trim_mask, write_sequen
 def load_config(path):
     """Parse and validate a pipeline INI, or give the defaults for `path`
     None; every key is optional, unknown sections and keys are errors."""
-    keys = (keyfile.KeyFile((), path, ValidationError, 1) if path is None
-            else keyfile.read(path, ValidationError))
+    keys = keyfile.KeyFile((), path, 1) if path is None else keyfile.read(path)
     fit, feats, net = (keys.section(s) for s in ("tsr", "features", "nn"))
     base = nn.TrainConfig()
     config = {

@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""The package's only exception classes.
 
-ValidationError covers bad inputs detected before compute starts (CLI exit
-code 2); ComputeError covers failures during numeric work (exit code 3).
+Every module raises ValidationError for a bad input (CLI exit code 2) and
+ComputeError for a failure during numeric work (exit code 3); the message
+says where, so no module derives a class of its own.
 """
 
 

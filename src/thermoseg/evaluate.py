@@ -19,10 +19,6 @@ from .pgmio import write_pgm
 INVALID_SHADE = 1
 
 
-class EvalError(ValidationError):
-    pass
-
-
 @dataclass(frozen=True)
 class ConfusionMatrix:
     counts: np.ndarray            # (K, K), rows actual, columns predicted
@@ -31,12 +27,14 @@ class ConfusionMatrix:
     def __post_init__(self):
         k = len(self.class_names)
         if self.counts.shape != (k, k) or k < 1:
-            raise EvalError("counts must be K x K with one name per class")
+            raise ValidationError(
+                "counts must be K x K with one name per class")
         if np.any(self.counts < 0):
-            raise EvalError("counts must be >= 0")
+            raise ValidationError("counts must be >= 0")
         total = sum(self.counts.ravel().tolist())
         if total > keyfile.INT64_MAX:
-            raise EvalError(f"counts total {total}, more than int64 holds")
+            raise ValidationError(
+                f"counts total {total}, more than int64 holds")
 
     @property
     def class_count(self):
@@ -54,12 +52,12 @@ class BinaryCollapseSpec:
     def validate(self, class_count):
         pos = set(self.positive_set)
         if not pos:
-            raise EvalError("positive set must be non-empty")
+            raise ValidationError("positive set must be non-empty")
         if not pos <= set(range(class_count)):
-            raise EvalError(f"positive set {sorted(pos)} outside "
-                            f"0..{class_count - 1}")
+            raise ValidationError(f"positive set {sorted(pos)} outside "
+                                  f"0..{class_count - 1}")
         if len(pos) == class_count:
-            raise EvalError("positive set must be a proper subset")
+            raise ValidationError("positive set must be a proper subset")
 
 
 def confusion(actual, predicted, class_count, class_names=None):
@@ -67,13 +65,14 @@ def confusion(actual, predicted, class_count, class_names=None):
     actual = np.asarray(actual).reshape(-1)
     predicted = np.asarray(predicted).reshape(-1)
     if actual.shape != predicted.shape:
-        raise EvalError(f"{actual.shape[0]} actual vs "
-                        f"{predicted.shape[0]} predicted labels")
+        raise ValidationError(f"{actual.shape[0]} actual vs "
+                              f"{predicted.shape[0]} predicted labels")
     if actual.size == 0:
-        raise EvalError("no samples")
+        raise ValidationError("no samples")
     for name, arr in (("actual", actual), ("predicted", predicted)):
         if arr.min() < 0 or arr.max() >= class_count:
-            raise EvalError(f"{name} labels outside 0..{class_count - 1}")
+            raise ValidationError(
+                f"{name} labels outside 0..{class_count - 1}")
     counts = np.zeros((class_count, class_count), dtype=np.int64)
     np.add.at(counts, (actual, predicted), 1)
     if class_names is None:
@@ -99,7 +98,7 @@ def metrics(cm):
     and None for any other size. Undefined ratios are None too."""
     total = cm.total
     if total == 0:
-        raise EvalError("empty confusion matrix")
+        raise ValidationError("empty confusion matrix")
     acc = float(np.trace(cm.counts)) / total
     if cm.class_count != 2:
         return acc, None, None
@@ -112,11 +111,11 @@ def metrics(cm):
 def render_segmentation(label_map, class_count):
     """Greyscale image: class i at round(255 i/(K-1)), invalid at shade 1."""
     if class_count < 2:
-        raise EvalError("need at least 2 classes to spread shades")
+        raise ValidationError("need at least 2 classes to spread shades")
     labels = label_map.labels
     in_range = (labels >= 0) & (labels < class_count)
     if not in_range[label_map.valid].all():
-        raise EvalError(f"labels outside 0..{class_count - 1}")
+        raise ValidationError(f"labels outside 0..{class_count - 1}")
     shades = np.rint(255.0 * np.arange(class_count) / (class_count - 1))
     image = np.full(labels.shape, INVALID_SHADE, dtype=np.uint8)
     ok = label_map.valid
@@ -143,7 +142,7 @@ def region_report(label_map, mask):
     Regions with no usable pixel are omitted with a warning.
     """
     if (label_map.width, label_map.height) != (mask.width, mask.height):
-        raise EvalError("prediction and mask dimensions differ")
+        raise ValidationError("prediction and mask dimensions differ")
     usable = mask.valid & label_map.valid
     summaries = {}
     region_labels = np.unique(mask.labels[mask.valid])
@@ -223,18 +222,22 @@ def write_matrix_csv(cm, path):
 
 
 def read_matrix_csv(path):
-    text = keyfile.lines(path, EvalError)
+    text = keyfile.lines(path)
     if not (text and text[0].startswith("actual,")):
-        raise EvalError(f"{path}: not a confusion matrix file")
+        raise ValidationError(f"{path}: not a confusion matrix file")
     names = tuple(text[0].split(",")[1:])
-    # each row starts with its class name, which the header already gives
-    cells = [line.partition(",")[2] for line in text[1:]]
-    counts = keyfile.rows(cells, len(names), len(names), path, EvalError, 2,
-                          np.int64)
+    rows = [line.partition(",") for line in text[1:]]
+    counts = keyfile.rows([row[2] for row in rows], len(names), len(names),
+                          path, 2, np.int64)
+    # row k starts with the header's k-th class name
+    for lineno, (name, (label, _, _)) in enumerate(zip(names, rows), 2):
+        if label != name:
+            raise ValidationError(f"{path}:{lineno}: row named {label!r}, "
+                                  f"the header's class there is {name!r}")
     try:
         return ConfusionMatrix(counts, names)
-    except EvalError as exc:
-        raise EvalError(f"{path}: {exc}") from exc
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def reference_report():

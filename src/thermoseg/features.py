@@ -23,10 +23,6 @@ from .errors import ValidationError
 from .ingest import INVALID_LABEL
 
 
-class DatasetError(ValidationError):
-    pass
-
-
 @dataclass(frozen=True)
 class Dataset:
     vectors: np.ndarray           # (N, F)
@@ -35,14 +31,14 @@ class Dataset:
 
     def __post_init__(self):
         if self.vectors.ndim != 2 or self.vectors.shape[0] == 0:
-            raise DatasetError("vectors must be a non-empty N x F array")
+            raise ValidationError("vectors must be a non-empty N x F array")
         n = self.vectors.shape[0]
         if self.labels.shape != (n,):
-            raise DatasetError("labels must be one per row")
+            raise ValidationError("labels must be one per row")
         if self.class_count < 1:
-            raise DatasetError("class_count must be >= 1")
+            raise ValidationError("class_count must be >= 1")
         if self.labels.min() < 0 or self.labels.max() >= self.class_count:
-            raise DatasetError("labels must lie in [0, class_count)")
+            raise ValidationError("labels must lie in [0, class_count)")
 
     @property
     def size(self):
@@ -71,7 +67,7 @@ class ScalingStats:
 def check_seed(seed, what):
     # np.random.default_rng rejects a negative seed with a bare ValueError
     if seed < 0:
-        raise DatasetError(f"{what} seed must be >= 0, got {seed}")
+        raise ValidationError(f"{what} seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -82,9 +78,9 @@ class SplitSpec:
 
     def __post_init__(self):
         if not 0.0 < self.train_fraction < 1.0:
-            raise DatasetError("train_fraction must lie in (0, 1)")
+            raise ValidationError("train_fraction must lie in (0, 1)")
         if not 0.0 < self.validation_fraction_of_train < 1.0:
-            raise DatasetError("validation fraction must lie in (0, 1)")
+            raise ValidationError("validation fraction must lie in (0, 1)")
         check_seed(self.seed, "split")
 
 
@@ -96,22 +92,22 @@ def assemble(image, mask):
     silent shrink.
     """
     if (image.width, image.height) != (mask.width, mask.height):
-        raise DatasetError(
+        raise ValidationError(
             f"feature image {image.width}x{image.height} does not match "
             f"mask {mask.width}x{mask.height}")
     usable = mask.valid & image.valid & (mask.labels != INVALID_LABEL)
     present = np.unique(mask.labels[mask.valid & (mask.labels != INVALID_LABEL)])
     if present.size == 0:
-        raise DatasetError("mask has no valid labeled pixels")
+        raise ValidationError("mask has no valid labeled pixels")
     rows, cols = np.nonzero(usable)
     if rows.size == 0:
-        raise DatasetError("no pixel is both labeled and fitted")
+        raise ValidationError("no pixel is both labeled and fitted")
     labels = mask.labels[rows, cols].astype(np.int64)
     survived = np.unique(labels)
     missing = np.setdiff1d(present, survived)
     if missing.size:
-        raise DatasetError(f"classes {missing.tolist()} lost every pixel "
-                           f"to fit failures")
+        raise ValidationError(f"classes {missing.tolist()} lost every pixel "
+                              f"to fit failures")
     return Dataset(image.values[rows, cols], labels, int(labels.max()) + 1)
 
 
@@ -129,7 +125,7 @@ def fit_scaler(train):
     matrix-sized `x - mean`.
     """
     if train.size < 2:
-        raise DatasetError("scaler needs at least 2 training rows")
+        raise ValidationError("scaler needs at least 2 training rows")
     x, n = train.vectors, train.size
     mean = x.mean(axis=0)
     buf = np.zeros((min(BLOCK_ROWS, n) + 1, x.shape[1]))
@@ -146,7 +142,7 @@ def scale(vectors, stats):
     """Standardize float N x F rows in place, (x - mean) / std per
     feature, and return them; constant features collapse to 0."""
     if stats.mean.shape[0] != vectors.shape[1]:
-        raise DatasetError(
+        raise ValidationError(
             f"stats cover {stats.mean.shape[0]} features, vectors have "
             f"{vectors.shape[1]}")
     denom = np.where(stats.std == 0.0, 1.0, stats.std)
@@ -165,8 +161,8 @@ def apply_scaler(ds, stats):
 def _check_amplitude(relative_amplitude):
     # Generator.uniform raises OverflowError when its range 2a is not finite
     if not (np.isfinite(2.0 * relative_amplitude) and relative_amplitude >= 0):
-        raise DatasetError(f"relative amplitude must be >= 0 with a finite "
-                           f"range 2a, got {relative_amplitude}")
+        raise ValidationError(f"relative amplitude must be >= 0 with a finite "
+                              f"range 2a, got {relative_amplitude}")
 
 
 def augment(train, relative_amplitude, copies, seed):
@@ -180,13 +176,13 @@ def augment(train, relative_amplitude, copies, seed):
     """
     _check_amplitude(relative_amplitude)
     if copies < 0:
-        raise DatasetError("copies must be >= 0")
+        raise ValidationError("copies must be >= 0")
     check_seed(seed, "augment")
     n, f = train.vectors.shape
     rows = (copies + 1) * n
     if rows * f * 8 > np.iinfo(np.intp).max:
-        raise DatasetError(f"augment copies {copies} give {rows} rows, more "
-                           f"than an array can hold")
+        raise ValidationError(f"augment copies {copies} give {rows} rows, "
+                              f"more than an array can hold")
     vectors = np.empty((rows, f))
     vectors[:n] = train.vectors
     rng = np.random.default_rng(seed)
@@ -226,7 +222,7 @@ def split(ds, spec):
     val_n = _round_half_up(spec.validation_fraction_of_train * train_raw)
     train_n = train_raw - val_n
     if min(train_n, val_n, test_n) < 1:
-        raise DatasetError(
+        raise ValidationError(
             f"split of {n} rows leaves an empty part "
             f"({train_n}/{val_n}/{test_n})")
     order = np.random.default_rng(spec.seed).permutation(n)

@@ -36,18 +36,20 @@ INVALID_LABEL = 255
 MIN_WORKER_VALUES = 1 << 20
 
 
-class IngestError(ValidationError):
-    pass
+def frame_times(count, fps):
+    """`count` frame times at `fps`: the first frame follows the flash by
+    one frame interval, so every t is > 0."""
+    return (np.arange(count) + 1.0) / fps
 
 
-def check_timestamps(t, error=IngestError):
-    """Raise `error` unless t is finite, positive and strictly increasing.
-
-    The test is written in positive form so that a NaN, which fails every
-    comparison, fails it too.
+def check_timestamps(t):
+    """Raise ValidationError unless t is finite, positive and strictly
+    increasing. The test is written in positive form so that a NaN, which
+    fails every comparison, fails it too.
     """
     if not (np.isfinite(t).all() and t[0] > 0 and (np.diff(t) > 0).all()):
-        raise error("timestamps must be finite, strictly increasing and > 0")
+        raise ValidationError(
+            "timestamps must be finite, strictly increasing and > 0")
 
 
 @dataclass(frozen=True)
@@ -66,12 +68,12 @@ class FrameSequence:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1 or self.frame_count < 1:
-            raise IngestError("width, height and frame_count must be >= 1")
+            raise ValidationError("width, height and frame_count must be >= 1")
         if self.timestamps.shape != (self.frame_count,):
-            raise IngestError("timestamp count must equal frame count")
+            raise ValidationError("timestamp count must equal frame count")
         check_timestamps(self.timestamps)
         if self.data.shape != (self.frame_count, self.height, self.width):
-            raise IngestError(
+            raise ValidationError(
                 f"data shape {self.data.shape} does not match "
                 f"({self.frame_count}, {self.height}, {self.width})")
 
@@ -90,14 +92,13 @@ class LabelMask:
 
     def __post_init__(self):
         if self.labels.shape != (self.height, self.width):
-            raise IngestError("label shape does not match mask dimensions")
+            raise ValidationError("label shape does not match mask dimensions")
         if self.valid.shape != (self.height, self.width):
-            raise IngestError("valid shape does not match mask dimensions")
+            raise ValidationError("valid shape does not match mask dimensions")
 
 
 def _read_frame(path, height, width):
-    return keyfile.rows(keyfile.lines(path, IngestError), height, width,
-                        path, IngestError, 1)
+    return keyfile.rows(keyfile.lines(path), height, width, path, 1)
 
 
 def load_sequence(path):
@@ -106,7 +107,7 @@ def load_sequence(path):
     checked, before the cube is allocated; the other frames are parsed on
     one worker process per core (see the module docstring), and the first
     bad frame in file order is the one reported."""
-    keys = keyfile.read(path, IngestError)
+    keys = keyfile.read(path)
     head = keys.section("")
     width, height = head.integer("width", 1), head.integer("height", 1)
     saturation = head.number("saturation_value", math.inf)
@@ -117,14 +118,13 @@ def load_sequence(path):
         fps = head.number("fps")
         if not fps > 0:
             head.fail("fps", f"must be > 0, got {fps}")
-        # first frame follows the flash by one frame interval, so t > 0
-        stamps = (np.arange(len(frames)) + 1.0) / fps
+        stamps = frame_times(len(frames), fps)
     keys.finish()
     if not frames:
-        raise IngestError(f"{path}: no frame entries")
+        raise ValidationError(f"{path}: no frame entries")
     if len(stamps) != len(frames):
-        raise IngestError(f"{path}: {len(frames)} frames but "
-                          f"{len(stamps)} timestamps")
+        raise ValidationError(f"{path}: {len(frames)} frames but "
+                              f"{len(stamps)} timestamps")
     base = os.path.dirname(os.path.abspath(path))
     frames = [os.path.normpath(os.path.join(base, f)) for f in frames]
     first = _read_frame(frames[0], height, width)
@@ -182,7 +182,7 @@ def trim_mask(mask, margin):
     trimming is idempotent and never revalidates a pixel.
     """
     if margin < 0:
-        raise IngestError("margin must be >= 0")
+        raise ValidationError("margin must be >= 0")
     height, width = mask.height, mask.width
     labels = mask.labels
     if 2 * margin >= min(height, width):
@@ -206,8 +206,11 @@ def trim_mask(mask, margin):
 
 def save_mask(mask, path):
     """Write a LabelMask as a PGM; invalid pixels become 255."""
-    if mask.valid.all() and mask.labels.max(initial=0) >= INVALID_LABEL:
-        raise IngestError("class ids >= 255 cannot be serialized")
+    labels = mask.labels[mask.valid]
+    if labels.max(initial=0) >= INVALID_LABEL:
+        raise ValidationError("class ids >= 255 cannot be serialized")
+    if labels.min(initial=0) < 0:
+        raise ValidationError("class ids < 0 cannot be serialized")
     image = np.where(mask.valid, mask.labels, INVALID_LABEL).astype(np.uint8)
     write_pgm(path, image)
 

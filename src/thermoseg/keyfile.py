@@ -16,14 +16,16 @@ read, and `KeyFile.finish` rejects every section and key left unread.
 
 A body is comma-separated rows, parsed by `np.loadtxt`: ASCII decimal
 literals, `nan` and `inf`, no comments and no `_` digit separators. Every
-error is the caller's exception class, with one line naming the file and
-the line, and for a key its section and name.
+error is a ValidationError, with one line naming the file and the line,
+and for a key its section and name.
 """
 
 import math
 import warnings
 
 import numpy as np
+
+from .errors import ValidationError
 
 INT64_MIN, INT64_MAX = -2 ** 63, 2 ** 63 - 1
 
@@ -112,8 +114,8 @@ class Section:
 class KeyFile:
     """The sections parsed from a file's lines, numbered from `first_line`."""
 
-    def __init__(self, lines, path, error, first_line):
-        self.path, self.error, self.used = path, error, set()
+    def __init__(self, lines, path, first_line):
+        self.path, self.used = path, set()
         self.sections = {"": Section(self, "", None)}
         section = self.sections[""]
         for lineno, line in enumerate(lines, first_line):
@@ -136,7 +138,7 @@ class KeyFile:
 
     def fail(self, lineno, message):
         where = self.path if lineno is None else f"{self.path}:{lineno}"
-        raise self.error(f"{where}: {message}")
+        raise ValidationError(f"{where}: {message}")
 
     def section(self, name):
         """The named section, empty when the file has none."""
@@ -153,7 +155,7 @@ class KeyFile:
                     section.fail(key, "unknown key")
 
 
-def lines(path, error):
+def lines(path):
     """The lines of a UTF-8 text file, split as `str.splitlines` splits."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -161,20 +163,21 @@ def lines(path, error):
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise error(f"{path}:{line}: not UTF-8 text: {exc.reason} "
-                    f"at byte {exc.start}") from exc
+        raise ValidationError(f"{path}:{line}: not UTF-8 text: "
+                              f"{exc.reason} at byte {exc.start}") from exc
 
 
-def read(path, error):
-    return KeyFile(lines(path, error), path, error, 1)
+def read(path):
+    return KeyFile(lines(path), path, 1)
 
 
-def rows(lines, count, width, path, error, first_line, dtype=np.float64):
+def rows(lines, count, width, path, first_line, dtype=np.float64):
     """The (count, width) array that `lines`, numbered from `first_line`,
     hold; it is sized by the rows parsed, never by `count`. A blank line
     is skipped, so it shows as a missing row."""
     if len(lines) > count:
-        raise error(f"{path}:{first_line + count}: more than {count} rows")
+        raise ValidationError(f"{path}:{first_line + count}: more than "
+                              f"{count} rows")
     try:
         with warnings.catch_warnings():
             # loadtxt warns on a body without rows; the count reports it
@@ -182,11 +185,11 @@ def rows(lines, count, width, path, error, first_line, dtype=np.float64):
             table = np.loadtxt(lines, dtype, delimiter=",", comments=None,
                                ndmin=2)
     except ValueError as exc:
-        raise error(f"{path}:{first_line}: {exc}") from exc
+        raise ValidationError(f"{path}:{first_line}: {exc}") from exc
     if table.shape != (count, width):
         got = f"{len(table)} rows of {table.shape[1]}" if len(table) else "none"
-        raise error(f"{path}:{first_line}: expected {count} rows of {width} "
-                    f"values, got {got}")
+        raise ValidationError(f"{path}:{first_line}: expected {count} rows "
+                              f"of {width} values, got {got}")
     return table
 
 

@@ -39,14 +39,6 @@ MODEL_VERSION = 1
 _MODEL_MAGIC = "thermoseg-model v"
 
 
-class ModelFormatError(ValidationError):
-    pass
-
-
-class ModelVersionError(ModelFormatError):
-    pass
-
-
 @dataclass(frozen=True)
 class MlpModel:
     layer_sizes: tuple
@@ -568,21 +560,20 @@ def save_model(model, path):
 
 
 def load_model(path):
-    text = keyfile.lines(path, ModelFormatError)
+    text = keyfile.lines(path)
     magic = text[0] if text else ""
     if not magic.startswith(_MODEL_MAGIC):
-        raise ModelFormatError(f"{path}: not a model file")
+        raise ValidationError(f"{path}: not a model file")
     try:
         version = int(magic[len(_MODEL_MAGIC):])
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: bad version line") from exc
+        raise ValidationError(f"{path}: bad version line") from exc
     if version != MODEL_VERSION:
-        raise ModelVersionError(
-            f"{path}: model version {version} is not supported "
-            f"(expected {MODEL_VERSION})")
+        raise ValidationError(f"{path}: model version {version} is not "
+                              f"supported (expected {MODEL_VERSION})")
 
     at = (text + ["layer 0"]).index("layer 0")     # the header ends there
-    keys = keyfile.KeyFile(text[1:at], path, ModelFormatError, 2)
+    keys = keyfile.KeyFile(text[1:at], path, 2)
     head = keys.section("")
     sizes = head.integers("layers", 1)
     activations = tuple(head.text("activations").split())
@@ -604,23 +595,23 @@ def load_model(path):
     params = []
     for marker, count, width in blocks + [("end", 0, 0)]:
         if text[at:at + 1] != [marker]:
-            raise ModelFormatError(f"{path}:{at + 1}: expected {marker!r}")
+            raise ValidationError(f"{path}:{at + 1}: expected {marker!r}")
         if count:
             params.append(keyfile.rows(text[at + 1:at + 1 + count], count,
-                                       width, path, ModelFormatError, at + 2))
+                                       width, path, at + 2))
             bad = np.nonzero(~np.isfinite(params[-1]).all(axis=1))[0]
             if bad.size:
-                raise ModelFormatError(f"{path}:{at + 2 + bad[0]}: {marker!r} "
-                                       f"holds a non-finite value")
+                raise ValidationError(f"{path}:{at + 2 + bad[0]}: {marker!r} "
+                                      f"holds a non-finite value")
         at += 1 + count
     if at < len(text):
-        raise ModelFormatError(f"{path}:{at + 1}: a line after 'end'")
+        raise ValidationError(f"{path}:{at + 1}: a line after 'end'")
     weights, biases = params[::2], [b[0] for b in params[1::2]]
     try:
         return MlpModel(sizes, activations, tuple(weights), tuple(biases),
                         ScalingStats(*columns))
     except ValidationError as exc:
-        raise ModelFormatError(f"{path}: inconsistent model: {exc}") from exc
+        raise ValidationError(f"{path}: inconsistent model: {exc}") from exc
 
 
 def write_trace(trace, path):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import evaluate, features, nn, synthgen, tsr
 from .errors import ValidationError
-from .ingest import save_mask, trim_mask
+from .ingest import frame_times, save_mask, trim_mask
 
 # thermal diffusivity of printed polymer, m^2/s
 POLYMER_DIFFUSIVITY = 5.8e-8
@@ -141,12 +141,6 @@ def train_classifier(ds, split, hidden, activation, config, init_seed,
     return model, trace, train_ds, val_ds, test_ds
 
 
-def _timestamps(frames):
-    """`frames` timestamps spread over the 240 s recording, the first one
-    frame interval after the flash."""
-    return (np.arange(frames) + 1.0) / (frames / 240.0)
-
-
 def _render_fit(stage, degree, *scene):
     """Render one recording from render_video's arguments and fit it at
     `degree`; the frame cube never leaves this function."""
@@ -170,7 +164,7 @@ def run_synthetic_2class(out_dir, stage, scale, seed=3101):
     width = _scaled(160, scale, 16)
     height = _scaled(120, scale, 12)
     frames = _scaled(600, scale, 80)
-    timestamps = _timestamps(frames)
+    timestamps = frame_times(frames, frames / 240.0)   # a 240 s recording
 
     amplitude = 400.0
     sound = synthgen.power_law(amplitude, -0.5)
@@ -260,7 +254,7 @@ def run_surrogate_4class(out_dir, stage, scale, seed=4202):
         width, height, (0.0, 0.1, 0.2, 0.3), depth_mm=5.0,
         diffusivity=POLYMER_DIFFUSIVITY, base_depth_mm=20.0, amplitude=100.0)
     # sigma 0.5 keeps the two deepest grades separable (max d' ~ 3.3)
-    image = _render_fit(stage, 4, layout, _timestamps(frames),
+    image = _render_fit(stage, 4, layout, frame_times(frames, frames / 240.0),
                         synthgen.NoiseSpec(0.5, seed))
 
     features_path = os.path.join(out_dir, "features.csv")

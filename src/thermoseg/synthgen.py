@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _kernels, keyfile
 from .errors import ComputeError, ValidationError
-from .ingest import FrameSequence, LabelMask, check_timestamps
+from .ingest import FrameSequence, LabelMask, check_timestamps, frame_times
 
 MM = 1e-3
 
@@ -31,10 +31,6 @@ MM = 1e-3
 GAP_HALF_CONTRAST_MM = 0.1
 
 _SERIES_CAP = 1_000_000
-
-
-class SceneError(ValidationError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -51,21 +47,22 @@ class TemperatureProfile:
     def __post_init__(self):
         if self.kind == "power-law":
             if self.amplitude <= 0:
-                raise SceneError("power-law amplitude must be > 0")
+                raise ValidationError("power-law amplitude must be > 0")
         elif self.kind == "adiabatic-plate":
             if self.amplitude <= 0:
-                raise SceneError("adiabatic-plate amplitude must be > 0")
+                raise ValidationError("adiabatic-plate amplitude must be > 0")
             if self.thickness <= 0 or self.diffusivity <= 0:
-                raise SceneError("plate thickness and diffusivity must be > 0")
+                raise ValidationError(
+                    "plate thickness and diffusivity must be > 0")
             if not 0.0 <= self.contrast <= 1.0:
-                raise SceneError("interface contrast must lie in [0, 1]")
+                raise ValidationError("interface contrast must lie in [0, 1]")
         elif self.kind == "polynomial-in-log-time":
             if len(self.coefficients) == 0:
-                raise SceneError("polynomial profile needs coefficients")
+                raise ValidationError("polynomial profile needs coefficients")
             if self.log_base <= 1.0:
-                raise SceneError("log base must exceed 1")
+                raise ValidationError("log base must exceed 1")
         else:
-            raise SceneError(f"unknown profile kind {self.kind!r}")
+            raise ValidationError(f"unknown profile kind {self.kind!r}")
 
 
 def power_law(amplitude, exponent=-0.5):
@@ -103,10 +100,10 @@ def _plate_bracket(t, thickness, diffusivity, contrast):
 
 def eval_profile(profile, t):
     """Profile temperature at time(s) t (seconds, > 0). A profile that
-    leaves the float64 range at any of them is a SceneError."""
+    leaves the float64 range at any of them is a ValidationError."""
     t = np.asarray(t, dtype=np.float64)
     if np.any(t <= 0.0):
-        raise SceneError("profile times must be > 0")
+        raise ValidationError("profile times must be > 0")
     # an overflow shows as a non-finite value, checked below
     with np.errstate(over="ignore", invalid="ignore"):
         if profile.kind == "power-law":
@@ -120,7 +117,7 @@ def eval_profile(profile, t):
             coeffs = profile.coefficients[::-1]  # np.polyval: leading first
             out = profile.log_base ** np.polyval(coeffs, u)
     if not np.all(np.isfinite(out)):
-        raise SceneError(f"{profile.kind} profile is non-finite in range")
+        raise ValidationError(f"{profile.kind} profile is non-finite in range")
     return out if out.ndim else float(out)
 
 
@@ -139,21 +136,23 @@ class RegionLayout:
 
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
-            raise SceneError("canvas must be at least 1x1")
+            raise ValidationError("canvas must be at least 1x1")
         cover = np.zeros((self.height, self.width), dtype=np.int32)
         for region in self.regions:
             x0, y0, w, h = region.rect
             if w < 1 or h < 1:
-                raise SceneError(f"region rect {region.rect} has empty size")
+                raise ValidationError(
+                    f"region rect {region.rect} has empty size")
             if x0 < 0 or y0 < 0 or x0 + w > self.width or y0 + h > self.height:
-                raise SceneError(f"region rect {region.rect} leaves the canvas")
+                raise ValidationError(
+                    f"region rect {region.rect} leaves the canvas")
             if region.class_id < 0:
-                raise SceneError("class ids must be >= 0")
+                raise ValidationError("class ids must be >= 0")
             cover[y0:y0 + h, x0:x0 + w] += 1
         if not (cover == 1).all():
             missed = int((cover == 0).sum())
             doubled = int((cover > 1).sum())
-            raise SceneError(
+            raise ValidationError(
                 f"regions must tile the canvas exactly once "
                 f"({missed} uncovered, {doubled} multiply covered)")
 
@@ -183,10 +182,10 @@ class NoiseSpec:
         # a draw is at most MAX_RADIUS sigmas, and must stay finite
         if not 0 <= self.sigma * _kernels.MAX_RADIUS < math.inf:
             limit = np.finfo(np.float64).max / _kernels.MAX_RADIUS
-            raise SceneError(f"noise sigma must lie in [0, {limit:.4g}], "
-                             "where its largest draw stays finite")
+            raise ValidationError(f"noise sigma must lie in [0, {limit:.4g}], "
+                                  "where its largest draw stays finite")
         if not 0 <= self.seed < 2 ** 64:
-            raise SceneError("noise seed must lie in [0, 2**64)")
+            raise ValidationError("noise seed must lie in [0, 2**64)")
 
 
 def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
@@ -198,11 +197,11 @@ def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
     """
     timestamps = np.asarray(timestamps, dtype=np.float64)
     if timestamps.ndim != 1 or timestamps.size == 0:
-        raise SceneError("timestamps must be a non-empty 1-D sequence")
-    check_timestamps(timestamps, SceneError)
+        raise ValidationError("timestamps must be a non-empty 1-D sequence")
+    check_timestamps(timestamps)
     lo, hi = float(clamp[0]), float(clamp[1])
     if not lo < hi:
-        raise SceneError("clamp must satisfy lo < hi")
+        raise ValidationError("clamp must satisfy lo < hi")
     base = np.empty((len(layout.regions), timestamps.size))
     for i, region in enumerate(layout.regions):
         base[i] = eval_profile(region.profile, timestamps)
@@ -211,9 +210,9 @@ def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
     top = int(np.argmax(peak))
     reach = float(peak[top]) + noise.sigma * _kernels.MAX_RADIUS
     if not math.isfinite(reach):
-        raise SceneError(f"noise sigma {noise.sigma:.4g} on a "
-                         f"{layout.regions[top].profile.kind} profile "
-                         f"reaching {peak[top]:.4g} overflows float64")
+        raise ValidationError(f"noise sigma {noise.sigma:.4g} on a "
+                              f"{layout.regions[top].profile.kind} profile "
+                              f"reaching {peak[top]:.4g} overflows float64")
     data = _kernels.render_frames(base, layout.region_map(), noise.sigma,
                                   noise.seed, lo, hi)
     saturation = hi if math.isfinite(hi) else math.inf
@@ -226,9 +225,9 @@ def composite_layout(width, height, inner_rect, inner_profile, outer_profile):
     the border, four rectangles, class 0."""
     x0, y0, w, h = inner_rect
     if w < 1 or h < 1:
-        raise SceneError("inner rect must have positive size")
+        raise ValidationError("inner rect must have positive size")
     if x0 <= 0 or y0 <= 0 or x0 + w >= width or y0 + h >= height:
-        raise SceneError("inner rect must sit strictly inside the canvas")
+        raise ValidationError("inner rect must sit strictly inside the canvas")
     regions = (
         Region((0, 0, width, y0), 0, outer_profile),
         Region((0, y0, x0, h), 0, outer_profile),
@@ -246,7 +245,7 @@ def gap_contrast(gap_mm):
     (no gap) towards 1 (wide open gap), passing 1/2 at g_half.
     """
     if gap_mm < 0:
-        raise SceneError("gap thickness must be >= 0")
+        raise ValidationError("gap thickness must be >= 0")
     return gap_mm / (gap_mm + GAP_HALF_CONTRAST_MM)
 
 
@@ -261,15 +260,15 @@ def four_class_scene(width, height, gaps_mm, depth_mm, diffusivity,
     """
     gaps = [float(g) for g in gaps_mm]
     if len(gaps) != 4:
-        raise SceneError("expected exactly 4 gap thicknesses")
+        raise ValidationError("expected exactly 4 gap thicknesses")
     if any(g < 0 for g in gaps):
-        raise SceneError("gap thicknesses must be >= 0")
+        raise ValidationError("gap thicknesses must be >= 0")
     if any(a > b for a, b in zip(gaps, gaps[1:])):
-        raise SceneError("gap thicknesses must be non-decreasing")
+        raise ValidationError("gap thicknesses must be non-decreasing")
     if depth_mm <= 0 or base_depth_mm <= 0:
-        raise SceneError("depths must be > 0")
+        raise ValidationError("depths must be > 0")
     if width < 2 or height < 2:
-        raise SceneError("canvas too small for four quadrants")
+        raise ValidationError("canvas too small for four quadrants")
 
     sound = adiabatic_plate(amplitude, base_depth_mm * MM, diffusivity)
     profiles = [
@@ -321,7 +320,7 @@ def load_scene(path):
     optional [noise] sigma/seed; optional [clamp] lo/hi; one [region.NAME]
     per region with rect = "x0 y0 w h", class, and profile options.
     """
-    keys = keyfile.read(path, SceneError)
+    keys = keyfile.read(path)
     canvas, timing = keys.section("canvas"), keys.section("timing")
     width, height = canvas.integer("width", 1), canvas.integer("height", 1)
     stamps = timing.numbers("timestamps", None)
@@ -333,10 +332,10 @@ def load_scene(path):
         frames = len(stamps)
     # the rendered (frames, H, W) float64 video must be addressable
     if width * height * frames * 8 > np.iinfo(np.intp).max:
-        raise SceneError(f"{path}: a {width}x{height} canvas of {frames} "
-                         f"frames is more than an array can hold")
+        raise ValidationError(f"{path}: a {width}x{height} canvas of {frames} "
+                              f"frames is more than an array can hold")
     if stamps is None:
-        stamps = (np.arange(frames) + 1.0) / fps
+        stamps = frame_times(frames, fps)
     noise_keys, clamp_keys = keys.section("noise"), keys.section("clamp")
     noise = NoiseSpec(noise_keys.number("sigma", 0.0),
                       noise_keys.integer("seed", 0, 0))
@@ -351,6 +350,6 @@ def load_scene(path):
                               _profile(section)))
     keys.finish()
     if not regions:
-        raise SceneError(f"{path}: no [region.*] sections")
+        raise ValidationError(f"{path}: no [region.*] sections")
     return Scene(RegionLayout(width, height, tuple(regions)),
                  np.array(stamps), noise, clamp)

@@ -137,10 +137,10 @@ def write_feature_image(image, path):
 
 
 def read_feature_image(path):
-    text = keyfile.lines(path, ValidationError)
+    text = keyfile.lines(path)
     if text[:1] != [f"# {_MAGIC}"]:
         raise ValidationError(f"{path}: not a feature image file")
-    keys = keyfile.KeyFile(text[1:7], path, ValidationError, 2)
+    keys = keyfile.KeyFile(text[1:7], path, 2)
     head = keys.section("")
     width, height = head.integer("width", 1), head.integer("height", 1)
     degree = head.integer("degree", 2)
@@ -149,8 +149,7 @@ def read_feature_image(path):
     head.text("scaling_pending", choices=("1",))
     keys.finish()
     length = feature_length(degree, packing)
-    table = keyfile.rows(text[7:], height * width, length + 1, path,
-                         ValidationError, 8)
+    table = keyfile.rows(text[7:], height * width, length + 1, path, 8)
     flags, values = table[:, 0], table[:, 1:]
     bad = np.nonzero((flags != 0) & (flags != 1))[0]
     if bad.size:

@@ -19,7 +19,7 @@ from numpy.polynomial import Polynomial
 
 from thermoseg import nn, tsr
 from thermoseg.errors import ComputeError, ValidationError
-from thermoseg.ingest import IngestError, check_timestamps
+from thermoseg.ingest import check_timestamps
 
 
 class FitError(ComputeError):
@@ -73,7 +73,7 @@ def fit_pixel(series, timestamps, degree, first_frame=0):
         raise ValidationError("degree must be >= 0")
     if not 0 <= first_frame < series.shape[0]:
         raise ValidationError(f"first_frame {first_frame} out of range")
-    check_timestamps(timestamps, ValidationError)
+    check_timestamps(timestamps)
 
     t = timestamps[first_frame:]
     y_raw = series[first_frame:]
@@ -138,7 +138,8 @@ def first_unsaturated_frame(seq, pixel):
     saturation value for every later frame."""
     row, col = pixel
     if not (0 <= row < seq.height and 0 <= col < seq.width):
-        raise IngestError(f"pixel {pixel} outside {seq.width}x{seq.height}")
+        raise ValidationError(
+            f"pixel {pixel} outside {seq.width}x{seq.height}")
     values = seq.data[:, row, col]
     saturated = np.nonzero(values >= seq.saturation_value)[0]
     start = 0 if saturated.size == 0 else int(saturated[-1]) + 1

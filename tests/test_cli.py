@@ -470,6 +470,14 @@ MALFORMED_INPUTS = [
      "actual,a,b\na,4611686018427387904,4611686018427387904\nb,0,0\n",
      ["eval", "--matrix", "{path}", "--positive", "1"],
      "mx.csv: counts total 9223372036854775808, more than int64 holds"),
+    # each row carries its class name, which must be the header's
+    ("matrix rows swapped", "mx.csv",
+     "actual,sound,flawed\nflawed,0,7\nsound,9,1\n",
+     ["eval", "--matrix", "{path}"],
+     "mx.csv:2: row named 'flawed', the header's class there is 'sound'"),
+    ("matrix row without a name", "mx.csv", "actual,a,b\na,1,0\n,0,1\n",
+     ["eval", "--matrix", "{path}"],
+     "mx.csv:3: row named '', the header's class there is 'b'"),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),

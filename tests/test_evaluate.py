@@ -5,6 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from thermoseg import evaluate
+from thermoseg.errors import ValidationError
 from thermoseg.ingest import INVALID_LABEL, LabelMask
 
 
@@ -37,20 +38,20 @@ def test_confusion_perfect_is_diagonal():
 
 
 def test_confusion_errors():
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.confusion([0, 1], [0], 2)
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.confusion([], [], 2)
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.confusion([0, 2], [0, 1], 2)
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.confusion([0, 1], [0, -1], 2)
 
 
 def test_confusion_matrix_validation():
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.ConfusionMatrix(np.zeros((2, 3), dtype=np.int64), ("a", "b"))
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.ConfusionMatrix(np.array([[1, -1], [0, 2]]), ("a", "b"))
 
 
@@ -105,11 +106,11 @@ def test_collapse_preserves_total_and_helps_accuracy():
 
 def test_collapse_spec_validation():
     cm = evaluate.confusion([0, 1, 2], [0, 1, 2], 3)
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.collapse(cm, evaluate.BinaryCollapseSpec(frozenset()))
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.collapse(cm, evaluate.BinaryCollapseSpec(frozenset({3})))
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.collapse(cm, evaluate.BinaryCollapseSpec(frozenset({0, 1, 2})))
 
 
@@ -146,9 +147,9 @@ def test_metrics_undefined_ratios_are_none():
 
 def test_metrics_validation():
     cm = evaluate.confusion([0, 1], [0, 1], 2)
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.collapse(cm, evaluate.BinaryCollapseSpec(frozenset({0, 1})))
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.metrics(evaluate.ConfusionMatrix(
             np.zeros((2, 2), dtype=np.int64), ("a", "b")))
 
@@ -187,9 +188,9 @@ def test_render_shades_are_injective():
 
 def test_render_validation():
     label_map = _map_from([[0, 1]])
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.render_segmentation(label_map, 1)
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.render_segmentation(_map_from([[0, 5]]), 4)
 
 
@@ -249,7 +250,7 @@ def test_region_report_ignores_invalid_mask_label():
 
 
 def test_region_report_dimension_check():
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.region_report(_map_from([[0, 1]]), _map_from([[0], [1]]))
 
 
@@ -284,11 +285,11 @@ def test_matrix_csv_errors(tmp_path):
         evaluate.read_matrix_csv(str(tmp_path / "none.csv"))
     bad = tmp_path / "bad.csv"
     bad.write_text("whatever\n1,2\n")
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.read_matrix_csv(str(bad))
     short = tmp_path / "short.csv"
     short.write_text("actual,a,b\na,1,2\n")
-    with pytest.raises(evaluate.EvalError):
+    with pytest.raises(ValidationError):
         evaluate.read_matrix_csv(str(short))
     cells = tmp_path / "cells.csv"
     cells.write_text(f"actual,a,b\na,{2 ** 63 - 1},0\nb,0,0\n")
@@ -301,10 +302,10 @@ def test_matrix_csv_errors(tmp_path):
             (2 ** 63 - 1, "cells.csv: counts total 9223372036854775808, "
                           "more than int64 holds")):
         cells.write_text(f"actual,a,b\na,{cell},0\nb,0,1\n")
-        with pytest.raises(evaluate.EvalError, match=message):
+        with pytest.raises(ValidationError, match=message):
             evaluate.read_matrix_csv(str(cells))
     cells.write_text(f"actual,a,b\na,{2 ** 62},{2 ** 62}\nb,0,0\n")
-    with pytest.raises(evaluate.EvalError, match="total 9223372036854775808"):
+    with pytest.raises(ValidationError, match="total 9223372036854775808"):
         evaluate.read_matrix_csv(str(cells))
 
 

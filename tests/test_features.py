@@ -9,6 +9,7 @@ import pytest
 
 import oracle
 from thermoseg import features, nn, repro, tsr
+from thermoseg.errors import ValidationError
 from thermoseg.ingest import INVALID_LABEL, LabelMask
 
 
@@ -64,18 +65,18 @@ def test_assemble_errors():
     image, mask = _image_and_mask()
     narrow = LabelMask(mask.width - 1, mask.height,
                        mask.labels[:, :-1], mask.valid[:, :-1])
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.assemble(image, narrow)
 
     # class 1 loses every pixel to fit failures
     image2, mask2 = _image_and_mask()
     image2.valid[mask2.labels == 1] = False
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.assemble(image2, mask2)
 
     image3, mask3 = _image_and_mask()
     mask3.valid[:] = False
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.assemble(image3, mask3)
 
 
@@ -119,11 +120,11 @@ def test_constant_feature_maps_to_zero():
 
 def test_scaler_validation():
     ds = _toy_dataset()
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.fit_scaler(ds.take(np.array([0])))
     stats = features.fit_scaler(ds)
     wrong = features.ScalingStats(stats.mean[:-1], stats.std[:-1])
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.apply_scaler(ds, wrong)
 
 
@@ -175,24 +176,24 @@ def test_augment_zero_copies_is_identity():
 
 def test_augment_validation():
     ds = _toy_dataset()
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.augment(ds, -0.1, 2, 0)
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.augment(ds, 0.1, -1, 0)
     # checked even when no copy draws from the seed
     for copies in (0, 2):
-        with pytest.raises(features.DatasetError, match="augment seed"):
+        with pytest.raises(ValidationError, match="augment seed"):
             features.augment(ds, 0.1, copies, -3)
-    with pytest.raises(features.DatasetError, match="perturb seed"):
+    with pytest.raises(ValidationError, match="perturb seed"):
         features.perturb(ds, 0.1, -1)
     # Generator.uniform would raise OverflowError on these
     for amplitude in (math.nan, math.inf, 1e308):
-        with pytest.raises(features.DatasetError, match="amplitude"):
+        with pytest.raises(ValidationError, match="amplitude"):
             features.augment(ds, amplitude, 2, 0)
-        with pytest.raises(features.DatasetError, match="amplitude"):
+        with pytest.raises(ValidationError, match="amplitude"):
             features.perturb(ds, amplitude, 0)
     # rejected by arithmetic alone: no array of this size is attempted
-    with pytest.raises(features.DatasetError, match="copies 99999999999"):
+    with pytest.raises(ValidationError, match="copies 99999999999"):
         features.augment(ds, 0.1, 99999999999999999999, 0)
 
 
@@ -325,16 +326,16 @@ def test_split_determinism_and_seed_sensitivity():
 
 def test_split_rejects_empty_parts():
     ds = _toy_dataset(n=3, f=2, classes=2, seed=1)
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.split(ds, features.SplitSpec(0.8, 0.1, 0))
 
 
 def test_split_spec_validation():
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.SplitSpec(0.0, 0.1, 0)
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.SplitSpec(0.8, 1.0, 0)
-    with pytest.raises(features.DatasetError, match="split seed"):
+    with pytest.raises(ValidationError, match="split seed"):
         features.SplitSpec(0.8, 0.1, -3)
 
 
@@ -344,10 +345,10 @@ def test_split_spec_validation():
 
 def test_dataset_validation():
     good = _toy_dataset()
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.Dataset(good.vectors, good.labels[:-1], good.class_count)
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.Dataset(good.vectors, good.labels, 1)
-    with pytest.raises(features.DatasetError):
+    with pytest.raises(ValidationError):
         features.Dataset(np.empty((0, 3)), np.empty(0, dtype=int), 2)
 

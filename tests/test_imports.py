@@ -296,3 +296,39 @@ def test_processes_start_only_through_fork_helper():
     assert _process_starts(ast.parse(source), "_fork") == list(range(1, 9))
     assert _process_starts(ast.parse(source), None) == [
         *range(1, 9), 10]
+
+
+def _error_types_and_arguments(tree):
+    """Line numbers of each class derived from an exception class (a base
+    named *Error or *Exception) and of each function with a parameter
+    named `error`."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(b, "id", getattr(b, "attr", "")).endswith(
+                    ("Error", "Exception")) for b in node.bases):
+            found.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            if any(p.arg == "error" for p in [*a.posonlyargs, *a.args,
+                                              *a.kwonlyargs] if p):
+                found.append(node.lineno)
+    return found
+
+
+def test_errors_are_the_only_exception_classes():
+    # a bad input raises ValidationError (exit 2) and a failed computation
+    # ComputeError (exit 3), so no reader is told which class to raise
+    found = {p.name: _error_types_and_arguments(
+        ast.parse(p.read_text(encoding="utf-8")))
+        for p in sorted(PACKAGE.glob("*.py")) if p.name != "errors.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+    tree = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert sorted(n.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ClassDef)) == [
+        "ComputeError", "ThermosegError", "ValidationError"]
+    assert _error_types_and_arguments(ast.parse(
+        "class A(ValidationError): pass\nclass B(errors.ComputeError): pass\n"
+        "class C(Exception): pass\nclass D: pass\ndef f(x, error=E): pass\n"
+        "def g(*, error): pass\ndef h(errors): pass\nlambda error: 0\n"
+        "class E(object): pass\n")) == [1, 2, 3, 5, 6, 8]

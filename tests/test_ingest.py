@@ -7,10 +7,11 @@ import pytest
 
 from thermoseg import ingest
 from oracle import SaturatedPixelError, first_unsaturated_frame
-from thermoseg.ingest import (FrameSequence, IngestError, LabelMask,
-                              load_mask, load_sequence, save_mask, trim_mask,
+from thermoseg.errors import ValidationError
+from thermoseg.ingest import (FrameSequence, LabelMask, load_mask,
+                              load_sequence, save_mask, trim_mask,
                               write_sequence)
-from thermoseg.pgmio import PgmError, read_pgm, write_pgm
+from thermoseg.pgmio import read_pgm, write_pgm
 
 
 def make_sequence(frames=5, height=3, width=4, saturation=np.inf):
@@ -23,17 +24,17 @@ def make_sequence(frames=5, height=3, width=4, saturation=np.inf):
 def test_sequence_validation():
     seq = make_sequence()
     assert seq.data.shape == (5, 3, 4)
-    with pytest.raises(IngestError):
+    with pytest.raises(ValidationError):
         FrameSequence(4, 3, 5, np.array([1.0, 2.0]), seq.data, np.inf)
-    with pytest.raises(IngestError):
+    with pytest.raises(ValidationError):
         FrameSequence(4, 3, 5, np.array([0.0, 1, 2, 3, 4.0]), seq.data, np.inf)
-    with pytest.raises(IngestError):
+    with pytest.raises(ValidationError):
         FrameSequence(4, 3, 5, np.array([1.0, 2, 2, 3, 4.0]), seq.data, np.inf)
     for bad in (np.nan, np.inf):
-        with pytest.raises(IngestError):
+        with pytest.raises(ValidationError):
             FrameSequence(4, 3, 5, np.array([1.0, 2, bad, 3, 4.0]), seq.data,
                           np.inf)
-    with pytest.raises(IngestError):
+    with pytest.raises(ValidationError):
         FrameSequence(5, 3, 5, seq.timestamps, seq.data, np.inf)
 
 
@@ -69,16 +70,16 @@ def test_load_sequence_errors(tmp_path):
     frame = tmp_path / "f0.csv"
     frame.write_text("1.0,2.0,9.0\n3.0,4.0,9.0\n")
     man.write_text("width = 2\nheight = 2\nfps = 4\nframe = f0.csv\n")
-    with pytest.raises(IngestError):      # 3 columns, manifest says 2
+    with pytest.raises(ValidationError):      # 3 columns, manifest says 2
         load_sequence(str(man))
 
     frame.write_text("1.0,abc\n3.0,4.0\n")
     man.write_text("width = 2\nheight = 2\nfps = 4\nframe = f0.csv\n")
-    with pytest.raises(IngestError):      # non-numeric cell
+    with pytest.raises(ValidationError):      # non-numeric cell
         load_sequence(str(man))
 
     man.write_text("width = 2\nheight = 2\nframe = f0.csv\n")
-    with pytest.raises(IngestError):      # no timing at all
+    with pytest.raises(ValidationError):      # no timing at all
         load_sequence(str(man))
 
 
@@ -92,7 +93,7 @@ def test_first_unsaturated_frame():
     seq3 = FrameSequence(4, 3, 5, seq.timestamps, data, 8.0)
     with pytest.raises(SaturatedPixelError):
         first_unsaturated_frame(seq3, (0, 0))
-    with pytest.raises(IngestError):
+    with pytest.raises(ValidationError):
         first_unsaturated_frame(seq2, (9, 9))
 
 
@@ -176,11 +177,27 @@ def test_mask_pgm_round_trip(tmp_path):
     assert (back.labels[~valid] == ingest.INVALID_LABEL).all()
 
 
+def test_save_mask_refuses_valid_labels_outside_a_byte(tmp_path):
+    # one invalid pixel must not let a valid label wrap into the byte:
+    # 300 would load back as class 44 and -1 as an invalid pixel
+    valid = np.array([[True, True, False]])
+    path = str(tmp_path / "mask.pgm")
+    for label, message in ((300, "class ids >= 255"),
+                           (255, "class ids >= 255"),
+                           (-1, "class ids < 0")):
+        labels = np.array([[0, label, 1]], dtype=np.int64)
+        with pytest.raises(ValidationError, match=message):
+            save_mask(LabelMask(3, 1, labels, valid), path)
+    # an invalid pixel's label is not written, so it may be anything
+    save_mask(LabelMask(3, 1, np.array([[0, 254, -7]]), valid), path)
+    npt.assert_array_equal(load_mask(path).labels, [[0, 254, 255]])
+
+
 def test_write_pgm_takes_only_2d_uint8(tmp_path):
     path = str(tmp_path / "x.pgm")
     for image in (np.zeros((2, 3), dtype=np.int64), np.zeros(6, np.uint8),
                   np.zeros((2, 3, 1), np.uint8)):
-        with pytest.raises(PgmError, match="2-D uint8"):
+        with pytest.raises(ValidationError, match="2-D uint8"):
             write_pgm(path, image)
     write_pgm(path, np.arange(6, dtype=np.uint8).reshape(2, 3))
     npt.assert_array_equal(read_pgm(path),
@@ -238,7 +255,7 @@ def test_first_bad_frame_in_file_order_is_reported(tmp_path, workers):
     messages = []
     for count in (1, 2):
         workers(count)
-        with pytest.raises(IngestError) as caught:
+        with pytest.raises(ValidationError) as caught:
             load_sequence(manifest)
         messages.append(str(caught.value))
         _assert_no_child()

@@ -13,7 +13,7 @@ from thermoseg.errors import ValidationError
 
 
 def _parse(text):
-    return keyfile.KeyFile(text.splitlines(), "f.ini", ValidationError, 1)
+    return keyfile.KeyFile(text.splitlines(), "f.ini", 1)
 
 
 def test_syntax():
@@ -74,12 +74,12 @@ def test_getter_errors(value, get, message):
 def test_lines_decode_utf8_only(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"a = 1\r\nb = \xc3\xa9\n")
-    assert keyfile.lines(str(path), ValidationError) == ["a = 1", "b = é"]
+    assert keyfile.lines(str(path)) == ["a = 1", "b = é"]
     path.write_bytes(b"a = 1\nb = \xff\n")
     with pytest.raises(ValidationError,
                        match=re.escape(f"{path}:2: not UTF-8 text: "
                                        "invalid start byte")):
-        keyfile.lines(str(path), ValidationError)
+        keyfile.lines(str(path))
 
 
 def test_rows_round_trip(tmp_path):
@@ -90,10 +90,10 @@ def test_rows_round_trip(tmp_path):
     text = path.read_text(encoding="utf-8").splitlines()
     # the same bytes as formatting each value with %.17g
     assert text == [",".join("%.17g" % v for v in row) for row in values]
-    back = keyfile.rows(text, 2, 3, "rows.csv", ValidationError, 1)
+    back = keyfile.rows(text, 2, 3, "rows.csv", 1)
     assert back.tobytes() == values.tobytes()
-    cells = keyfile.rows(["9223372036854775807,-1"], 1, 2, "m.csv",
-                         ValidationError, 2, np.int64)
+    cells = keyfile.rows(["9223372036854775807,-1"], 1, 2, "m.csv", 2,
+                         np.int64)
     assert cells.dtype == np.int64 and cells.tolist() == [[2 ** 63 - 1, -1]]
 
 
@@ -117,4 +117,4 @@ def test_rows_errors(lines, count, dtype, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # a warning would print to stderr
         with pytest.raises(ValidationError, match=re.escape(message)):
-            keyfile.rows(lines, count, 2, "f.csv", ValidationError, 7, dtype)
+            keyfile.rows(lines, count, 2, "f.csv", 7, dtype)

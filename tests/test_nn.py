@@ -643,7 +643,7 @@ def test_load_model_version_error(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     future = tmp_path / "future.txt"
     future.write_text("thermoseg-model v99\n" + "".join(lines[1:]))
-    with pytest.raises(nn.ModelVersionError):
+    with pytest.raises(ValidationError):
         nn.load_model(str(future))
 
 
@@ -655,7 +655,7 @@ def test_load_model_corrupt_files(tmp_path):
 
     truncated = tmp_path / "trunc.txt"
     truncated.write_text("".join(lines[:-3]))
-    with pytest.raises(nn.ModelFormatError):
+    with pytest.raises(ValidationError):
         nn.load_model(str(truncated))
 
     # each marker line is checked where the layer sizes put it
@@ -663,22 +663,22 @@ def test_load_model_corrupt_files(tmp_path):
     for index, marker in ((10, "bias"), (len(lines) - 1, "end")):
         moved = tmp_path / "moved.txt"
         moved.write_text("".join(lines[:index] + ["x\n"] + lines[index + 1:]))
-        with pytest.raises(nn.ModelFormatError,
+        with pytest.raises(ValidationError,
                            match=f"moved.txt:{index + 1}: expected '{marker}'"):
             nn.load_model(str(moved))
     trailing = tmp_path / "trailing.txt"
     trailing.write_text("".join(lines) + "1,2\n")
-    with pytest.raises(nn.ModelFormatError,
+    with pytest.raises(ValidationError,
                        match=f"trailing.txt:{len(lines) + 1}: a line after"):
         nn.load_model(str(trailing))
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("".join(lines[:7] + ["1,2\n"] + lines[8:]))
-    with pytest.raises(nn.ModelFormatError, match="ragged.txt:8: "):
+    with pytest.raises(ValidationError, match="ragged.txt:8: "):
         nn.load_model(str(ragged))
 
     not_model = tmp_path / "не.txt"
     not_model.write_text("something\n")
-    with pytest.raises(nn.ModelFormatError):
+    with pytest.raises(ValidationError):
         nn.load_model(str(not_model))
 
     with pytest.raises(FileNotFoundError, match="missing.txt"):

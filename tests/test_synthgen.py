@@ -5,7 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from thermoseg import synthgen
-from thermoseg.synthgen import (NoiseSpec, Region, RegionLayout, SceneError,
+from thermoseg.errors import ValidationError
+from thermoseg.synthgen import (NoiseSpec, Region, RegionLayout,
                                 adiabatic_plate, composite_layout,
                                 eval_profile, four_class_scene, load_scene,
                                 log_polynomial, power_law, render_video)
@@ -15,9 +16,9 @@ def test_power_law_values():
     p = power_law(1.0, -0.5)
     assert eval_profile(p, 4.0) == 0.5
     npt.assert_allclose(eval_profile(p, np.array([1.0, 100.0])), [1.0, 0.1])
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         eval_profile(p, 0.0)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         eval_profile(p, np.array([1.0, -2.0]))
 
 
@@ -67,26 +68,26 @@ def test_log_polynomial_profile():
 
 
 def test_profile_validation():
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         power_law(0.0)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         adiabatic_plate(1.0, 0.0, 1.0)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         adiabatic_plate(1.0, 1.0, 1.0, contrast=1.5)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         log_polynomial([])
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         synthgen.TemperatureProfile("sinusoid")
 
 
 def test_layout_must_tile():
     p = power_law(1.0)
-    with pytest.raises(SceneError):   # gap
+    with pytest.raises(ValidationError):   # gap
         RegionLayout(4, 4, (Region((0, 0, 4, 2), 0, p),))
-    with pytest.raises(SceneError):   # overlap
+    with pytest.raises(ValidationError):   # overlap
         RegionLayout(4, 4, (Region((0, 0, 4, 4), 0, p),
                             Region((0, 0, 1, 1), 1, p)))
-    with pytest.raises(SceneError):   # outside canvas
+    with pytest.raises(ValidationError):   # outside canvas
         RegionLayout(4, 4, (Region((0, 0, 5, 4), 0, p),))
     layout = RegionLayout(4, 4, (Region((0, 0, 4, 2), 0, p),
                                  Region((0, 2, 4, 2), 1, p)))
@@ -104,9 +105,9 @@ def test_composite_layout_counts():
     counts = np.bincount(small.label_mask().labels.ravel())
     npt.assert_array_equal(counts, [12, 4])
 
-    with pytest.raises(SceneError):   # inner rect touching the border
+    with pytest.raises(ValidationError):   # inner rect touching the border
         composite_layout(4, 4, (0, 0, 4, 4), p1, p0)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         composite_layout(10, 10, (5, 5, 5, 5), p1, p0)
 
 
@@ -154,11 +155,11 @@ def test_four_class_scene_geometry():
     assert sorted(np.unique(mask.labels)) == [0, 1, 2, 3]
     assert mask.labels[0, 0] == 0 and mask.labels[0, 9] == 1
     assert mask.labels[7, 0] == 2 and mask.labels[7, 9] == 3
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         four_class_scene(10, 8, (0.3, 0.2, 0.1, 0.0), 5.0, 5.8e-8, 20.0)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         four_class_scene(10, 8, (0.0, -0.1, 0.2, 0.3), 5.0, 5.8e-8, 20.0)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         four_class_scene(10, 8, (0.0, 0.1, 0.2), 5.0, 5.8e-8, 20.0)
 
 
@@ -228,7 +229,7 @@ contrast = 0.8
 def test_scene_file_errors(tmp_path):
     path = tmp_path / "bad.ini"
     path.write_text("[canvas]\nwidth = 4\nheight = 4\n")
-    with pytest.raises(SceneError):    # no timing/regions
+    with pytest.raises(ValidationError):    # no timing/regions
         load_scene(str(path))
     with pytest.raises(FileNotFoundError, match="absent.ini"):
         load_scene(str(tmp_path / "absent.ini"))
@@ -244,5 +245,5 @@ rect = 0 0 4 4
 class = 0
 profile = warp-core
 """)
-    with pytest.raises(SceneError):
+    with pytest.raises(ValidationError):
         load_scene(str(path))
