@@ -100,7 +100,7 @@ def frame_io(repeats):
     width, height, frames = FRAME_IO_SHAPE
     rng = np.random.default_rng(11)
     seq = ingest.FrameSequence(
-        width, height, frames, (np.arange(frames) + 1.0) / (frames / 240.0),
+        (np.arange(frames) + 1.0) / (frames / 240.0),
         rng.uniform(1.0, 254.0, (frames, height, width)), 254.0)
     workers = min(frames, _kernels.worker_count(seq.data.size,
                                                 ingest.MIN_WORKER_VALUES))
@@ -132,8 +132,8 @@ def fit_spread_ms(repeats):
     prefix = rng.integers(0, SPREAD_FRAMES, height * width)
     data[np.arange(frames)[:, None] < prefix] = 1000.0
     return time_calls(_kernels.fit_image, repeats,
-                      data.reshape(frames, height, width), np.log10(t),
-                      1000.0, SPREAD_DEGREE, 1.0 / math.log(10.0))
+                      data.reshape(frames, height, width), t, 1000.0,
+                      SPREAD_DEGREE)
 
 
 def cos_sin(width, repeats):
@@ -194,8 +194,7 @@ def main():
     cos_sin_record = cos_sin(-(-region_map.size // spans), 20 * args.repeats)
 
     data = _kernels.render_frames(base, region_map, 1.0, 42, 0.0, math.inf)
-    fit_args = (data, np.log10(timestamps), math.inf, args.degree,
-                1.0 / math.log(10.0))
+    fit_args = (data, timestamps, math.inf, args.degree)
     t_fit = time_calls(_kernels.fit_image, args.repeats, *fit_args)
     print(f"fit:    {t_fit:10.1f} ms ({spans} workers)")
     t_spread = fit_spread_ms(10 * args.repeats)

@@ -63,6 +63,9 @@ _COS_SIN_POLY = np.array([
 _QUADRANT_SIGN = np.array([[2 ** 62], [0]], dtype=np.int64)
 _SIGN_BIT = np.int64(-2 ** 63)
 
+# fit_image fits log T on log t in this base; the feature header records it
+LOG_BASE = 10.0
+
 # pixels per block in fit_image: a (frames, CHUNK) slab stays in cache
 CHUNK = 256
 
@@ -406,9 +409,9 @@ class _FitWorker:
     reason), which it fills in place. It solves each block's start-frame
     groups where it finds them, so only the window cache spans blocks."""
 
-    def __init__(self, flat, log_t, saturation, degree, inv_ln_base, out):
+    def __init__(self, flat, log_t, saturation, degree, out):
         self.flat, self.log_t, self.saturation = flat, log_t, saturation
-        self.degree, self.inv_ln_base = degree, inv_ln_base
+        self.degree, self.inv_ln_base = degree, 1.0 / math.log(LOG_BASE)
         self.coef, self.rms = out["coef"], out["rms"]
         self.start, self.reason = out["start"], out["reason"]
         # a one-pixel solve runs on two columns
@@ -486,11 +489,13 @@ class _FitWorker:
             return y, np.einsum("fm,fn->mn", q, y)
 
 
-def fit_image(data, log_t, saturation, degree, inv_ln_base):
-    """Least-squares log-log polynomial fit of every pixel history.
+def fit_image(data, timestamps, saturation, degree):
+    """Least-squares log-log polynomial fit of every pixel history, in
+    base LOG_BASE.
 
-    data: (frames, H, W); log_t: (frames,) log timestamps in the working
-    base; inv_ln_base converts natural logs of the data to that base.
+    data: (frames, H, W); timestamps: (frames,) positive seconds;
+    saturation: the sensor ceiling, at or above which a sample is
+    saturated; degree: the polynomial degree.
     Returns (coef (H,W,degree+1) in the raw log-time basis, rms (H,W),
     start (H,W) first fitted frame, reason (H,W) uint8), where reason is
     FITTED for every fitted pixel and names why any other pixel was
@@ -499,7 +504,7 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
     fitted with it.
     """
     data = np.ascontiguousarray(data, dtype=np.float64)
-    log_t = np.ascontiguousarray(log_t, dtype=np.float64)
+    log_t = np.log(timestamps) / math.log(LOG_BASE)
     frame_count, height, width = data.shape
     pixels, m = height * width, degree + 1
     flat = data.reshape(frame_count, pixels)
@@ -511,7 +516,7 @@ def fit_image(data, log_t, saturation, degree, inv_ln_base):
         ("start", np.int64), ("reason", np.uint8)], align=True))
 
     def fit(lo, hi):
-        _FitWorker(flat[:, lo:hi], log_t, saturation, degree, inv_ln_base,
+        _FitWorker(flat[:, lo:hi], log_t, saturation, degree,
                    out[lo:hi]).run()
 
     run_pool(worker_count(pixels, MIN_SPAN), fit, out)

@@ -101,7 +101,7 @@ def cmd_synth(args):
         manifest = write_sequence(seq, args.out)
         mask_path = os.path.join(args.out, "mask.pgm")
         save_mask(scene.layout.label_mask(), mask_path)
-    print(f"wrote {seq.frame_count} frames, {manifest}")
+    print(f"wrote {len(seq.timestamps)} frames, {manifest}")
     print(f"wrote {mask_path}")
     _print_stages(stage)
     return 0
@@ -119,7 +119,7 @@ def cmd_fit(args):
     counts = tsr.reason_counts(image)
     fitted = counts.pop("fitted")
     dropped = ", ".join(f"{n} {name}" for name, n in counts.items())
-    print(f"fitted {fitted}/{image.width * image.height} pixels; "
+    print(f"fitted {fitted}/{image.valid.size} pixels; "
           f"dropped {dropped} (degree {image.degree}, "
           f"{image.feature_count} features) -> {args.out}")
     _print_stages(stage)

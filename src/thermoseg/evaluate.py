@@ -141,7 +141,7 @@ def region_report(label_map, mask):
 
     Regions with no usable pixel are omitted with a warning.
     """
-    if (label_map.width, label_map.height) != (mask.width, mask.height):
+    if label_map.labels.shape != mask.labels.shape:
         raise ValidationError("prediction and mask dimensions differ")
     usable = mask.valid & label_map.valid
     summaries = {}
@@ -226,6 +226,12 @@ def read_matrix_csv(path):
     if not (text and text[0].startswith("actual,")):
         raise ValidationError(f"{path}: not a confusion matrix file")
     names = tuple(text[0].split(",")[1:])
+    # the header names each class once
+    for k, name in enumerate(names):
+        if not name:
+            raise ValidationError(f"{path}:1: class {k} has no name")
+        if name in names[:k]:
+            raise ValidationError(f"{path}:1: class {name!r} named twice")
     rows = [line.partition(",") for line in text[1:]]
     counts = keyfile.rows([row[2] for row in rows], len(names), len(names),
                           path, 2, np.int64)

@@ -91,10 +91,10 @@ def assemble(image, mask):
     least one row; a class wiped out by fit failures is an error, not a
     silent shrink.
     """
-    if (image.width, image.height) != (mask.width, mask.height):
-        raise ValidationError(
-            f"feature image {image.width}x{image.height} does not match "
-            f"mask {mask.width}x{mask.height}")
+    (h, w), (mask_h, mask_w) = image.valid.shape, mask.labels.shape
+    if (h, w) != (mask_h, mask_w):
+        raise ValidationError(f"feature image {w}x{h} does not match "
+                              f"mask {mask_w}x{mask_h}")
     usable = mask.valid & image.valid & (mask.labels != INVALID_LABEL)
     present = np.unique(mask.labels[mask.valid & (mask.labels != INVALID_LABEL)])
     if present.size == 0:

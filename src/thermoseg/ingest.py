@@ -56,26 +56,20 @@ def check_timestamps(t):
 class FrameSequence:
     """A time-ordered stack of 2-D frames with strictly increasing timestamps.
 
-    data is (frame_count, height, width) float64; timestamps are seconds
-    since the excitation flash, all positive so log-time is defined.
+    data is (frames, height, width) float64; timestamps are seconds since
+    the excitation flash, all positive so log-time is defined.
     """
-    width: int
-    height: int
-    frame_count: int
     timestamps: np.ndarray
     data: np.ndarray
     saturation_value: float
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1 or self.frame_count < 1:
-            raise ValidationError("width, height and frame_count must be >= 1")
-        if self.timestamps.shape != (self.frame_count,):
+        if self.data.ndim != 3 or self.data.size == 0:
+            raise ValidationError("data must be a non-empty "
+                                  "(frames, height, width) stack")
+        if self.timestamps.shape != self.data.shape[:1]:
             raise ValidationError("timestamp count must equal frame count")
         check_timestamps(self.timestamps)
-        if self.data.shape != (self.frame_count, self.height, self.width):
-            raise ValidationError(
-                f"data shape {self.data.shape} does not match "
-                f"({self.frame_count}, {self.height}, {self.width})")
 
 
 @dataclass(frozen=True)
@@ -85,16 +79,14 @@ class LabelMask:
     Pixels loaded as invalid carry the sentinel label 255 and behave as
     their own class when boundaries are trimmed.
     """
-    width: int
-    height: int
     labels: np.ndarray
     valid: np.ndarray
 
     def __post_init__(self):
-        if self.labels.shape != (self.height, self.width):
-            raise ValidationError("label shape does not match mask dimensions")
-        if self.valid.shape != (self.height, self.width):
-            raise ValidationError("valid shape does not match mask dimensions")
+        if self.labels.ndim != 2:
+            raise ValidationError("labels must be a 2-D array")
+        if self.valid.shape != self.labels.shape:
+            raise ValidationError("valid shape does not match label shape")
 
 
 def _read_frame(path, height, width):
@@ -137,8 +129,7 @@ def load_sequence(path):
 
     _kernels.run_pool(_kernels.worker_count(data[1:].size, MIN_WORKER_VALUES),
                       parse, data[1:])
-    return FrameSequence(width, height, len(frames), np.array(stamps), data,
-                         saturation)
+    return FrameSequence(np.array(stamps), data, saturation)
 
 
 def write_sequence(seq, out_dir):
@@ -150,7 +141,7 @@ def write_sequence(seq, out_dir):
     """
     frame_dir = os.path.join(out_dir, "frames")
     os.makedirs(frame_dir, exist_ok=True)
-    frames = seq.frame_count
+    frames, height, width = seq.data.shape
     names = [f"frame_{i:05d}.csv" for i in range(frames)]
 
     def write(lo, hi):
@@ -164,8 +155,8 @@ def write_sequence(seq, out_dir):
                       write, np.empty((frames, 0)))
     manifest_path = os.path.join(out_dir, "manifest.txt")
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(f"width = {seq.width}\n")
-        fh.write(f"height = {seq.height}\n")
+        fh.write(f"width = {width}\n")
+        fh.write(f"height = {height}\n")
         fh.write(f"saturation_value = {repr(float(seq.saturation_value))}\n")
         fh.write("timestamps = "
                  + " ".join(repr(float(t)) for t in seq.timestamps) + "\n")
@@ -183,12 +174,11 @@ def trim_mask(mask, margin):
     """
     if margin < 0:
         raise ValidationError("margin must be >= 0")
-    height, width = mask.height, mask.width
     labels = mask.labels
+    height, width = labels.shape
     if 2 * margin >= min(height, width):
         # every pixel lies within the margin of an edge
-        return LabelMask(width, height, labels.copy(),
-                         np.zeros((height, width), dtype=bool))
+        return LabelMask(labels.copy(), np.zeros(labels.shape, dtype=bool))
     near_boundary = np.zeros((height, width), dtype=bool)
     for dy in range(-margin, margin + 1):
         for dx in range(-margin, margin + 1):
@@ -201,7 +191,7 @@ def trim_mask(mask, margin):
     edge = np.ones((height, width), dtype=bool)
     edge[margin:height - margin, margin:width - margin] = False
     valid = mask.valid & ~near_boundary & ~edge
-    return LabelMask(width, height, labels.copy(), valid)
+    return LabelMask(labels.copy(), valid)
 
 
 def save_mask(mask, path):
@@ -218,6 +208,4 @@ def save_mask(mask, path):
 def load_mask(path):
     """Read a PGM mask; 255 pixels are invalid and keep the sentinel label."""
     image = read_pgm(path)
-    height, width = image.shape
-    valid = image != INVALID_LABEL
-    return LabelMask(width, height, image.astype(np.int64), valid)
+    return LabelMask(image.astype(np.int64), image != INVALID_LABEL)

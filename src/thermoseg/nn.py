@@ -326,7 +326,7 @@ class TrainConfig:
     epochs: int = 0               # 0 = unbounded, rely on max_steps
     max_steps: int = 0            # 0 = unbounded, rely on epochs
     early_stopping: Optional[tuple] = None  # (checks_apart, consecutive)
-    trace_every: int = 0          # 0 = epoch boundaries when no early stop
+    trace_every: int = 0          # 0 = each epoch; refused with early_stopping
     seed: int = 0
 
     def __post_init__(self):
@@ -349,6 +349,10 @@ class TrainConfig:
         if stop is not None and (len(stop) != 2 or min(stop) < 1):
             raise ValidationError(f"early_stopping takes two integers >= 1, "
                                   f"got {stop}")
+        if stop is not None and self.trace_every:
+            raise ValidationError(
+                "trace_every and early_stopping cannot both be set: "
+                "early_stopping's first number is the check interval")
 
 
 def lr_at(config, step):
@@ -453,12 +457,8 @@ def train(model, train_ds, val_ds, config):
     runner = _TrainStep(model, batches.width)
     current = runner.model
     steps_per_epoch = batches.steps_per_epoch
-    if stopper is not None:
-        check_every = stopper.checks_apart
-    elif config.trace_every > 0:
-        check_every = config.trace_every
-    else:
-        check_every = steps_per_epoch
+    check_every = (stopper.checks_apart if stopper is not None
+                   else config.trace_every or steps_per_epoch)
 
     eval_x = train_ds.vectors[:_EVAL_CAP]
     eval_y = train_ds.labels[:_EVAL_CAP]
@@ -469,10 +469,13 @@ def train(model, train_ds, val_ds, config):
             (config.epochs * steps_per_epoch, "epoch-budget"),
             (config.max_steps, "step-budget")) if limit > 0)
 
-    def measure(step, epoch):
+    def measure(step):
+        """Record the losses after `step` steps, in epoch (step - 1) //
+        steps_per_epoch, counted from 0."""
         t_loss, t_acc = evaluate(current, eval_x, eval_y)
         v_loss, v_acc = evaluate(current, val_ds.vectors, val_ds.labels)
-        trace.record(step, epoch, t_loss, v_loss, t_acc, v_acc)
+        trace.record(step, (step - 1) // steps_per_epoch, t_loss, v_loss,
+                     t_acc, v_acc)
         return t_loss, v_loss
 
     step = 0
@@ -495,7 +498,7 @@ def train(model, train_ds, val_ds, config):
             step += 1
             if step % check_every:
                 continue
-            t_loss, v_loss = measure(step, (step - 1) // steps_per_epoch)
+            t_loss, v_loss = measure(step)
             if not (math.isfinite(t_loss) and math.isfinite(v_loss)):
                 raise ComputeError(f"non-finite loss at step {step}")
             if stopper is not None and stopper.update(step, v_loss,
@@ -506,7 +509,7 @@ def train(model, train_ds, val_ds, config):
                 break
     trace.seconds = time.perf_counter() - started
     if trace.steps[-1:] != [step]:
-        measure(step, (step + steps_per_epoch - 1) // steps_per_epoch)
+        measure(step)
 
     final = replace(model, weights=tuple(w.copy() for w in runner.weights),
                     biases=tuple(b.copy() for b in runner.biases))
@@ -534,9 +537,7 @@ def predict_map(model, image):
     for lo in range(0, idx.shape[0], 65536):
         sub = idx[lo:lo + 65536]
         labels[sub] = predict(model, flat[sub])
-    return LabelMask(image.width, image.height,
-                     labels.reshape(image.height, image.width),
-                     flags.reshape(image.height, image.width).copy())
+    return LabelMask(labels.reshape(image.valid.shape), image.valid.copy())
 
 
 # ---------------------------------------------------------------------------

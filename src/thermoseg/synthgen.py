@@ -169,8 +169,7 @@ class RegionLayout:
         for region in self.regions:
             x0, y0, w, h = region.rect
             out[y0:y0 + h, x0:x0 + w] = region.class_id
-        return LabelMask(self.width, self.height, out,
-                         np.ones((self.height, self.width), dtype=bool))
+        return LabelMask(out, np.ones(out.shape, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -216,8 +215,7 @@ def render_video(layout, timestamps, noise, clamp=(0.0, math.inf)):
     data = _kernels.render_frames(base, layout.region_map(), noise.sigma,
                                   noise.seed, lo, hi)
     saturation = hi if math.isfinite(hi) else math.inf
-    return FrameSequence(layout.width, layout.height, timestamps.size,
-                         timestamps, data, saturation)
+    return FrameSequence(timestamps, data, saturation)
 
 
 def composite_layout(width, height, inner_rect, inner_profile, outer_profile):

@@ -10,7 +10,6 @@ Derivative polynomials with respect to log time come from term-wise
 calculus on the fit.
 """
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,8 +21,6 @@ from .errors import ValidationError
 PACK_TRUNCATED = "concat-truncated"
 PACK_PADDED = "concat-padded"
 _PACKINGS = (PACK_TRUNCATED, PACK_PADDED)
-
-_LOG_BASE = 10.0             # the feature header records it
 
 
 def feature_length(degree, packing):
@@ -42,8 +39,6 @@ class FeatureImage:
     _kernels.REASONS) are fit diagnostics that do not survive
     serialization.
     """
-    width: int
-    height: int
     degree: int
     packing: str
     values: np.ndarray            # (H, W, L)
@@ -52,13 +47,12 @@ class FeatureImage:
     reason: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        length = feature_length(self.degree, self.packing)
-        if self.values.shape != (self.height, self.width, length):
-            raise ValidationError(
-                f"values shape {self.values.shape} does not match "
-                f"({self.height}, {self.width}, {length})")
-        if self.valid.shape != (self.height, self.width):
-            raise ValidationError("valid mask shape mismatch")
+        if self.valid.ndim != 2:
+            raise ValidationError("valid must be a 2-D array")
+        want = self.valid.shape + (feature_length(self.degree, self.packing),)
+        if self.values.shape != want:
+            raise ValidationError(f"values shape {self.values.shape} does "
+                                  f"not match {want}")
 
     @property
     def feature_count(self):
@@ -93,16 +87,14 @@ def fit_sequence(seq, degree, packing=PACK_PADDED):
         raise ValidationError("feature packing needs degree >= 2")
     if packing not in _PACKINGS:
         raise ValidationError(f"unknown packing {packing!r}")
-    ln_base = math.log(_LOG_BASE)
-    log_t = np.log(seq.timestamps) / ln_base
     coef, rms, _, reason = _kernels.fit_image(
-        seq.data, log_t, seq.saturation_value, degree, 1.0 / ln_base)
+        seq.data, seq.timestamps, seq.saturation_value, degree)
     valid = reason == _kernels.FITTED
     values = _pack_image(coef, degree, packing)
     values[~valid] = 0.0
     # copies: field views would keep the fit's whole records alive
-    return FeatureImage(seq.width, seq.height, degree, packing, values,
-                        valid, rms.copy(), reason.copy())
+    return FeatureImage(degree, packing, values, valid, rms.copy(),
+                        reason.copy())
 
 
 def reason_counts(image):
@@ -123,12 +115,13 @@ def write_feature_image(image, path):
     """Header lines then one CSV row per pixel: valid flag + features."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {_MAGIC}\n")
-        fh.write(f"width = {image.width}\n")
-        fh.write(f"height = {image.height}\n")
+        height, width = image.valid.shape
+        fh.write(f"width = {width}\n")
+        fh.write(f"height = {height}\n")
         fh.write(f"degree = {image.degree}\n")
         fh.write(f"packing = {image.packing}\n")
         # both lines are fixed; the file layout keeps them
-        fh.write(f"log_base = {_LOG_BASE!r}\n")
+        fh.write(f"log_base = {_kernels.LOG_BASE!r}\n")
         fh.write("scaling_pending = 1\n")
         # the flag prints as 1 or 0 at %.17g
         keyfile.write_rows(fh, np.column_stack((
@@ -145,7 +138,7 @@ def read_feature_image(path):
     width, height = head.integer("width", 1), head.integer("height", 1)
     degree = head.integer("degree", 2)
     packing = head.text("packing", choices=_PACKINGS)
-    head.text("log_base", choices=(repr(_LOG_BASE),))
+    head.text("log_base", choices=(repr(_kernels.LOG_BASE),))
     head.text("scaling_pending", choices=("1",))
     keys.finish()
     length = feature_length(degree, packing)
@@ -160,6 +153,5 @@ def read_feature_image(path):
     if bad.size:
         raise ValidationError(f"{path}: row {bad[0]} is flagged valid but "
                               f"holds a non-finite value")
-    return FeatureImage(width, height, degree, packing,
-                        values.reshape(height, width, length),
+    return FeatureImage(degree, packing, values.reshape(height, width, length),
                         valid.reshape(height, width))

@@ -137,13 +137,13 @@ def first_unsaturated_frame(seq, pixel):
     """Smallest frame index from which (row, col) stays strictly below the
     saturation value for every later frame."""
     row, col = pixel
-    if not (0 <= row < seq.height and 0 <= col < seq.width):
-        raise ValidationError(
-            f"pixel {pixel} outside {seq.width}x{seq.height}")
+    frames, height, width = seq.data.shape
+    if not (0 <= row < height and 0 <= col < width):
+        raise ValidationError(f"pixel {pixel} outside {width}x{height}")
     values = seq.data[:, row, col]
     saturated = np.nonzero(values >= seq.saturation_value)[0]
     start = 0 if saturated.size == 0 else int(saturated[-1]) + 1
-    if start >= seq.frame_count:
+    if start >= frames:
         raise SaturatedPixelError(
             f"pixel {pixel} is saturated through the final frame")
     return start

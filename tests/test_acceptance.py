@@ -134,7 +134,7 @@ def test_four_class_binary_accuracy_recounts_from_matrix(four_class_run):
 
 def _fit_features(series, t, degree):
     """Padded feature row of one pixel history, fitted by fit_sequence."""
-    seq = FrameSequence(1, 1, t.shape[0], t, series[:, None, None], np.inf)
+    seq = FrameSequence(t, series[:, None, None], np.inf)
     image = tsr.fit_sequence(seq, degree)
     assert image.valid[0, 0]
     return image.values[0, 0]

@@ -478,12 +478,22 @@ MALFORMED_INPUTS = [
     ("matrix row without a name", "mx.csv", "actual,a,b\na,1,0\n,0,1\n",
      ["eval", "--matrix", "{path}"],
      "mx.csv:3: row named '', the header's class there is 'b'"),
+    # the header names each class once
+    ("matrix class named twice", "mx.csv", "actual,a,a\na,1,0\na,0,1\n",
+     ["eval", "--matrix", "{path}"], "mx.csv:1: class 'a' named twice"),
+    ("matrix class without a name", "mx.csv", "actual,,b\n,1,0\nb,0,1\n",
+     ["eval", "--matrix", "{path}"], "mx.csv:1: class 0 has no name"),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),
     ("fit log base in config", "c.ini", "[tsr]\nlog_base = 10\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "'log_base'"),
+    # early_stopping's first number sets the check interval, so a run
+    # with both would ignore trace_every
+    ("trace_every beside early_stopping", "c.ini",
+     "[nn]\nmax_steps = 20\nearly_stopping = 100 3\ntrace_every = 7\n",
+     TRAIN_PIPELINE, "trace_every and early_stopping cannot both be set"),
     ("nan learning rate", "c.ini", "[nn]\nlearning_rate = nan\n", TRAIN,
      "learning_rate"),
     ("negative max_steps", "c.ini", "[nn]\nmax_steps = -5\n", TRAIN,
@@ -650,7 +660,7 @@ def test_fit_reports_drop_reasons(tmp_path, capsys):
     stack[2, 0, 3] = 0.0           # log undefined
     stack[:5, 0, 4] = 99.0         # one log-time value left
     t = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 1e15, 1e15 + 0.125, 1e15 + 0.25])
-    manifest = write_sequence(FrameSequence(5, 1, 8, t, stack, 99.0),
+    manifest = write_sequence(FrameSequence(t, stack, 99.0),
                               str(tmp_path / "v"))
     config = tmp_path / "c.ini"
     config.write_text("[tsr]\ndegree = 2\n")
@@ -796,12 +806,13 @@ def test_perfbench_readers_match_the_package(pipeline, monkeypatch, capsys,
     workloads = importlib.import_module("workloads")
     checks = importlib.import_module("checks")
     image = tsr.read_feature_image(str(pipeline["features"]))
-    rows = [0, 5, image.height - 1]
+    height, width = image.valid.shape
+    rows = [0, 5, height - 1]
     # cli-2class skips seven header lines before the feature body
     lines = pipeline["features"].read_text().splitlines()
-    assert len(lines) == 7 + image.width * image.height
+    assert len(lines) == 7 + image.valid.size
     flags, values = workloads._read_feature_rows(str(pipeline["features"]),
-                                                 image.width, rows)
+                                                 width, rows)
     np.testing.assert_array_equal(flags, image.valid[rows].ravel())
     np.testing.assert_array_equal(
         values, image.values[rows].reshape(-1, image.feature_count))
@@ -810,7 +821,7 @@ def test_perfbench_readers_match_the_package(pipeline, monkeypatch, capsys,
     seq = load_sequence(str(pipeline["manifest"]))
     np.testing.assert_array_equal(stamps, seq.timestamps)
     np.testing.assert_array_equal(
-        series, seq.data[:, rows].reshape(seq.frame_count, -1))
+        series, seq.data[:, rows].reshape(len(seq.timestamps), -1))
     mask = load_mask(str(pipeline["mask"]))
     np.testing.assert_array_equal(checks.read_pgm(str(pipeline["mask"])),
                                   mask.labels)

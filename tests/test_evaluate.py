@@ -13,7 +13,7 @@ def _map_from(labels, valid=None):
     labels = np.asarray(labels, dtype=np.int64)
     if valid is None:
         valid = np.ones(labels.shape, dtype=bool)
-    return LabelMask(labels.shape[1], labels.shape[0], labels, valid)
+    return LabelMask(labels, valid)
 
 
 # ---------------------------------------------------------------------------

@@ -25,10 +25,10 @@ def _image_and_mask(height=6, width=8, classes=2):
     rng = np.random.default_rng(9)
     values = rng.normal(size=(height, width, 9))
     valid = np.ones((height, width), dtype=bool)
-    image = tsr.FeatureImage(width, height, 2, tsr.PACK_PADDED, values, valid)
+    image = tsr.FeatureImage(2, tsr.PACK_PADDED, values, valid)
     labels = (np.arange(height * width).reshape(height, width) % classes)
     labels = labels.astype(np.int64)
-    mask = LabelMask(width, height, labels, np.ones((height, width), bool))
+    mask = LabelMask(labels, np.ones((height, width), bool))
     return image, mask
 
 
@@ -43,7 +43,7 @@ def test_assemble_counts_and_provenance():
     assert ds.feature_count == 9
     assert ds.class_count == 2
     # rows follow the documented np.nonzero order of the usable pixels
-    rows, cols = np.nonzero(np.ones((mask.height, mask.width), dtype=bool))
+    rows, cols = np.nonzero(np.ones(mask.labels.shape, dtype=bool))
     npt.assert_array_equal(ds.vectors, image.values[rows, cols])
     npt.assert_array_equal(ds.labels, mask.labels[rows, cols])
 
@@ -55,7 +55,7 @@ def test_assemble_skips_invalid_pixels():
     mask.labels[2, 2] = INVALID_LABEL
     ds = features.assemble(image, mask)
     assert ds.size == 45
-    usable = np.ones((mask.height, mask.width), dtype=bool)
+    usable = np.ones(mask.labels.shape, dtype=bool)
     usable[0, 0] = usable[1, 1] = usable[2, 2] = False
     rows, cols = np.nonzero(usable)
     npt.assert_array_equal(ds.vectors, image.values[rows, cols])
@@ -63,9 +63,9 @@ def test_assemble_skips_invalid_pixels():
 
 def test_assemble_errors():
     image, mask = _image_and_mask()
-    narrow = LabelMask(mask.width - 1, mask.height,
-                       mask.labels[:, :-1], mask.valid[:, :-1])
-    with pytest.raises(ValidationError):
+    narrow = LabelMask(mask.labels[:, :-1], mask.valid[:, :-1])
+    with pytest.raises(ValidationError,
+                       match="feature image 8x6 does not match mask 7x6"):
         features.assemble(image, narrow)
 
     # class 1 loses every pixel to fit failures

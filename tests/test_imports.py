@@ -332,3 +332,43 @@ def test_errors_are_the_only_exception_classes():
         "class C(Exception): pass\nclass D: pass\ndef f(x, error=E): pass\n"
         "def g(*, error): pass\ndef h(errors): pass\nlambda error: 0\n"
         "class E(object): pass\n")) == [1, 2, 3, 5, 6, 8]
+
+
+def _sized_array_classes(tree):
+    """Names of the frozen dataclasses that declare an np.ndarray field
+    beside a field named width, height or frame_count."""
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(d, ast.Call)
+                and getattr(d.func, "id", None) == "dataclass"
+                and any(k.arg == "frozen" and getattr(k.value, "value", 0)
+                        for k in d.keywords)
+                for d in node.decorator_list):
+            continue
+        fields = {f.target.id: ast.dump(f.annotation) for f in node.body
+                  if isinstance(f, ast.AnnAssign)
+                  and isinstance(f.target, ast.Name)}
+        if (fields.keys() & {"width", "height", "frame_count"}
+                and any("attr='ndarray'" in a for a in fields.values())):
+            found.append(node.name)
+    return found
+
+
+def test_arrays_carry_their_own_size():
+    # a size field beside the array that holds it is a second copy of the
+    # size that every constructor must keep consistent
+    found = {p.name: _sized_array_classes(
+        ast.parse(p.read_text(encoding="utf-8")))
+        for p in sorted(PACKAGE.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+    assert _sized_array_classes(ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    width: int\n"
+        "    data: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass B:\n    frame_count: int\n"
+        "    rms: Optional[np.ndarray] = None\n"
+        "@dataclass(frozen=True)\nclass C:\n    width: int\n"
+        "    regions: tuple\n"
+        "@dataclass\nclass D:\n    height: int\n    data: np.ndarray\n"
+        "@dataclass(frozen=True)\nclass E:\n    data: np.ndarray\n")) == [
+        "A", "B"]

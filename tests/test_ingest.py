@@ -18,24 +18,40 @@ def make_sequence(frames=5, height=3, width=4, saturation=np.inf):
     rng = np.random.default_rng(0)
     data = rng.uniform(1.0, 9.0, (frames, height, width))
     ts = np.linspace(0.5, 2.5, frames)
-    return FrameSequence(width, height, frames, ts, data, saturation)
+    return FrameSequence(ts, data, saturation)
 
 
 def test_sequence_validation():
     seq = make_sequence()
     assert seq.data.shape == (5, 3, 4)
     with pytest.raises(ValidationError):
-        FrameSequence(4, 3, 5, np.array([1.0, 2.0]), seq.data, np.inf)
+        FrameSequence(np.array([1.0, 2.0]), seq.data, np.inf)
     with pytest.raises(ValidationError):
-        FrameSequence(4, 3, 5, np.array([0.0, 1, 2, 3, 4.0]), seq.data, np.inf)
+        FrameSequence(np.array([0.0, 1, 2, 3, 4.0]), seq.data, np.inf)
     with pytest.raises(ValidationError):
-        FrameSequence(4, 3, 5, np.array([1.0, 2, 2, 3, 4.0]), seq.data, np.inf)
+        FrameSequence(np.array([1.0, 2, 2, 3, 4.0]), seq.data, np.inf)
     for bad in (np.nan, np.inf):
         with pytest.raises(ValidationError):
-            FrameSequence(4, 3, 5, np.array([1.0, 2, bad, 3, 4.0]), seq.data,
-                          np.inf)
-    with pytest.raises(ValidationError):
-        FrameSequence(5, 3, 5, seq.timestamps, seq.data, np.inf)
+            FrameSequence(np.array([1.0, 2, bad, 3, 4.0]), seq.data, np.inf)
+
+
+def test_sequence_shape_mismatch():
+    seq = make_sequence()
+    for data in (seq.data[0], seq.data[:, :, :0], seq.data[..., None]):
+        with pytest.raises(ValidationError, match="non-empty"):
+            FrameSequence(seq.timestamps, data, np.inf)
+    for stamps in (seq.timestamps[:, None], seq.timestamps[:4]):
+        with pytest.raises(ValidationError, match="timestamp count"):
+            FrameSequence(stamps, seq.data, np.inf)
+
+
+def test_mask_shape_mismatch():
+    labels = np.zeros((3, 4), dtype=np.int64)
+    with pytest.raises(ValidationError, match="2-D"):
+        LabelMask(labels[0], np.ones(4, bool))
+    for valid in (np.ones((4, 3), bool), np.ones((3, 4, 1), bool)):
+        with pytest.raises(ValidationError, match="valid shape"):
+            LabelMask(labels, valid)
 
 
 def test_write_then_load_round_trip(tmp_path):
@@ -45,7 +61,7 @@ def test_write_then_load_round_trip(tmp_path):
     seq.data[0, 0] = [0.1 + 0.2, np.nextafter(1.0, 2.0), 5e-324]
     manifest = write_sequence(seq, str(tmp_path))
     back = load_sequence(manifest)
-    assert (back.width, back.height, back.frame_count) == (3, 2, 4)
+    assert back.data.shape == (4, 2, 3)
     assert back.data.tobytes() == seq.data.tobytes()
     npt.assert_array_equal(back.timestamps, seq.timestamps)
     assert back.saturation_value == 100.0
@@ -87,10 +103,10 @@ def test_first_unsaturated_frame():
     seq = make_sequence(saturation=8.0)
     data = seq.data.copy()
     data[:3, 1, 2] = 9.0
-    seq2 = FrameSequence(4, 3, 5, seq.timestamps, np.minimum(data, 12.0), 8.0)
+    seq2 = FrameSequence(seq.timestamps, np.minimum(data, 12.0), 8.0)
     assert first_unsaturated_frame(seq2, (1, 2)) == 3
     data[:, 0, 0] = 9.0
-    seq3 = FrameSequence(4, 3, 5, seq.timestamps, data, 8.0)
+    seq3 = FrameSequence(seq.timestamps, data, 8.0)
     with pytest.raises(SaturatedPixelError):
         first_unsaturated_frame(seq3, (0, 0))
     with pytest.raises(ValidationError):
@@ -98,7 +114,7 @@ def test_first_unsaturated_frame():
 
 
 def brute_force_trim(mask, margin):
-    height, width = mask.height, mask.width
+    height, width = mask.labels.shape
     valid = np.zeros_like(mask.valid)
     for r in range(height):
         for c in range(width):
@@ -123,7 +139,7 @@ def test_trim_mask_matches_brute_force():
         height, width = int(rng.integers(6, 14)), int(rng.integers(6, 14))
         labels = rng.integers(0, 3, (height, width)).astype(np.int64)
         valid = rng.random((height, width)) > 0.1
-        mask = LabelMask(width, height, labels, valid)
+        mask = LabelMask(labels, valid)
         margin = int(rng.integers(0, 4))
         got = trim_mask(mask, margin)
         npt.assert_array_equal(got.valid, brute_force_trim(mask, margin))
@@ -134,7 +150,7 @@ def test_trim_mask_huge_margin_returns_at_once():
     # a margin of max(height, width) already invalidates every pixel
     rng = np.random.default_rng(6)
     labels = rng.integers(0, 3, (6, 9)).astype(np.int64)
-    mask = LabelMask(9, 6, labels, np.ones((6, 9), bool))
+    mask = LabelMask(labels, np.ones((6, 9), bool))
     for margin in range(2, 10):
         npt.assert_array_equal(trim_mask(mask, margin).valid,
                                brute_force_trim(mask, margin))
@@ -147,7 +163,7 @@ def test_trim_mask_idempotent_and_never_revalidates():
     rng = np.random.default_rng(9)
     labels = rng.integers(0, 4, (20, 20)).astype(np.int64)
     valid = rng.random((20, 20)) > 0.2
-    mask = LabelMask(20, 20, labels, valid)
+    mask = LabelMask(labels, valid)
     once = trim_mask(mask, 2)
     twice = trim_mask(once, 2)
     npt.assert_array_equal(once.valid, twice.valid)
@@ -159,7 +175,7 @@ def test_trim_quadrants_interior_counts():
     labels = np.zeros((16, 20), dtype=np.int64)
     labels[:, 10:] += 1
     labels[8:, :] += 2
-    mask = LabelMask(20, 16, labels, np.ones((16, 20), bool))
+    mask = LabelMask(labels, np.ones((16, 20), bool))
     out = trim_mask(mask, 3)
     for cls in range(4):
         assert (out.valid & (labels == cls)).sum() == 4 * 2
@@ -168,7 +184,7 @@ def test_trim_quadrants_interior_counts():
 def test_mask_pgm_round_trip(tmp_path):
     labels = np.array([[0, 1, 2], [3, 1, 0]], dtype=np.int64)
     valid = np.array([[True, True, False], [True, False, True]])
-    mask = LabelMask(3, 2, labels, valid)
+    mask = LabelMask(labels, valid)
     path = str(tmp_path / "mask.pgm")
     save_mask(mask, path)
     back = load_mask(path)
@@ -187,9 +203,9 @@ def test_save_mask_refuses_valid_labels_outside_a_byte(tmp_path):
                            (-1, "class ids < 0")):
         labels = np.array([[0, label, 1]], dtype=np.int64)
         with pytest.raises(ValidationError, match=message):
-            save_mask(LabelMask(3, 1, labels, valid), path)
+            save_mask(LabelMask(labels, valid), path)
     # an invalid pixel's label is not written, so it may be anything
-    save_mask(LabelMask(3, 1, np.array([[0, 254, -7]]), valid), path)
+    save_mask(LabelMask(np.array([[0, 254, -7]]), valid), path)
     npt.assert_array_equal(load_mask(path).labels, [[0, 254, 255]])
 
 

@@ -258,8 +258,8 @@ def test_fit_recovers_exact_polynomial():
         coeffs = rng.uniform(-1, 1, degree + 1)
         series = _poly_series(coeffs, log_t)
         data = np.tile(series[:, None, None], (1, 2, 2))
-        coef, rms, start, reason = _kernels.fit_image(
-            data, log_t, np.inf, degree, 1.0 / np.log(10.0))
+        coef, rms, start, reason = _kernels.fit_image(data, t, np.inf,
+                                                      degree)
         assert (reason == _kernels.FITTED).all()
         assert start.max() == 0
         npt.assert_allclose(coef[0, 0], coeffs, atol=1e-9)
@@ -272,8 +272,7 @@ def test_fit_skips_saturated_prefix():
     series = _poly_series(np.array([1.0, -0.5]), log_t)
     data = np.tile(series[:, None, None], (1, 1, 2))
     data[:7, 0, 0] = 300.0  # saturated prefix on one pixel only
-    coef, rms, start, reason = _kernels.fit_image(
-        data, log_t, 300.0, 2, 1.0 / np.log(10.0))
+    coef, rms, start, reason = _kernels.fit_image(data, t, 300.0, 2)
     assert (reason == _kernels.FITTED).all()
     assert start[0, 0] == 7 and start[0, 1] == 0
     npt.assert_allclose(coef[0, 0], [1.0, -0.5, 0.0], atol=1e-9)
@@ -282,12 +281,10 @@ def test_fit_skips_saturated_prefix():
 
 def test_fit_flags_short_and_nonpositive_pixels():
     t = np.array([1.0, 2.0, 4.0, 8.0])
-    log_t = np.log10(t)
     data = np.ones((4, 1, 3))
     data[:, 0, 1] = [50.0, 50.0, 50.0, 2.0]   # saturated until frame 3
     data[2, 0, 2] = -1.0                      # log undefined
-    coef, rms, start, reason = _kernels.fit_image(
-        data, log_t, 50.0, 2, 1.0 / np.log(10.0))
+    coef, rms, start, reason = _kernels.fit_image(data, t, 50.0, 2)
     npt.assert_array_equal(reason[0], [_kernels.FITTED,
                                        _kernels.TOO_FEW_FRAMES,
                                        _kernels.NON_POSITIVE])
@@ -315,8 +312,7 @@ def test_fit_block_boundaries(monkeypatch):
     # between two pixels of different kinds
     data, t, kind = _mixed_window_cube(7, 83, 60, 31)
     assert 2 * _kernels.CHUNK <= kind.size and kind.size % _kernels.CHUNK
-    log_t = np.log10(t)
-    args = (log_t, 1000.0, 4, 1.0 / np.log(10.0))
+    args = (t, 1000.0, 4)
     coef, rms, start, reason = _kernels.fit_image(data, *args)
 
     want_start = np.choose(kind, [0, 3, 8, 17, 0, 58, 60])
@@ -354,7 +350,7 @@ def _edge_cube():
     data[:9, :12, :7] = 1000.0
     data[:30, 5, 20] = 1000.0
     data[400, 3, 30] = -1.0
-    return data, (np.log10(t), 1000.0, 4, 1.0 / np.log(10.0))
+    return data, (t, 1000.0, 4)
 
 
 @pytest.mark.parametrize("width", [1, 7, 255, 256, 411])
@@ -400,10 +396,10 @@ def test_fit_bytes_do_not_depend_on_blas_threads():
 def test_fit_memory_stays_below_half_the_cube():
     # a 29.5 MB cube: the fit's own allocations stay block-sized
     data = np.random.default_rng(5).uniform(1.0, 2.0, (1200, 48, 64))
-    log_t = np.log10(np.arange(1200) + 1.0)
+    t = np.arange(1200) + 1.0
     tracemalloc.start()
     try:
-        _kernels.fit_image(data, log_t, np.inf, 4, 1.0 / np.log(10.0))
+        _kernels.fit_image(data, t, np.inf, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -509,7 +505,7 @@ def _uniform_cube():
     rng = np.random.default_rng(41)
     t = np.arange(80) + 1.0
     data = 200.0 * t[:, None] ** -0.5 + rng.normal(0.0, 0.5, (80, 1500))
-    return data.reshape(80, 30, 50), np.log10(t), np.inf
+    return data.reshape(80, 30, 50), t, np.inf
 
 
 def _mixed_cube():
@@ -517,7 +513,7 @@ def _mixed_cube():
     pixels, so the oracle's queue fills whole gathers and leaves tails."""
     data, t, kind = _mixed_window_cube(40, 90, 60, 5)
     assert (np.bincount(kind.ravel()) > CHUNK).all()
-    return data, np.log10(t), 1000.0
+    return data, t, 1000.0
 
 
 def _bad_sample_cube():
@@ -530,7 +526,7 @@ def _bad_sample_cube():
         data[10 + row, row, 3 * row + 1] = value
     # the blocks are pixels 0-265, 266-532 and 533-799
     data[25, 10:, :] = -1.0
-    return data, np.log10(t), 5.0
+    return data, t, 5.0
 
 
 def _spread_cube():
@@ -545,7 +541,7 @@ def _spread_cube():
     sizes = [np.unique(prefix[a:a + CHUNK], return_counts=True)[1]
              for a in range(0, 1500, CHUNK)]
     assert min(map(len, sizes)) > 30 and (np.concatenate(sizes) == 1).any()
-    return data.reshape(120, 30, 50), np.log10(t), 1000.0
+    return data.reshape(120, 30, 50), t, 1000.0
 
 
 FIT_CUBES = {"uniform": _uniform_cube, "mixed": _mixed_cube,
@@ -555,9 +551,12 @@ FIT_CUBES = {"uniform": _uniform_cube, "mixed": _mixed_cube,
 @pytest.mark.parametrize("workers", [1, 2, 3, 7])
 @pytest.mark.parametrize("cube", sorted(FIT_CUBES))
 def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
-    data, log_t, saturation = FIT_CUBES[cube]()
-    args = (data, log_t, saturation, 4, 1.0 / math.log(10.0))
-    want = _serial_fit(*args)
+    data, t, saturation = FIT_CUBES[cube]()
+    args = (data, t, saturation, 4)
+    # the serial fit takes fit_image's log-time axis and log base
+    ln_base = math.log(_kernels.LOG_BASE)
+    want = _serial_fit(data, np.log(t) / ln_base, saturation, 4,
+                       1.0 / ln_base)
     monkeypatch.setattr(_kernels, "worker_count",
                         lambda size, least: workers)
     # the workers are forked processes, each with its own buffers and its
@@ -580,8 +579,8 @@ def test_fit_matches_serial_oracle(monkeypatch, cube, workers):
 
 
 def test_two_worker_fit_leaves_no_process(monkeypatch):
-    data, log_t, saturation = _mixed_cube()
-    args = (data, log_t, saturation, 4, 1.0 / math.log(10.0))
+    data, t, saturation = _mixed_cube()
+    args = (data, t, saturation, 4)
     monkeypatch.setattr(_kernels, "core_count", lambda: 2)
     monkeypatch.setattr(_kernels, "MIN_SPAN", CHUNK)
     assert _kernels.worker_count(data[0].size, _kernels.MIN_SPAN) == 2
@@ -607,10 +606,9 @@ def test_small_fit_starts_no_pool(monkeypatch):
     def refuse():
         raise AssertionError("a worker process was started")
     monkeypatch.setattr(os, "fork", refuse)
-    data, log_t, saturation = _uniform_cube()
+    data, t, saturation = _uniform_cube()
     assert data[0].size < 2 * _kernels.MIN_SPAN
-    coef, _, _, reason = _kernels.fit_image(data, log_t, saturation, 4,
-                                            1.0 / math.log(10.0))
+    coef, _, _, reason = _kernels.fit_image(data, t, saturation, 4)
     assert (reason == FITTED).all() and np.isfinite(coef).all()
 
 

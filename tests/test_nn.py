@@ -264,6 +264,10 @@ def test_train_config_validation():
     for key in ("epochs", "max_steps", "trace_every", "seed"):
         with pytest.raises(ValidationError, match=key):
             nn.TrainConfig(**{key: -1})
+    # early stopping sets the check interval, which trace_every would too
+    with pytest.raises(ValidationError,
+                       match="trace_every and early_stopping"):
+        nn.TrainConfig(early_stopping=(100, 3), trace_every=7)
 
 
 def test_early_stopping_consecutive_increases():
@@ -514,6 +518,22 @@ def test_max_steps_cuts_epoch_short(epochs, max_steps):
     assert trace.steps[-1] == max_steps
 
 
+# 160 rows at batch 16 are 10 steps per epoch: the check after step k
+# falls in epoch (k - 1) // 10, counted from 0, the closing check too
+@pytest.mark.parametrize("epochs, max_steps, trace_every, want", [
+    (3, 0, 0, [(10, 0), (20, 1), (30, 2)]),
+    (0, 25, 0, [(10, 0), (20, 1), (25, 2)]),
+    (0, 25, 7, [(7, 0), (14, 1), (21, 2), (25, 2)]),
+    (0, 1, 0, [(1, 0)])])
+def test_trace_epochs_count_from_zero(epochs, max_steps, trace_every, want):
+    ds = _blob_dataset(80, [(-1.0, 0.0), (1.0, 0.0)], 0.5, seed=92)
+    model = nn.init_model((2, 4, 2), ("tanh", "softmax"), 93, _unit_stats(2))
+    config = nn.TrainConfig(learning_rate=1e-3, batch_size=16, epochs=epochs,
+                            max_steps=max_steps, trace_every=trace_every)
+    _, trace = nn.train(model, ds, ds, config)
+    assert list(zip(trace.steps, trace.epochs)) == want
+
+
 def test_param_count():
     model = nn.init_model((15, 10, 20, 4), ("tanh", "tanh", "softmax"), 0,
                           _unit_stats(15))
@@ -535,12 +555,10 @@ def test_trace_record_guards_step_order():
 # ---------------------------------------------------------------------------
 
 def _feature_image(values, valid=None):
-    height, width, length = values.shape
     if valid is None:
-        valid = np.ones((height, width), dtype=bool)
-    degree = length // 3 - 1
-    return tsr.FeatureImage(width, height, degree, tsr.PACK_PADDED,
-                            values, valid)
+        valid = np.ones(values.shape[:2], dtype=bool)
+    degree = values.shape[2] // 3 - 1
+    return tsr.FeatureImage(degree, tsr.PACK_PADDED, values, valid)
 
 
 def test_predict_map_uniform_model_breaks_ties_low():
@@ -599,7 +617,7 @@ def test_predict_matches_predict_map_at_provenance():
     valid = rng.uniform(size=(7, 9)) > 0.2
     image = _feature_image(rng.normal(size=(7, 9, 6)), valid)
     labels = rng.integers(0, 3, size=(7, 9))
-    ds = features.assemble(image, LabelMask(9, 7, labels,
+    ds = features.assemble(image, LabelMask(labels,
                                             np.ones((7, 9), dtype=bool)))
     model = nn.init_model((6, 8, 3), ("tanh", "softmax"), 15,
                           features.fit_scaler(ds))

@@ -14,17 +14,14 @@ from thermoseg.ingest import FrameSequence
 
 def _sequence_from_stack(stack, timestamps, saturation=np.inf):
     stack = np.asarray(stack, dtype=np.float64)
-    frames, height, width = stack.shape
-    return FrameSequence(width, height, frames,
-                         np.asarray(timestamps, dtype=np.float64),
-                         stack, float(saturation))
+    return FrameSequence(np.asarray(timestamps, dtype=np.float64), stack,
+                         float(saturation))
 
 
 def _start_frames(seq, degree):
     """The first fitted frame of each pixel, as fit_image gives it."""
-    return _kernels.fit_image(seq.data, np.log10(seq.timestamps),
-                              seq.saturation_value, degree,
-                              1.0 / math.log(10.0))[2]
+    return _kernels.fit_image(seq.data, seq.timestamps,
+                              seq.saturation_value, degree)[2]
 
 
 def _fit_series(series, t, degree, first_frame=0):
@@ -377,13 +374,21 @@ def _small_image():
     return tsr.fit_sequence(seq, degree=3)
 
 
+def test_feature_image_shape_mismatch():
+    image = _small_image()
+    with pytest.raises(ValidationError, match="2-D"):
+        tsr.FeatureImage(3, tsr.PACK_PADDED, image.values[0], image.valid[0])
+    for values in (image.values[:, :-1], image.values[..., :-1]):
+        with pytest.raises(ValidationError, match="does not match"):
+            tsr.FeatureImage(3, tsr.PACK_PADDED, values, image.valid)
+
+
 def test_feature_image_round_trip(tmp_path):
     image = _small_image()
     path = tmp_path / "features.csv"
     tsr.write_feature_image(image, str(path))
     back = tsr.read_feature_image(str(path))
-    assert back.width == image.width
-    assert back.height == image.height
+    assert back.valid.shape == image.valid.shape
     assert back.degree == image.degree
     assert back.packing == image.packing
     lines = path.read_text().splitlines()
