@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import os
 import sys
+from contextlib import nullcontext
 
 from . import evaluate, features, keyfile, nn, repro, synthgen, tsr
 from .errors import ComputeError, ValidationError
@@ -35,37 +36,38 @@ from .ingest import load_mask, load_sequence, save_mask, trim_mask, write_sequen
 def load_config(path):
     """Parse and validate a pipeline INI, or give the defaults for `path`
     None; every key is optional, unknown sections and keys are errors."""
-    keys = keyfile.KeyFile((), path, 1) if path is None else keyfile.read(path)
-    fit, feats, net = (keys.section(s) for s in ("tsr", "features", "nn"))
-    base = nn.TrainConfig()
-    config = {
-        "degree": fit.integer("degree", 2, 4),
-        "packing": fit.text("packing", tsr.PACK_PADDED,
-                            (tsr.PACK_PADDED, tsr.PACK_TRUNCATED)),
-        "trim_margin": feats.integer("trim_margin", 0, 0),
-        "train_fraction": feats.number("train_fraction", 0.8),
-        "validation_fraction": feats.number("validation_fraction", 0.1),
-        # seeds are range-checked where they are used
-        "split_seed": feats.integer("split_seed", keyfile.INT64_MIN, 0),
-        "augment_amplitude": feats.number("augment_amplitude", 0.0),
-        "augment_copies": feats.integer("augment_copies", 0, 0),
-        "augment_seed": feats.integer("augment_seed", keyfile.INT64_MIN, 0),
-        "hidden": net.integers("hidden", 1, (10, 20)),
-        "hidden_activation": net.text("hidden_activation", "tanh",
-                                      ("relu", "tanh")),
-        "train": nn.TrainConfig(
-            optimizer=net.text("optimizer", base.optimizer),
-            learning_rate=net.number("learning_rate", base.learning_rate),
-            decay_step=net.integer("decay_step", 1, base.decay_step),
-            decay_rate=net.number("decay_rate", base.decay_rate),
-            batch_size=net.integer("batch_size", 1, base.batch_size),
-            epochs=net.integer("epochs", 0, base.epochs),
-            max_steps=net.integer("max_steps", 0, base.max_steps),
-            early_stopping=net.integers("early_stopping", 1, None),
-            trace_every=net.integer("trace_every", 0, base.trace_every),
-            seed=net.integer("seed", keyfile.INT64_MIN, base.seed)),
-    }
-    keys.finish()
+    with nullcontext(()) if path is None else keyfile.reading(path) as text:
+        keys = keyfile.KeyFile(text)
+        fit, feats, net = (keys.section(s) for s in ("tsr", "features", "nn"))
+        base = nn.TrainConfig()
+        config = {
+            "degree": fit.integer("degree", 2, 4),
+            "packing": fit.text("packing", tsr.PACK_PADDED,
+                                (tsr.PACK_PADDED, tsr.PACK_TRUNCATED)),
+            "trim_margin": feats.integer("trim_margin", 0, 0),
+            "train_fraction": feats.number("train_fraction", 0.8),
+            "validation_fraction": feats.number("validation_fraction", 0.1),
+            # seeds are range-checked where they are used
+            "split_seed": feats.integer("split_seed", keyfile.INT64_MIN, 0),
+            "augment_amplitude": feats.number("augment_amplitude", 0.0),
+            "augment_copies": feats.integer("augment_copies", 0, 0),
+            "augment_seed": feats.integer("augment_seed", keyfile.INT64_MIN, 0),
+            "hidden": net.integers("hidden", 1, (10, 20)),
+            "hidden_activation": net.text("hidden_activation", "tanh",
+                                          ("relu", "tanh")),
+            "train": nn.TrainConfig(
+                optimizer=net.text("optimizer", base.optimizer),
+                learning_rate=net.number("learning_rate", base.learning_rate),
+                decay_step=net.integer("decay_step", 1, base.decay_step),
+                decay_rate=net.number("decay_rate", base.decay_rate),
+                batch_size=net.integer("batch_size", 1, base.batch_size),
+                epochs=net.integer("epochs", 0, base.epochs),
+                max_steps=net.integer("max_steps", 0, base.max_steps),
+                early_stopping=net.integers("early_stopping", 1, None),
+                trace_every=net.integer("trace_every", 0, base.trace_every),
+                seed=net.integer("seed", keyfile.INT64_MIN, base.seed)),
+        }
+        keys.finish()
     return config
 
 

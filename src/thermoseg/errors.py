@@ -11,7 +11,13 @@ class ThermosegError(Exception):
 
 
 class ValidationError(ThermosegError):
-    pass
+    """A bad input, at `line` of the text file being read when known;
+    `path` is that file once `keyfile.reading` has named it."""
+    path = None
+
+    def __init__(self, message, line=None):
+        super().__init__(message)
+        self.line = line
 
 
 class ComputeError(ThermosegError):

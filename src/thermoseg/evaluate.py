@@ -222,28 +222,27 @@ def write_matrix_csv(cm, path):
 
 
 def read_matrix_csv(path):
-    text = keyfile.lines(path)
-    if not (text and text[0].startswith("actual,")):
-        raise ValidationError(f"{path}: not a confusion matrix file")
-    names = tuple(text[0].split(",")[1:])
-    # the header names each class once
-    for k, name in enumerate(names):
-        if not name:
-            raise ValidationError(f"{path}:1: class {k} has no name")
-        if name in names[:k]:
-            raise ValidationError(f"{path}:1: class {name!r} named twice")
-    rows = [line.partition(",") for line in text[1:]]
-    counts = keyfile.rows([row[2] for row in rows], len(names), len(names),
-                          path, 2, np.int64)
-    # row k starts with the header's k-th class name
-    for lineno, (name, (label, _, _)) in enumerate(zip(names, rows), 2):
-        if label != name:
-            raise ValidationError(f"{path}:{lineno}: row named {label!r}, "
-                                  f"the header's class there is {name!r}")
-    try:
+    with keyfile.reading(path) as text:
+        if not (text and text[0].startswith("actual,")):
+            raise ValidationError("not a confusion matrix file", 1)
+        names = tuple(text[0].split(",")[1:])
+        # the header names each class once, with no spaces around it
+        for k, name in enumerate(names):
+            if not name:
+                raise ValidationError(f"class {k} has no name", 1)
+            if name != name.strip():
+                raise ValidationError(f"class {name!r} has surrounding spaces", 1)
+            if name in names[:k]:
+                raise ValidationError(f"class {name!r} named twice", 1)
+        rows = [line.partition(",") for line in text[1:]]
+        counts = keyfile.rows([row[2] for row in rows], len(names),
+                              len(names), 2, np.int64)
+        # row k starts with the header's k-th class name
+        for lineno, (name, (label, _, _)) in enumerate(zip(names, rows), 2):
+            if label != name:
+                raise ValidationError(f"row named {label!r}, the header's "
+                                      f"class there is {name!r}", lineno)
         return ConfusionMatrix(counts, names)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def reference_report():

@@ -90,7 +90,8 @@ class LabelMask:
 
 
 def _read_frame(path, height, width):
-    return keyfile.rows(keyfile.lines(path), height, width, path, 1)
+    with keyfile.reading(path) as text:
+        return keyfile.rows(text, height, width, 1)
 
 
 def load_sequence(path):
@@ -98,38 +99,50 @@ def load_sequence(path):
     manifest is a keyfile without sections. Frame 0 is read, and its size
     checked, before the cube is allocated; the other frames are parsed on
     one worker process per core (see the module docstring), and the first
-    bad frame in file order is the one reported."""
-    keys = keyfile.read(path)
-    head = keys.section("")
-    width, height = head.integer("width", 1), head.integer("height", 1)
-    saturation = head.number("saturation_value", math.inf)
-    head.text("units", None)       # written by older versions, not used
-    frames = head.texts("frame")
-    stamps = head.numbers("timestamps", None)
-    if stamps is None:
-        fps = head.number("fps")
-        if not fps > 0:
-            head.fail("fps", f"must be > 0, got {fps}")
-        stamps = frame_times(len(frames), fps)
-    keys.finish()
-    if not frames:
-        raise ValidationError(f"{path}: no frame entries")
-    if len(stamps) != len(frames):
-        raise ValidationError(f"{path}: {len(frames)} frames but "
-                              f"{len(stamps)} timestamps")
-    base = os.path.dirname(os.path.abspath(path))
-    frames = [os.path.normpath(os.path.join(base, f)) for f in frames]
-    first = _read_frame(frames[0], height, width)
-    data = np.empty((len(frames), height, width))
-    data[0] = first
+    bad frame in file order is the one reported. A frame file that cannot
+    be opened is refused at the manifest line that names it."""
+    with keyfile.reading(path) as text:
+        keys = keyfile.KeyFile(text)
+        head = keys.section("")
+        head.either("fps", "timestamps")
+        width, height = head.integer("width", 1), head.integer("height", 1)
+        saturation = head.number("saturation_value", math.inf)
+        head.text("units", None)       # written by older versions, not used
+        frames = head.texts("frame")
+        stamps = head.numbers("timestamps", None)
+        if stamps is None:
+            fps = head.number("fps")
+            if not fps > 0:
+                head.fail("fps", f"must be > 0, got {fps}")
+            stamps = frame_times(len(frames), fps)
+        keys.finish()
+        if not frames:
+            raise ValidationError("no frame entries")
+        if len(stamps) != len(frames):
+            raise ValidationError(f"{len(frames)} frames but "
+                                  f"{len(stamps)} timestamps")
+        base = os.path.dirname(os.path.abspath(path))
 
-    def parse(lo, hi):
-        for i in range(lo + 1, hi + 1):
-            data[i] = _read_frame(frames[i], height, width)
+        def frame(i):
+            line, name = frames[i]
+            try:
+                return _read_frame(os.path.normpath(os.path.join(base, name)),
+                                   height, width)
+            except OSError as exc:           # no frame file at that entry
+                raise ValidationError(str(exc), line) from exc
 
-    _kernels.run_pool(_kernels.worker_count(data[1:].size, MIN_WORKER_VALUES),
-                      parse, data[1:])
-    return FrameSequence(np.array(stamps), data, saturation)
+        first = frame(0)
+        data = np.empty((len(frames), height, width))
+        data[0] = first
+
+        def parse(lo, hi):
+            for i in range(lo + 1, hi + 1):
+                data[i] = frame(i)
+
+        _kernels.run_pool(
+            _kernels.worker_count(data[1:].size, MIN_WORKER_VALUES),
+            parse, data[1:])
+        return FrameSequence(np.array(stamps), data, saturation)
 
 
 def write_sequence(seq, out_dir):

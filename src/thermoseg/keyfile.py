@@ -1,6 +1,6 @@
-"""The one reader of the project's text files. `lines` decodes a file as
-UTF-8, `KeyFile` parses key = value lines (scenes, configs, manifests and
-the headers of feature and model files) and `rows` parses numeric bodies
+"""The one reader of the project's text files. `reading` decodes a file,
+`KeyFile` parses key = value lines (scenes, configs, manifests and the
+headers of feature and model files) and `rows` parses numeric bodies
 (frames, feature rows, model weights and matrix cells).
 
 A key = value line is blank, a full-line `#` or `;` comment, a
@@ -16,10 +16,11 @@ read, and `KeyFile.finish` rejects every section and key left unread.
 
 A body is comma-separated rows, parsed by `np.loadtxt`: ASCII decimal
 literals, `nan` and `inf`, no comments and no `_` digit separators. Every
-error is a ValidationError, with one line naming the file and the line,
-and for a key its section and name.
+error is a ValidationError that carries its line, and for a key names
+its section and key; `reading` puts the file and line in front.
 """
 
+import contextlib
 import math
 import warnings
 
@@ -53,16 +54,22 @@ def _number(word):
 class Section:
     """The `key = value` lines under one header, with typed getters."""
 
-    def __init__(self, owner, name, lineno):
-        self.owner, self.name, self.lineno = owner, name, lineno
+    def __init__(self, name, lineno):
+        self.name, self.lineno = name, lineno
         self.entries, self.read = {}, set()    # key -> [(lineno, value)]
 
     def fail(self, key, problem, index=0):
         """Raise the file's error for `key`, at its index-th line if set."""
         entries = self.entries.get(key)
         prefix = f"[{self.name}] " if self.name else ""
-        self.owner.fail(entries[index][0] if entries else None,
-                        f"{prefix}{key!r}: {problem}")
+        raise ValidationError(f"{prefix}{key!r}: {problem}",
+                              entries[index][0] if entries else None)
+
+    def either(self, a, b):
+        """Refuse a section that sets both `a` and `b`, at the later one."""
+        if a in self.entries and b in self.entries:
+            first, later = sorted((a, b), key=lambda k: self.entries[k][0][0])
+            self.fail(later, f"cannot be set beside {first!r}")
 
     def _value(self, key, default):
         """(text, False) for a key set once, (default, True) when unset."""
@@ -94,9 +101,9 @@ class Section:
         return value
 
     def texts(self, key):
-        """Every value of a key that may repeat, in file order."""
+        """Every (line, value) of a key that may repeat, in file order."""
         self.read.add(key)
-        return [value for _, value in self.entries.get(key, ())]
+        return self.entries.get(key, [])
 
     def integer(self, key, minimum, default=_REQUIRED):
         return self._get(key, default, _integer(minimum), False)
@@ -114,9 +121,9 @@ class Section:
 class KeyFile:
     """The sections parsed from a file's lines, numbered from `first_line`."""
 
-    def __init__(self, lines, path, first_line):
-        self.path, self.used = path, set()
-        self.sections = {"": Section(self, "", None)}
+    def __init__(self, lines, first_line=1):
+        self.used = set()
+        self.sections = {"": Section("", None)}
         section = self.sections[""]
         for lineno, line in enumerate(lines, first_line):
             line = line.strip()
@@ -125,75 +132,93 @@ class KeyFile:
             name = line[1:-1].strip()
             if line[0] == "[" and line[-1] == "]" and name:
                 if name in self.sections:
-                    self.fail(lineno, f"[{name}] repeated, first on line "
-                                      f"{self.sections[name].lineno}")
-                section = self.sections[name] = Section(self, name, lineno)
+                    raise ValidationError(f"[{name}] repeated, first on line "
+                                          f"{self.sections[name].lineno}",
+                                          lineno)
+                section = self.sections[name] = Section(name, lineno)
                 continue
             key, eq, value = line.partition("=")
             if not (eq and key.strip()):
-                self.fail(lineno, f"expected [section] or key = value, "
-                                  f"got {line!r}")
+                raise ValidationError(f"expected [section] or key = value, "
+                                      f"got {line!r}", lineno)
             section.entries.setdefault(key.strip(), []).append(
                 (lineno, value.strip()))
-
-    def fail(self, lineno, message):
-        where = self.path if lineno is None else f"{self.path}:{lineno}"
-        raise ValidationError(f"{where}: {message}")
 
     def section(self, name):
         """The named section, empty when the file has none."""
         self.used.add(name)
-        return self.sections.get(name) or Section(self, name, None)
+        return self.sections.get(name) or Section(name, None)
 
     def finish(self):
         """Reject every section and key that no getter read."""
         for name, section in self.sections.items():
             if name and name not in self.used:
-                self.fail(section.lineno, f"[{name}] is not a known section")
+                raise ValidationError(f"[{name}] is not a known section",
+                                      section.lineno)
             for key in section.entries:
                 if key not in section.read:
                     section.fail(key, "unknown key")
 
 
-def lines(path):
-    """The lines of a UTF-8 text file, split as `str.splitlines` splits."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+@contextlib.contextmanager
+def reading(path):
+    """The lines of the UTF-8 text file at `path`, as `str.splitlines`
+    splits them, for a reader to hold. Each ValidationError raised meanwhile
+    that no inner `reading` named gets `path:line: `, or `path: `, in front."""
     try:
-        return data.decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise ValidationError(f"{path}:{line}: not UTF-8 text: "
-                              f"{exc.reason} at byte {exc.start}") from exc
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ValidationError(f"not UTF-8 text: {exc.reason} at byte "
+                                  f"{exc.start}", line) from exc
+        yield text.splitlines()
+    except ValidationError as exc:
+        if exc.path is None:
+            where = path if exc.line is None else f"{path}:{exc.line}"
+            exc.path, exc.args = path, (f"{where}: {exc}",)
+        raise
 
 
-def read(path):
-    return KeyFile(lines(path), path, 1)
+def _parse(lines, dtype):
+    with warnings.catch_warnings():
+        # loadtxt warns on a body without rows; the caller's count reports it
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=2)
 
 
-def rows(lines, count, width, path, first_line, dtype=np.float64):
+def _holds(line, width, dtype):
+    """Whether `line` alone parses as one row of `width` values."""
+    try:
+        return _parse([line], dtype).shape == (1, width)
+    except ValueError:
+        return False
+
+
+def rows(lines, count, width, first_line, dtype=np.float64):
     """The (count, width) array that `lines`, numbered from `first_line`,
     hold; it is sized by the rows parsed, never by `count`. A blank line
-    is skipped, so it shows as a missing row."""
+    is skipped by the parse, so it shows as a missing row. A refusal names
+    the first line that is blank or does not hold a row on its own, else
+    the first line; only a refused body is parsed line by line."""
     if len(lines) > count:
-        raise ValidationError(f"{path}:{first_line + count}: more than "
-                              f"{count} rows")
+        raise ValidationError(f"more than {count} rows", first_line + count)
     try:
-        with warnings.catch_warnings():
-            # loadtxt warns on a body without rows; the count reports it
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(lines, dtype, delimiter=",", comments=None,
-                               ndmin=2)
+        table = _parse(lines, dtype)
+        if table.shape != (count, width):
+            got = (f"{len(table)} rows of {table.shape[1]}" if len(table)
+                   else "none")
+            raise ValueError(f"expected {count} rows of {width} values, "
+                             f"got {got}")
     except ValueError as exc:
-        raise ValidationError(f"{path}:{first_line}: {exc}") from exc
-    if table.shape != (count, width):
-        got = f"{len(table)} rows of {table.shape[1]}" if len(table) else "none"
-        raise ValidationError(f"{path}:{first_line}: expected {count} rows "
-                              f"of {width} values, got {got}")
+        bad = next((k for k, line in enumerate(lines)
+                    if not _holds(line, width, dtype)), 0)
+        raise ValidationError(str(exc), first_line + bad) from exc
     return table
 
 
 def write_rows(fh, values):
     """Comma-separated rows at `%.17g`, which round-trips every float64."""
     np.savetxt(fh, values, fmt="%.17g", delimiter=",")
-

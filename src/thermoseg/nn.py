@@ -561,58 +561,55 @@ def save_model(model, path):
 
 
 def load_model(path):
-    text = keyfile.lines(path)
-    magic = text[0] if text else ""
-    if not magic.startswith(_MODEL_MAGIC):
-        raise ValidationError(f"{path}: not a model file")
-    try:
-        version = int(magic[len(_MODEL_MAGIC):])
-    except ValueError as exc:
-        raise ValidationError(f"{path}: bad version line") from exc
-    if version != MODEL_VERSION:
-        raise ValidationError(f"{path}: model version {version} is not "
-                              f"supported (expected {MODEL_VERSION})")
+    with keyfile.reading(path) as text:
+        magic = text[0] if text else ""
+        if not magic.startswith(_MODEL_MAGIC):
+            raise ValidationError("not a model file", 1)
+        try:
+            version = int(magic[len(_MODEL_MAGIC):])
+        except ValueError as exc:
+            raise ValidationError("bad version line", 1) from exc
+        if version != MODEL_VERSION:
+            raise ValidationError(f"model version {version} is not "
+                                  f"supported (expected {MODEL_VERSION})", 1)
 
-    at = (text + ["layer 0"]).index("layer 0")     # the header ends there
-    keys = keyfile.KeyFile(text[1:at], path, 2)
-    head = keys.section("")
-    sizes = head.integers("layers", 1)
-    activations = tuple(head.text("activations").split())
-    head.text("scaling", choices=("1",))
-    columns = []
-    for key, limit in (("mean", "finite"), ("std", "finite and >= 0")):
-        values = np.array(head.numbers(key))
-        if values.size != sizes[0]:
-            head.fail(key, f"expected {sizes[0]} values, got {values.size}")
-        bad = ~np.isfinite(values) | (key == "std") & (values < 0)
-        if bad.any():
-            head.fail(key, f"must be {limit}, got {values[bad][0]:g}")
-        columns.append(values)
-    keys.finish()
-    # each layer is a marker line, its weight rows, "bias" and one row
-    blocks = [(marker, count, n_out)
-              for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
-              for marker, count in ((f"layer {i}", n_in), ("bias", 1))]
-    params = []
-    for marker, count, width in blocks + [("end", 0, 0)]:
-        if text[at:at + 1] != [marker]:
-            raise ValidationError(f"{path}:{at + 1}: expected {marker!r}")
-        if count:
-            params.append(keyfile.rows(text[at + 1:at + 1 + count], count,
-                                       width, path, at + 2))
-            bad = np.nonzero(~np.isfinite(params[-1]).all(axis=1))[0]
-            if bad.size:
-                raise ValidationError(f"{path}:{at + 2 + bad[0]}: {marker!r} "
-                                      f"holds a non-finite value")
-        at += 1 + count
-    if at < len(text):
-        raise ValidationError(f"{path}:{at + 1}: a line after 'end'")
-    weights, biases = params[::2], [b[0] for b in params[1::2]]
-    try:
+        at = (text + ["layer 0"]).index("layer 0")     # the header ends there
+        keys = keyfile.KeyFile(text[1:at], 2)
+        head = keys.section("")
+        sizes = head.integers("layers", 1)
+        activations = tuple(head.text("activations").split())
+        head.text("scaling", choices=("1",))
+        columns = []
+        for key, limit in (("mean", "finite"), ("std", "finite and >= 0")):
+            values = np.array(head.numbers(key))
+            if values.size != sizes[0]:
+                head.fail(key, f"expected {sizes[0]} values, got {values.size}")
+            bad = ~np.isfinite(values) | (key == "std") & (values < 0)
+            if bad.any():
+                head.fail(key, f"must be {limit}, got {values[bad][0]:g}")
+            columns.append(values)
+        keys.finish()
+        # each layer is a marker line, its weight rows, "bias" and one row
+        blocks = [(marker, count, n_out)
+                  for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+                  for marker, count in ((f"layer {i}", n_in), ("bias", 1))]
+        params = []
+        for marker, count, width in blocks + [("end", 0, 0)]:
+            if text[at:at + 1] != [marker]:
+                raise ValidationError(f"expected {marker!r}", at + 1)
+            if count:
+                params.append(keyfile.rows(text[at + 1:at + 1 + count], count,
+                                           width, at + 2))
+                bad = np.nonzero(~np.isfinite(params[-1]).all(axis=1))[0]
+                if bad.size:
+                    raise ValidationError(f"{marker!r} holds a non-finite "
+                                          f"value", at + 2 + bad[0])
+            at += 1 + count
+        if at < len(text):
+            raise ValidationError("a line after 'end'", at + 1)
+        weights, biases = params[::2], [b[0] for b in params[1::2]]
         return MlpModel(sizes, activations, tuple(weights), tuple(biases),
                         ScalingStats(*columns))
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: inconsistent model: {exc}") from exc
 
 
 def write_trace(trace, path):

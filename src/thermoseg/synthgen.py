@@ -318,36 +318,40 @@ def load_scene(path):
     optional [noise] sigma/seed; optional [clamp] lo/hi; one [region.NAME]
     per region with rect = "x0 y0 w h", class, and profile options.
     """
-    keys = keyfile.read(path)
-    canvas, timing = keys.section("canvas"), keys.section("timing")
-    width, height = canvas.integer("width", 1), canvas.integer("height", 1)
-    stamps = timing.numbers("timestamps", None)
-    if stamps is None:
-        fps, frames = timing.number("fps"), timing.integer("frames", 1)
-        if not fps > 0:
-            timing.fail("fps", f"must be > 0, got {fps}")
-    else:
-        frames = len(stamps)
-    # the rendered (frames, H, W) float64 video must be addressable
-    if width * height * frames * 8 > np.iinfo(np.intp).max:
-        raise ValidationError(f"{path}: a {width}x{height} canvas of {frames} "
-                              f"frames is more than an array can hold")
-    if stamps is None:
-        stamps = frame_times(frames, fps)
-    noise_keys, clamp_keys = keys.section("noise"), keys.section("clamp")
-    noise = NoiseSpec(noise_keys.number("sigma", 0.0),
-                      noise_keys.integer("seed", 0, 0))
-    clamp = (clamp_keys.number("lo", 0.0), clamp_keys.number("hi", math.inf))
-    regions = []
-    for section in [keys.section(name) for name in keys.sections
-                    if name.startswith("region.")]:
-        rect = section.integers("rect", 0)
-        if len(rect) != 4:
-            section.fail("rect", "needs 4 integers: x0 y0 width height")
-        regions.append(Region(rect, section.integer("class", 0),
-                              _profile(section)))
-    keys.finish()
-    if not regions:
-        raise ValidationError(f"{path}: no [region.*] sections")
-    return Scene(RegionLayout(width, height, tuple(regions)),
-                 np.array(stamps), noise, clamp)
+    with keyfile.reading(path) as text:
+        keys = keyfile.KeyFile(text)
+        canvas, timing = keys.section("canvas"), keys.section("timing")
+        timing.either("fps", "timestamps")
+        timing.either("frames", "timestamps")
+        width, height = canvas.integer("width", 1), canvas.integer("height", 1)
+        stamps = timing.numbers("timestamps", None)
+        if stamps is None:
+            fps, frames = timing.number("fps"), timing.integer("frames", 1)
+            if not fps > 0:
+                timing.fail("fps", f"must be > 0, got {fps}")
+        else:
+            frames = len(stamps)
+        # the rendered (frames, H, W) float64 video must be addressable
+        if width * height * frames * 8 > np.iinfo(np.intp).max:
+            raise ValidationError(f"a {width}x{height} canvas of {frames} "
+                                  f"frames is more than an array can hold")
+        stamps = (frame_times(frames, fps) if stamps is None
+                  else np.array(stamps))
+        check_timestamps(stamps)
+        noise_keys, bounds = keys.section("noise"), keys.section("clamp")
+        noise = NoiseSpec(noise_keys.number("sigma", 0.0),
+                          noise_keys.integer("seed", 0, 0))
+        clamp = (bounds.number("lo", 0.0), bounds.number("hi", math.inf))
+        regions = []
+        for section in [keys.section(name) for name in keys.sections
+                        if name.startswith("region.")]:
+            rect = section.integers("rect", 0)
+            if len(rect) != 4:
+                section.fail("rect", "needs 4 integers: x0 y0 width height")
+            regions.append(Region(rect, section.integer("class", 0),
+                                  _profile(section)))
+        keys.finish()
+        if not regions:
+            raise ValidationError("no [region.*] sections")
+        return Scene(RegionLayout(width, height, tuple(regions)), stamps,
+                     noise, clamp)

@@ -130,28 +130,29 @@ def write_feature_image(image, path):
 
 
 def read_feature_image(path):
-    text = keyfile.lines(path)
-    if text[:1] != [f"# {_MAGIC}"]:
-        raise ValidationError(f"{path}: not a feature image file")
-    keys = keyfile.KeyFile(text[1:7], path, 2)
-    head = keys.section("")
-    width, height = head.integer("width", 1), head.integer("height", 1)
-    degree = head.integer("degree", 2)
-    packing = head.text("packing", choices=_PACKINGS)
-    head.text("log_base", choices=(repr(_kernels.LOG_BASE),))
-    head.text("scaling_pending", choices=("1",))
-    keys.finish()
-    length = feature_length(degree, packing)
-    table = keyfile.rows(text[7:], height * width, length + 1, path, 8)
-    flags, values = table[:, 0], table[:, 1:]
-    bad = np.nonzero((flags != 0) & (flags != 1))[0]
-    if bad.size:
-        raise ValidationError(f"{path}: row {bad[0]} has valid flag "
-                              f"{flags[bad[0]]:g}, not 0 or 1")
-    valid = flags == 1
-    bad = np.nonzero(valid & ~np.isfinite(values).all(axis=1))[0]
-    if bad.size:
-        raise ValidationError(f"{path}: row {bad[0]} is flagged valid but "
-                              f"holds a non-finite value")
-    return FeatureImage(degree, packing, values.reshape(height, width, length),
-                        valid.reshape(height, width))
+    with keyfile.reading(path) as text:
+        if text[:1] != [f"# {_MAGIC}"]:
+            raise ValidationError("not a feature image file", 1)
+        keys = keyfile.KeyFile(text[1:7], 2)
+        head = keys.section("")
+        width, height = head.integer("width", 1), head.integer("height", 1)
+        degree = head.integer("degree", 2)
+        packing = head.text("packing", choices=_PACKINGS)
+        head.text("log_base", choices=(repr(_kernels.LOG_BASE),))
+        head.text("scaling_pending", choices=("1",))
+        keys.finish()
+        length = feature_length(degree, packing)
+        table = keyfile.rows(text[7:], height * width, length + 1, 8)
+        flags, values = table[:, 0], table[:, 1:]
+        bad = np.nonzero((flags != 0) & (flags != 1))[0]
+        if bad.size:
+            raise ValidationError(f"row {bad[0]} has valid flag "
+                                  f"{flags[bad[0]]:g}, not 0 or 1", 8 + bad[0])
+        valid = flags == 1
+        bad = np.nonzero(valid & ~np.isfinite(values).all(axis=1))[0]
+        if bad.size:
+            raise ValidationError(f"row {bad[0]} is flagged valid but holds "
+                                  f"a non-finite value", 8 + bad[0])
+        return FeatureImage(degree, packing,
+                            values.reshape(height, width, length),
+                            valid.reshape(height, width))

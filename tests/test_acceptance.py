@@ -132,6 +132,42 @@ def test_four_class_binary_accuracy_recounts_from_matrix(four_class_run):
     assert result["test_accuracy"] == np.trace(counts) / counts.sum()
 
 
+PINNED = os.path.join(os.path.dirname(__file__), "pinned.json")
+PINNED_KEYS = ("sha256", "train_steps", "stop_reason", "restored_step")
+
+
+def _environment():
+    """What the pinned bits depend on: the numpy version, the SIMD
+    features its build and this CPU give, and the BLAS it links."""
+    try:
+        config = np.show_config(mode="dicts")
+        simd = config["SIMD Extensions"]
+        blas = config["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):      # a numpy that does not report them
+        return {"numpy": np.__version__}
+    return {"numpy": np.__version__, "simd_baseline": simd["baseline"],
+            "simd_found": simd["found"],
+            "blas": f"{blas['name']} {blas['version']}"}
+
+
+def test_pinned_bits(two_class_runs, four_class_run):
+    """Each full-scale experiment's sha256 values, accuracies and step
+    counts equal tests/pinned.json, in the environment they were pinned
+    in. A change of bits updates that file in the same commit."""
+    with open(PINNED, "r", encoding="utf-8") as fh:
+        pinned = json.load(fh)
+    here = _environment()
+    if here != pinned["environment"]:
+        pytest.skip(f"pinned in {pinned['environment']}, run in {here}")
+    for result in (two_class_runs[0], four_class_run):
+        assert result["scale"] == 1.0
+        got = {key: value for key, value in result.items()
+               if key in PINNED_KEYS or key.endswith("_accuracy")}
+        assert got == pinned[result["experiment"]], result["experiment"]
+    print(f"pinned PASS: {len(pinned) - 1} experiments match "
+          f"tests/pinned.json")
+
+
 def _fit_features(series, t, degree):
     """Padded feature row of one pixel history, fitted by fit_sequence."""
     seq = FrameSequence(t, series[:, None, None], np.inf)

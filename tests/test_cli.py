@@ -389,6 +389,18 @@ MALFORMED_INPUTS = [
     ("nan scene timestamp", "s.ini",
      _scene_with("fps = 2.0\nframes = 100", "timestamps = 1 nan 3"),
      SYNTH, "timestamps"),
+    # a refusal from a value check a scene's reader runs names the scene
+    ("negative sigma", "s.ini", _scene_with("sigma = 0.5", "sigma = -1"),
+     SYNTH, "s.ini: noise sigma must lie in [0, 2.097e+307]"),
+    ("decreasing scene timestamps", "s.ini",
+     _scene_with("fps = 2.0\nframes = 100", "timestamps = 3 2 1"),
+     SYNTH, "s.ini: timestamps must be finite, strictly increasing and > 0"),
+    ("fps beside scene timestamps", "s.ini",
+     _scene_with("frames = 100", "frames = 100\ntimestamps = 1 2"),
+     SYNTH, "s.ini:8: [timing] 'timestamps': cannot be set beside 'fps'"),
+    ("frames beside scene timestamps", "s.ini",
+     _scene_with("fps = 2.0\nframes = 100", "timestamps = 1 2\nframes = 2"),
+     SYNTH, "s.ini:7: [timing] 'frames': cannot be set beside 'timestamps'"),
     ("missing manifest", "absent.txt", None, FIT, "absent.txt"),
     ("non-numeric fps", "m.txt", "width = 2\nheight = 1\nfps = x\n"
      "frame = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
@@ -397,6 +409,20 @@ MALFORMED_INPUTS = [
      "timestamps = 1 nan 3\nframe = f0.csv\nframe = f1.csv\n"
      "frame = f2.csv\n",
      FIT, "timestamps"),
+    ("decreasing manifest timestamps", "m.txt", "width = 2\nheight = 1\n"
+     "timestamps = 3 2 1\nframe = f0.csv\nframe = f1.csv\nframe = f2.csv\n",
+     FIT, "m.txt: timestamps must be finite, strictly increasing and > 0"),
+    ("fps beside manifest timestamps", "m.txt", "width = 2\nheight = 1\n"
+     "fps = 4\ntimestamps = 0.5 1.0 1.5\nframe = f0.csv\nframe = f1.csv\n"
+     "frame = f2.csv\n",
+     FIT, "m.txt:4: 'timestamps': cannot be set beside 'fps'"),
+    # a frame entry that names no readable file is refused at its line
+    ("manifest frame entry nan", "m.txt", "width = 2\nheight = 1\nfps = 2\n"
+     "frame = f0.csv\nframe = nan\nframe = f2.csv\n",
+     FIT, "m.txt:5: [Errno 2] No such file or directory: "),
+    ("empty manifest frame entry", "m.txt", "width = 2\nheight = 1\nfps = 2\n"
+     "frame =\nframe = f1.csv\nframe = f2.csv\n",
+     FIT, "m.txt:4: [Errno 21] Is a directory: "),
     ("nan saturation value", "m.txt", "width = 2\nheight = 1\nfps = 2\n"
      "saturation_value = nan\nframe = f0.csv\nframe = f1.csv\n"
      "frame = f2.csv\n",
@@ -483,6 +509,9 @@ MALFORMED_INPUTS = [
      ["eval", "--matrix", "{path}"], "mx.csv:1: class 'a' named twice"),
     ("matrix class without a name", "mx.csv", "actual,,b\n,1,0\nb,0,1\n",
      ["eval", "--matrix", "{path}"], "mx.csv:1: class 0 has no name"),
+    ("matrix class name with spaces", "mx.csv",
+     "actual, a,a\n a,1,0\na,0,1\n", ["eval", "--matrix", "{path}"],
+     "mx.csv:1: class ' a' has surrounding spaces"),
     ("unknown config key", "c.ini", "[nn]\nmomentum = 0.9\n",
      ["fit", "--manifest", "{dir}/absent.txt", "--config", "{path}",
       "--out", "{dir}/f.csv"], "momentum"),
@@ -496,6 +525,8 @@ MALFORMED_INPUTS = [
      TRAIN_PIPELINE, "trace_every and early_stopping cannot both be set"),
     ("nan learning rate", "c.ini", "[nn]\nlearning_rate = nan\n", TRAIN,
      "learning_rate"),
+    ("negative learning rate", "c.ini", "[nn]\nlearning_rate = -1\n", TRAIN,
+     "c.ini: learning_rate must be finite and > 0, got -1.0"),
     ("negative max_steps", "c.ini", "[nn]\nmax_steps = -5\n", TRAIN,
      "max_steps"),
     ("negative training seed", "c.ini", "[nn]\nseed = -1\n", TRAIN, "seed"),
@@ -651,6 +682,49 @@ def test_dead_frame_worker_is_one_compute_error(pipeline, tmp_path,
         "compute error: worker process 2 of 2 died before it sent its "
         "share\n")
     assert not (tmp_path / "f.csv").exists()
+
+
+def _fit_on_two_workers(pipeline, tmp_path, monkeypatch, capsys, entry):
+    """Fit a copy of the pipeline's manifest whose frame 90 entry reads
+    `entry`, parsing frames 1 to 99 on two worker processes; the frame
+    90 entry must be read by the second. Gives (manifest, stderr)."""
+    monkeypatch.setattr(ingest._kernels, "core_count", lambda: 2)
+    monkeypatch.setattr(ingest, "MIN_WORKER_VALUES", 8)
+    parent, read = os.getpid(), ingest._read_frame
+
+    def in_worker(path, height, width):
+        assert not path.endswith(entry) or os.getpid() != parent
+        return read(path, height, width)
+
+    monkeypatch.setattr(ingest, "_read_frame", in_worker)
+    frames = pipeline["manifest"].parent / "frames"
+    text = pipeline["manifest"].read_text().replace(
+        "frames/", f"{frames}/").replace(f"{frames}/frame_00090.csv", entry)
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(text)
+    assert cli.main(["fit", "--manifest", str(manifest),
+                     "--out", str(tmp_path / "f.csv")]) == 2
+    return manifest, capsys.readouterr().err
+
+
+def test_worker_frame_refusal_names_the_frame(pipeline, tmp_path,
+                                              monkeypatch, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("x" + (pipeline["manifest"].parent / "frames"
+                          / "frame_00090.csv").read_text()[1:])
+    _, err = _fit_on_two_workers(pipeline, tmp_path, monkeypatch, capsys,
+                                 str(bad))
+    assert err.startswith(f"error: {bad}:1: could not convert string "), err
+    assert err.count("\n") == 1
+
+
+def test_worker_unreadable_frame_names_the_manifest_line(
+        pipeline, tmp_path, monkeypatch, capsys):
+    manifest, err = _fit_on_two_workers(pipeline, tmp_path, monkeypatch,
+                                        capsys, "nan")
+    line = manifest.read_text().splitlines().index("frame = nan") + 1
+    assert err == (f"error: {manifest}:{line}: [Errno 2] No such file or "
+                   f"directory: '{tmp_path / 'nan'}'\n")
 
 
 def test_fit_reports_drop_reasons(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -80,7 +81,10 @@ def test_load_sequence_fps_timestamps(tmp_path):
 def test_load_sequence_errors(tmp_path):
     man = tmp_path / "manifest.txt"
     man.write_text("width = 2\nheight = 2\nfps = 4\nframe = missing.csv\n")
-    with pytest.raises(FileNotFoundError, match="missing.csv"):
+    # refused at the manifest line that names the file, in the OS's words
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{man}:4: [Errno 2] No such file or directory: "
+            f"'{tmp_path / 'missing.csv'}'")):
         load_sequence(str(man))
 
     frame = tmp_path / "f0.csv"

@@ -1,7 +1,9 @@
 """The one text reader: UTF-8 decoding, the key = value syntax and the
-numeric rows, with what each accepts and what it refuses."""
+numeric rows, with what each accepts and what it refuses, and the one
+place a refusal gets its file's name."""
 
 import math
+import pickle
 import re
 import warnings
 
@@ -13,7 +15,7 @@ from thermoseg.errors import ValidationError
 
 
 def _parse(text):
-    return keyfile.KeyFile(text.splitlines(), "f.ini", 1)
+    return keyfile.KeyFile(text.splitlines())
 
 
 def test_syntax():
@@ -22,7 +24,7 @@ def test_syntax():
     top, section = keys.section(""), keys.section("s")
     assert top.text("name") == "a = b"
     assert section.text("Key") == "5% ; not a comment"
-    assert section.texts("frame") == ["1", "2"]
+    assert section.texts("frame") == [(7, "1"), (8, "2")]
     keys.finish()
 
 
@@ -36,12 +38,28 @@ def test_syntax():
     ("[DEFAULT]\nkey = 1\n", "f.ini:1: [DEFAULT] is not a known section"),
     ("key = 1\n", "f.ini:1: 'key': unknown key"),
 ])
-def test_syntax_errors(text, message):
+def test_syntax_errors(text, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.ini").write_text(text)
     with pytest.raises(ValidationError) as info:
-        keys = _parse(text)
-        keys.section("s").integer("key", 0, 0)
-        keys.finish()
+        with keyfile.reading("f.ini") as lines:
+            keys = keyfile.KeyFile(lines)
+            keys.section("s").integer("key", 0, 0)
+            keys.finish()
     assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("fps = 2\ntimestamps = 1 2\n", "'timestamps': cannot be set beside 'fps'"),
+    ("timestamps = 1 2\n\nfps = 2\n", "'fps': cannot be set beside "
+                                       "'timestamps'"),
+])
+def test_either_refuses_both_keys_at_the_later(text, message):
+    section = _parse(text).section("")
+    with pytest.raises(ValidationError, match=re.escape(message)) as info:
+        section.either("fps", "timestamps")
+    assert info.value.line == len(text.splitlines())
+    _parse("fps = 2\n").section("").either("fps", "timestamps")
 
 
 def test_typed_getters():
@@ -74,12 +92,41 @@ def test_getter_errors(value, get, message):
 def test_lines_decode_utf8_only(tmp_path):
     path = tmp_path / "f.txt"
     path.write_bytes(b"a = 1\r\nb = \xc3\xa9\n")
-    assert keyfile.lines(str(path)) == ["a = 1", "b = é"]
+    with keyfile.reading(str(path)) as lines:
+        assert lines == ["a = 1", "b = é"]
     path.write_bytes(b"a = 1\nb = \xff\n")
     with pytest.raises(ValidationError,
                        match=re.escape(f"{path}:2: not UTF-8 text: "
                                        "invalid start byte")):
-        keyfile.lines(str(path))
+        with keyfile.reading(str(path)):
+            pass
+
+
+def test_reading_names_its_file_once(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for name in ("outer.txt", "inner.csv"):
+        (tmp_path / name).write_text("1,2\n")
+
+    def refusal(*args):
+        with pytest.raises(ValidationError) as info:
+            with keyfile.reading("outer.txt"):
+                raise ValidationError(*args)
+        return str(info.value)
+
+    assert refusal("bad", 3) == "outer.txt:3: bad"
+    assert refusal("bad") == "outer.txt: bad"
+    # an inner file's refusal keeps its name, also after a pickle round
+    # trip such as a forked worker's
+    with pytest.raises(ValidationError) as info:
+        with keyfile.reading("inner.csv") as lines:
+            keyfile.rows(lines, 1, 3, 1)
+    named = pickle.loads(pickle.dumps(info.value))
+    assert str(named) == ("inner.csv:1: expected 1 rows of 3 values, "
+                          "got 1 rows of 2")
+    with pytest.raises(ValidationError) as info:
+        with keyfile.reading("outer.txt"):
+            raise named
+    assert str(info.value) == str(named) and info.value.path == "inner.csv"
 
 
 def test_rows_round_trip(tmp_path):
@@ -90,17 +137,18 @@ def test_rows_round_trip(tmp_path):
     text = path.read_text(encoding="utf-8").splitlines()
     # the same bytes as formatting each value with %.17g
     assert text == [",".join("%.17g" % v for v in row) for row in values]
-    back = keyfile.rows(text, 2, 3, "rows.csv", 1)
+    back = keyfile.rows(text, 2, 3, 1)
     assert back.tobytes() == values.tobytes()
-    cells = keyfile.rows(["9223372036854775807,-1"], 1, 2, "m.csv", 2,
-                         np.int64)
+    cells = keyfile.rows(["9223372036854775807,-1"], 1, 2, 2, np.int64)
     assert cells.dtype == np.int64 and cells.tolist() == [[2 ** 63 - 1, -1]]
 
 
+# a refusal names the first line that fails on its own: a bad cell, a
+# ragged row or a blank line
 @pytest.mark.parametrize("lines, count, dtype, message", [
-    (["1,2", "3"], 2, np.float64, "f.csv:7: the number of columns changed"),
+    (["1,2", "3"], 2, np.float64, "f.csv:8: the number of columns changed"),
     (["1,2", "", "3,4"], 3, np.float64,
-     "f.csv:7: expected 3 rows of 2 values, got 2 rows of 2"),
+     "f.csv:8: expected 3 rows of 2 values, got 2 rows of 2"),
     (["1,2", "3,4"], 1, np.float64, "f.csv:8: more than 1 rows"),
     ([], 1, np.float64, "f.csv:7: expected 1 rows of 2 values, got none"),
     ([""], 1, np.float64, "f.csv:7: expected 1 rows of 2 values, got none"),
@@ -112,9 +160,16 @@ def test_rows_round_trip(tmp_path):
     (["9223372036854775808,0"], 1, np.int64,
      "could not convert string '9223372036854775808' to int64"),
     (["1.5,0"], 1, np.int64, "could not convert string '1.5' to int64"),
+    (["1,2", "3,4", "x,5"], 3, np.float64,
+     "f.csv:9: could not convert string 'x' to float64 at row 2, column 1"),
+    (["1,2", "3,4"], 3, np.float64,
+     "f.csv:7: expected 3 rows of 2 values, got 2 rows of 2"),
 ])
-def test_rows_errors(lines, count, dtype, message):
+def test_rows_errors(lines, count, dtype, message, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "f.csv").write_text("")
     with warnings.catch_warnings():
         warnings.simplefilter("error")      # a warning would print to stderr
         with pytest.raises(ValidationError, match=re.escape(message)):
-            keyfile.rows(lines, count, 2, "f.csv", 7, dtype)
+            with keyfile.reading("f.csv"):
+                keyfile.rows(lines, count, 2, 7, dtype)
